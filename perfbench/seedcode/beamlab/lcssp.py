@@ -1,0 +1,237 @@
+"""Projection-based IPNC reconstruction on a virtually extended array.
+
+Pipeline: pick an extended dimension L whose selection-zero steering basis
+approximates the interferers well enough, project the extended sample
+covariance onto the basis vectors outside the look sector, and take the
+physical-size block as the interference-plus-noise covariance estimate.
+The zero-set formula assumes half-wavelength element spacing.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+
+from .array_model import selection_zeros, steering_matrix, steering_vector
+from .baselines import (
+    BeamformerMethod,
+    BeamformerWeights,
+    conditioned_matrix,
+    distortionless_solve,
+)
+from .covariance import (
+    CovarianceEstimate,
+    CovarianceKind,
+    extended_block,
+    hermitize,
+    sample_covariance,
+)
+
+
+class NoConvergenceError(RuntimeError):
+    """No dimension up to l_max met the normalized-error threshold."""
+
+    def __init__(self, message, best_l=None, best_error=None):
+        super().__init__(message)
+        self.best_l = best_l
+        self.best_error = best_error
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionMatrix:
+    """Orthogonal projector onto retained basis steering vectors.
+
+    ``retained_angles`` are the selection zeros outside the look sector;
+    ``excluded_angles`` are the zeros inside it plus the sector center.
+    Hermitian, idempotent, rank equal to the retained count.
+    """
+
+    matrix: np.ndarray
+    dim: int
+    retained_angles: np.ndarray
+    excluded_angles: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LcsspConfig:
+    """Knobs for projector construction and dimension selection.
+
+    ``l_initial`` doubles as the physical element count M (the search
+    starts there and the reconstructed block has that size). ``fixed_l``
+    skips the threshold search and pins the extended dimension. ``l_max``
+    defaults to 8 * l_initial.
+    """
+
+    presumed_soi: float
+    soi_sector_halfwidth: float
+    nominal_interferers: np.ndarray
+    delta: float = 0.05
+    l_initial: int = 10
+    l_max: int = None
+    fixed_l: int = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "nominal_interferers",
+            np.atleast_1d(np.asarray(self.nominal_interferers, dtype=float)),
+        )
+        if self.nominal_interferers.size == 0:
+            raise ValueError("need at least one nominal interferer direction")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must lie in (0, 1]")
+        if self.l_initial < 2:
+            raise ValueError("l_initial must be at least 2")
+        if self.l_max is None:
+            object.__setattr__(self, "l_max", 8 * self.l_initial)
+        if self.l_max < self.l_initial:
+            raise ValueError("l_max must be at least l_initial")
+        if self.fixed_l is not None and self.fixed_l < self.l_initial:
+            raise ValueError("fixed_l must be at least l_initial")
+        if self.soi_sector_halfwidth < 0:
+            raise ValueError("sector halfwidth must be nonnegative")
+
+
+def build_projection(config, l):
+    """Projector onto the l-dimensional basis vectors outside the look sector.
+
+    The l-1 selection zeros about the presumed direction are split by the
+    closed sector [presumed - halfwidth, presumed + halfwidth]; the
+    projector sums a a^H over the zeros outside it. Unit-norm steering
+    vectors over an orthonormal set make this an exact orthogonal
+    projector.
+    """
+    if l < 2:
+        raise ValueError("projector dimension must be at least 2")
+    zeros = selection_zeros(config.presumed_soi, l)
+    inside = np.abs(zeros - config.presumed_soi) <= config.soi_sector_halfwidth
+    retained = zeros[~inside]
+    if retained.size == 0:
+        raise ValueError(
+            f"look sector swallows every basis angle at dimension {l}; halfwidth too large"
+        )
+    excluded = np.concatenate((zeros[inside], [config.presumed_soi]))
+    basis = steering_matrix(retained, l)
+    matrix = hermitize(basis @ basis.conj().T)
+    return ProjectionMatrix(
+        matrix=matrix, dim=l, retained_angles=retained, excluded_angles=excluded
+    )
+
+
+def normalized_error(projection, interferer_angles):
+    """Relative energy of the interferer steering vectors lost to projection.
+
+    ||C B - B||_F / ||B||_F with B the nominal interferer steering matrix
+    at the projector's dimension; always in [0, 1].
+    """
+    angles = np.atleast_1d(np.asarray(interferer_angles, dtype=float))
+    if angles.size == 0:
+        raise ValueError("need at least one interferer angle")
+    b = steering_matrix(angles, projection.dim)
+    return float(
+        np.linalg.norm(projection.matrix @ b - b) / np.linalg.norm(b)
+    )
+
+
+def select_dimension(config):
+    """Smallest dimension in [l_initial, l_max] meeting the delta threshold.
+
+    Returns (l, projector). Raises NoConvergenceError, carrying the best
+    error seen, when no dimension qualifies.
+    """
+    best_l, best_error = None, np.inf
+    for l in range(config.l_initial, config.l_max + 1):
+        projection = build_projection(config, l)
+        error = normalized_error(projection, config.nominal_interferers)
+        if error <= config.delta:
+            return l, projection
+        if error < best_error:
+            best_l, best_error = l, error
+    raise NoConvergenceError(
+        f"no dimension up to {config.l_max} reached delta={config.delta:g}; "
+        f"best error {best_error:.6g} at l={best_l}",
+        best_l=best_l,
+        best_error=best_error,
+    )
+
+
+def reconstruct_ipnc(projection, cov_l, m):
+    """Top-left m x m block of C R_L C^H, the reconstructed IPNC."""
+    if cov_l.n != projection.dim:
+        raise ValueError("covariance dimension must match the projector")
+    if m > projection.dim:
+        raise ValueError("physical count cannot exceed the extended dimension")
+    c = projection.matrix
+    full = CovarianceEstimate(
+        matrix=hermitize(c @ cov_l.matrix @ c.conj().T),
+        n=projection.dim,
+        kind=CovarianceKind.RECONSTRUCTED,
+    )
+    return extended_block(full, m)
+
+
+def lcssp_weights(ipnc, presumed_sv):
+    """MVDR weights against the reconstructed IPNC; w^H a = 1 exactly."""
+    values = distortionless_solve(ipnc.matrix, presumed_sv.values)
+    return BeamformerWeights(
+        values=values, presumed_sv=presumed_sv, method=BeamformerMethod.LCSSP
+    )
+
+
+def run_lcssp(snapshot_source, config, k, seed):
+    """End-to-end pipeline from snapshots to weights.
+
+    ``snapshot_source(n_elements, k, seed)`` must return a complex
+    n_elements x k matrix for any n_elements up to config.l_max; the
+    extended dimension is chosen by threshold search unless
+    config.fixed_l pins it. Returns (weights, diagnostics) where
+    diagnostics exposes every intermediate: l_chosen, epsilon_n, the
+    projector, the extended sample covariance, and the reconstructed
+    IPNC.
+    """
+    if config.fixed_l is not None:
+        l = config.fixed_l
+        projection = build_projection(config, l)
+    else:
+        l, projection = select_dimension(config)
+    epsilon = normalized_error(projection, config.nominal_interferers)
+    snapshots = snapshot_source(l, k, seed)
+    scm_extended = sample_covariance(snapshots)
+    ipnc = reconstruct_ipnc(projection, scm_extended, config.l_initial)
+    presumed = steering_vector(config.presumed_soi, config.l_initial)
+    weights = lcssp_weights(ipnc, presumed)
+    diagnostics = {
+        "l_chosen": l,
+        "epsilon_n": epsilon,
+        "projection": projection,
+        "scm_extended": scm_extended,
+        "ipnc": ipnc,
+    }
+    return weights, diagnostics
+
+
+def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)):
+    """Largest Capon-spectrum peaks outside the look sector.
+
+    Automatic alternative to config-provided nominal interferer
+    directions: scans 1/(a^H R^-1 a) of the physical-size covariance on a
+    uniform grid, keeps local maxima outside the sector, and returns the
+    ``count`` strongest angles sorted ascending.
+    """
+    if count < 1:
+        raise ValueError("need at least one direction")
+    half = np.pi / 2
+    grid = np.arange(-half + grid_step, half, grid_step)
+    matrix = conditioned_matrix(scm.matrix)
+    steer = steering_matrix(grid, scm.n)
+    u = scipy.linalg.solve(matrix, steer, assume_a="her")
+    spectrum = 1.0 / np.einsum("ij,ij->j", steer.conj(), u).real
+    outside = np.abs(grid - config.presumed_soi) > config.soi_sector_halfwidth
+    peaks = []
+    for i in range(1, len(grid) - 1):
+        if outside[i] and spectrum[i] > spectrum[i - 1] and spectrum[i] >= spectrum[i + 1]:
+            peaks.append((spectrum[i], grid[i]))
+    if len(peaks) < count:
+        raise ValueError(f"found only {len(peaks)} spectrum peaks outside the sector")
+    peaks.sort(key=lambda item: -item[0])
+    return np.sort(np.array([angle for _, angle in peaks[:count]]))
