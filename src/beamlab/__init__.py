@@ -7,7 +7,6 @@ interference-plus-noise covariance from the projected extended sample
 covariance. Classical baselines and a Monte Carlo harness round it out.
 """
 
-from ._kernels import active_backend
 from .array_model import (
     ArrayGeometry,
     Scenario,
@@ -58,7 +57,6 @@ from .lcssp import (
     lcssp_weights,
     normalized_error,
     reconstruct_ipnc,
-    run_lcssp,
     select_dimension,
 )
 from .metrics import (
@@ -87,7 +85,6 @@ __all__ = [
     "SingularCovarianceError",
     "SteeringVector",
     "SweepResult",
-    "active_backend",
     "beampattern",
     "build_projection",
     "capon_integral_ipnc",
@@ -110,7 +107,6 @@ __all__ = [
     "output_sinr",
     "reconstruct_ipnc",
     "run_experiment",
-    "run_lcssp",
     "sample_covariance",
     "scm_mvdr_weights",
     "select_dimension",

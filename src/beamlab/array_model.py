@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 HALF_PI = math.pi / 2
+MAX_POSITION_ERROR_WL = 0.25
 _ENDPOINT_TOL = 1e-12
 
 
@@ -23,9 +22,8 @@ class ArrayGeometry:
 
     ``position_errors`` holds per-element placement errors in wavelengths
     (zeros for nominal geometry). Virtual elements past ``n_physical``
-    always sit at exact nominal spacing: they are synthetic, no placement
-    error applies (pass perturb_virtual=True to positions() to override
-    for sensitivity studies).
+    always sit at exact nominal spacing: they are synthetic, so no
+    placement error applies to them.
     """
 
     n_physical: int
@@ -44,7 +42,7 @@ class ArrayGeometry:
             errs = np.asarray(errs, dtype=float)
         if errs.shape != (self.n_physical,):
             raise ValueError("position_errors must have length n_physical")
-        if np.any(np.abs(errs) > 0.25):
+        if np.any(np.abs(errs) > MAX_POSITION_ERROR_WL):
             raise ValueError("position errors above a quarter wavelength are not sane")
         object.__setattr__(self, "position_errors", errs)
 
@@ -87,11 +85,22 @@ def _check_angle(angle):
     return min(max(angle, -HALF_PI), HALF_PI)
 
 
+def _steering_grid(positions, sines):
+    """Unit-norm array response columns, exp(j (2 pi positions) sin_j) / sqrt(n).
+
+    The phase is formed as (2 pi positions) * sin_j, in that order: it
+    matches the documented snapshot draw protocol bit for bit, and
+    2 pi (positions sin_j) does not.
+    """
+    phases = np.outer(2.0 * np.pi * positions, sines)
+    return np.exp(1j * phases) / math.sqrt(positions.shape[0])
+
+
 def steering_matrix(angles, n, geometry=None, spacing_wavelengths=0.5):
     """Stack unit-norm steering vectors as columns, one per angle."""
     pos = _positions_for(n, geometry, spacing_wavelengths)
     sines = np.sin(np.asarray(angles, dtype=float))
-    return _kernels.steering_grid(pos, np.atleast_1d(sines))
+    return _steering_grid(pos, np.atleast_1d(sines))
 
 
 def steering_vector(angle, n, geometry=None, spacing_wavelengths=0.5):

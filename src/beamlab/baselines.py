@@ -6,7 +6,6 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from .array_model import steering_matrix
 from .covariance import CovarianceEstimate, CovarianceKind, hermitize
 
@@ -114,6 +113,13 @@ def _validate_intervals(sector_complement):
     return intervals
 
 
+def _capon_accumulate(steer, rinv, deltas):
+    """Sum over grid columns a_j of a_j a_j^H * deltas[j] / (a_j^H rinv a_j)."""
+    q = np.einsum("ij,ij->j", steer.conj(), rinv @ steer).real
+    scaled = steer * (deltas / q)
+    return scaled @ steer.conj().T
+
+
 def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     """Reconstruct the IPNC by integrating a(theta) a^H(theta) / capon(theta).
 
@@ -137,7 +143,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
         deltas.append(np.full(ni, step))
     grid = np.concatenate(midpoints)
     steer = steering_matrix(grid, scm.n)
-    acc = _kernels.capon_accumulate(steer, rinv, np.concatenate(deltas))
+    acc = _capon_accumulate(steer, rinv, np.concatenate(deltas))
     return CovarianceEstimate(
         matrix=hermitize(acc), n=scm.n, kind=CovarianceKind.RECONSTRUCTED
     )

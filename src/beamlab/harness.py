@@ -23,13 +23,20 @@ execute in parallel in any order.
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Scenario, generate_snapshots, steering_vector
+from .array_model import (
+    MAX_POSITION_ERROR_WL,
+    ArrayGeometry,
+    Scenario,
+    generate_snapshots,
+    steering_vector,
+)
 from .baselines import (
     BeamformerMethod,
     SingularCovarianceError,
@@ -42,7 +49,6 @@ from .covariance import sample_covariance, true_ipnc
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
-    build_projection,
     lcssp_weights,
     normalized_error,
     reconstruct_ipnc,
@@ -56,6 +62,8 @@ DOMINANCE_TOL_DB = 1e-6
 CAPON_SAMPLES = 200
 
 _TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
+# Experiments whose trials draw interferer direction offsets.
+_PERTURBS_INTERFERERS = ("sinr_vs_snr", "sinr_vs_snapshots")
 
 
 class ConfigError(ValueError):
@@ -184,7 +192,7 @@ def load_config(path=None, overrides=None):
 def _as_int(value, name, minimum=None):
     try:
         out = int(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from err
     if isinstance(value, float) and value != out:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -195,9 +203,12 @@ def _as_int(value, name, minimum=None):
 
 def _as_float(value, name):
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be a number, got {value!r}") from err
+    if not np.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
 
 
 def _as_float_list(value, name):
@@ -207,6 +218,8 @@ def _as_float_list(value, name):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
     if not out:
         raise ConfigError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} entries must be finite, got {value!r}")
     return out
 
 
@@ -226,6 +239,11 @@ def normalize_config(config):
     out.trials = _as_int(config.trials, "trials", minimum=1)
     out.snr_grid_db = _as_float_list(config.snr_grid_db, "snr_grid_db")
     out.inr_grid_db = _as_float_list(config.inr_grid_db, "inr_grid_db")
+    for name in ("snr_grid_db", "inr_grid_db"):
+        try:
+            10.0 ** (max(getattr(out, name)) / 10.0)
+        except OverflowError as err:
+            raise ConfigError(f"{name} entries overflow as linear powers") from err
     out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in config.k_grid]
     if not out.k_grid:
         raise ConfigError("k_grid must be nonempty")
@@ -241,6 +259,10 @@ def normalize_config(config):
     for name in ("sector_halfwidth_deg", "doa_mismatch_halfwidth_deg", "position_error_halfwidth_wl"):
         if getattr(out, name) < 0:
             raise ConfigError(f"{name} must be nonnegative")
+    if out.position_error_halfwidth_wl > MAX_POSITION_ERROR_WL:
+        raise ConfigError(
+            f"position_error_halfwidth_wl must be at most {MAX_POSITION_ERROR_WL} wavelengths"
+        )
     out.delta = _as_float(config.delta, "delta")
     if not 0 < out.delta <= 1:
         raise ConfigError("delta must lie in (0, 1]")
@@ -259,6 +281,15 @@ def normalize_config(config):
     angles = [out.presumed_soi_deg, *out.interferers_deg]
     if any(abs(a) >= 90 for a in angles):
         raise ConfigError("directions must lie strictly inside (-90, 90) degrees")
+    perturbed = angles if out.experiment in _PERTURBS_INTERFERERS else angles[:1]
+    if any(abs(a) + out.doa_mismatch_halfwidth_deg >= 90 for a in perturbed):
+        raise ConfigError(
+            "directions plus doa_mismatch_halfwidth_deg must stay strictly inside (-90, 90) degrees"
+        )
+    try:
+        _sector_complement(np.deg2rad(out.presumed_soi_deg), np.deg2rad(out.sector_halfwidth_deg))
+    except ValueError as err:
+        raise ConfigError(f"sector_halfwidth_deg too large: {err}") from err
     return out
 
 
@@ -320,9 +351,16 @@ def _sector_complement(center, halfwidth):
     return intervals
 
 
-def _lcssp_settings(config):
+def _resolve_lcssp(config):
+    """Projector and its error are config-deterministic; build them once.
+
+    Returns (projection, epsilon_n, error text). The projection is None
+    when lcssp is not among the methods or its dimension search fails.
+    """
+    if "lcssp" not in config.methods:
+        return None, None, None
     fixed = None if config.l == "auto" else config.l
-    return LcsspConfig(
+    settings = LcsspConfig(
         presumed_soi=np.deg2rad(config.presumed_soi_deg),
         soi_sector_halfwidth=np.deg2rad(config.sector_halfwidth_deg),
         nominal_interferers=np.deg2rad(config.interferers_deg),
@@ -331,23 +369,11 @@ def _lcssp_settings(config):
         l_max=max(8 * config.m, fixed or 0),
         fixed_l=fixed,
     )
-
-
-def _resolve_lcssp(config):
-    """Projector and dimension are config-deterministic; build them once."""
-    if "lcssp" not in config.methods:
-        return None, None
-    settings = _lcssp_settings(config)
     try:
-        if settings.fixed_l is not None:
-            l_used = settings.fixed_l
-            projection = build_projection(settings, l_used)
-        else:
-            l_used, projection = select_dimension(settings)
-        epsilon = normalized_error(projection, settings.nominal_interferers)
-        return (l_used, projection, epsilon), None
+        _, projection = select_dimension(settings)
+        return projection, normalized_error(projection, settings.nominal_interferers), None
     except (NoConvergenceError, ValueError) as err:
-        return None, f"{type(err).__name__}: {err}"
+        return None, None, f"{type(err).__name__}: {err}"
 
 
 def _draw_mismatch(config, trial):
@@ -366,7 +392,7 @@ def _draw_mismatch(config, trial):
     hw_doa = np.deg2rad(config.doa_mismatch_halfwidth_deg)
     hw_pos = config.position_error_halfwidth_wl
     soi_true = soi_nominal + rng.uniform(-hw_doa, hw_doa) if hw_doa > 0 else soi_nominal
-    if config.experiment in ("sinr_vs_snr", "sinr_vs_snapshots") and hw_doa > 0:
+    if config.experiment in _PERTURBS_INTERFERERS and hw_doa > 0:
         int_true = np.array([th + rng.uniform(-hw_doa, hw_doa) for th in int_nominal])
     else:
         int_true = int_nominal.copy()
@@ -391,8 +417,7 @@ def _resolve_point(config, x):
     return config.snr_grid_db[0], config.inr_grid_db[0], config.k
 
 
-def _method_weights(method, context):
-    scm, presumed, ipnc_true, tsv, snapshots, m, complement, lcssp_ctx = context
+def _method_weights(method, scm, presumed, complement, ipnc_true, tsv, snapshots, projection):
     if method == "optimal":
         return optimal_weights(ipnc_true, tsv)
     if method == "scm_mvdr":
@@ -401,19 +426,24 @@ def _method_weights(method, context):
         return diagonal_loading_weights(scm, presumed)
     if method == "capon_integral":
         return capon_integral_weights(scm, presumed, complement, CAPON_SAMPLES)
-    _, projection, _ = lcssp_ctx
-    reconstructed = reconstruct_ipnc(projection, sample_covariance(snapshots), m)
+    reconstructed = reconstruct_ipnc(projection, sample_covariance(snapshots), scm.n)
     return lcssp_weights(reconstructed, presumed)
+
+
+def _failure(trial, x, method, error):
+    return {"trial": trial, "x": float(x), "method": method, "error": error}
 
 
 def _run_trial(task):
     """One Monte Carlo trial across the whole x grid.
 
-    Returns (trial, values per method, weight vectors if requested,
-    failures, dominance violations). Top-level so process pools can pick
-    it up.
+    Returns (trial, values per method, failures, dominance violations).
+    Values are output SINRs, one per grid point; for the beampattern
+    experiment they are the gain curves of the single operating point
+    instead, one per beampattern angle. Top-level so process pools can
+    pick it up.
     """
-    config, x_values, lcssp_ctx, lcssp_error, trial, keep_weights = task
+    config, x_values, projection, lcssp_error, trial = task
     soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
     geometry = ArrayGeometry(config.m, 0.5, perr)
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
@@ -424,14 +454,14 @@ def _run_trial(task):
     # Snapshots always come from the extended aperture when one is
     # resolvable, so shared methods see identical data whether or not the
     # subspace method runs alongside them.
-    if lcssp_ctx is not None:
-        n_generate = lcssp_ctx[0]
+    if projection is not None:
+        n_generate = projection.dim
     elif config.l != "auto":
         n_generate = config.l
     else:
         n_generate = config.m
     values = {meth: np.full(len(x_values), np.nan) for meth in config.methods}
-    weight_rows = {meth: [None] * len(x_values) for meth in config.methods} if keep_weights else None
+    weights = {}
     failures = []
     violations = 0
     for ix, x in enumerate(x_values):
@@ -450,77 +480,55 @@ def _run_trial(task):
         ipnc_true = true_ipnc(scenario, config.m)
         tsv = steering_vector(soi_true, config.m, geometry)
         scm = sample_covariance(snapshots[: config.m])
-        context = (scm, presumed, ipnc_true, tsv, snapshots, config.m, complement, lcssp_ctx)
         for meth in config.methods:
-            if meth == "lcssp" and lcssp_ctx is None:
-                failures.append(
-                    {"trial": trial, "x": float(x), "method": meth, "error": lcssp_error}
-                )
+            if meth == "lcssp" and projection is None:
+                failures.append(_failure(trial, x, meth, lcssp_error))
                 continue
             try:
-                w = _method_weights(meth, context)
-            except _TRIAL_ERRORS as err:
-                failures.append(
-                    {"trial": trial, "x": float(x), "method": meth,
-                     "error": f"{type(err).__name__}: {err}"}
+                w = _method_weights(
+                    meth, scm, presumed, complement, ipnc_true, tsv, snapshots, projection
                 )
+            except _TRIAL_ERRORS as err:
+                failures.append(_failure(trial, x, meth, f"{type(err).__name__}: {err}"))
                 continue
-            values[meth][ix] = output_sinr(w, scenario.soi_power, tsv, ipnc_true)
-            if keep_weights:
-                weight_rows[meth][ix] = w
+            try:
+                values[meth][ix] = output_sinr(w, scenario.soi_power, tsv, ipnc_true)
+            except ValueError as err:
+                failures.append(_failure(trial, x, meth, f"{type(err).__name__}: {err}"))
+                continue
+            weights[meth] = w
         if "optimal" in config.methods and np.isfinite(values["optimal"][ix]):
             best = values["optimal"][ix]
             for meth in config.methods:
                 if meth != "optimal" and np.isfinite(values[meth][ix]):
                     if values[meth][ix] > best + DOMINANCE_TOL_DB:
                         violations += 1
-    return trial, values, weight_rows, failures, violations
+    if config.experiment == "beampattern":
+        grid = default_beampattern_grid()
+        values = {
+            meth: beampattern(weights[meth], grid).gains_db if meth in weights
+            else np.full(len(grid), np.nan)
+            for meth in config.methods
+        }
+    return trial, values, failures, violations
 
 
-def _base_diagnostics(config, lcssp_ctx, lcssp_error):
-    diag = {
+def _collect(config, n_x, outcomes, projection, epsilon, lcssp_error):
+    raw = {meth: np.full((n_x, config.trials), np.nan) for meth in config.methods}
+    diagnostics = {
         "dominance_violations": 0,
         "failures": [],
-        "l_chosen": None,
-        "epsilon_n": None,
-        "l_histogram": {},
+        "l_chosen": None if projection is None else projection.dim,
+        "epsilon_n": epsilon,
         "lcssp_error": lcssp_error,
     }
-    if lcssp_ctx is not None:
-        diag["l_chosen"] = lcssp_ctx[0]
-        diag["epsilon_n"] = lcssp_ctx[2]
-        diag["l_histogram"] = {lcssp_ctx[0]: config.trials}
-    return diag
-
-
-def _collect(config, x_values, outcomes, lcssp_ctx, lcssp_error):
-    raw = {meth: np.full((len(x_values), config.trials), np.nan) for meth in config.methods}
-    diagnostics = _base_diagnostics(config, lcssp_ctx, lcssp_error)
-    for trial, values, _weight_rows, failures, violations in outcomes:
+    for trial, values, failures, violations in outcomes:
         for meth in config.methods:
             raw[meth][:, trial] = values[meth]
         diagnostics["failures"].extend(failures)
         diagnostics["dominance_violations"] += violations
     diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
     return raw, diagnostics
-
-
-def _run_beampattern(config, lcssp_ctx, lcssp_error, outcomes):
-    # Trials run at a single operating point; the raw columns hold gain
-    # curves instead of SINR values, one angle per x row.
-    grid = default_beampattern_grid()
-    x_values = np.arange(-900, 901) * 0.1
-    raw = {meth: np.full((len(x_values), config.trials), np.nan) for meth in config.methods}
-    diagnostics = _base_diagnostics(config, lcssp_ctx, lcssp_error)
-    for trial, _values, weight_rows, failures, violations in outcomes:
-        for meth in config.methods:
-            w = weight_rows[meth][0]
-            if w is not None:
-                raw[meth][:, trial] = beampattern(w, grid).gains_db
-        diagnostics["failures"].extend(failures)
-        diagnostics["dominance_violations"] += violations
-    diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
-    return _aggregate("angle_deg", x_values, config.methods, raw, diagnostics, config)
 
 
 def _x_grid(config):
@@ -533,32 +541,39 @@ def _x_grid(config):
     return [0.0]  # beampattern: single operating point per trial
 
 
+_X_LABELS = {
+    "beampattern": "angle_deg",
+    "sinr_vs_snr": "snr_db",
+    "sinr_vs_snapshots": "k",
+    "sinr_vs_inr": "inr_db",
+}
+
+
 def run_experiment(config, workers=1):
     """Run the configured experiment and aggregate per-method results.
 
     Deterministic for a given config: trial t's randomness is derived from
     (seed, t) alone, and aggregation is order-insensitive, so any worker
-    count yields identical results. Failed trial points are recorded in
+    count yields identical results. At most min(workers, trials, CPU
+    count) processes run. Failed trial points are recorded in
     diagnostics["failures"], excluded from means, and reflected in n_ok.
     """
     config = normalize_config(config)
-    lcssp_ctx, lcssp_error = _resolve_lcssp(config)
-    is_beampattern = config.experiment == "beampattern"
+    projection, epsilon, lcssp_error = _resolve_lcssp(config)
     x_values = np.asarray(_x_grid(config), dtype=float)
-    tasks = [
-        (config, x_values, lcssp_ctx, lcssp_error, t, is_beampattern)
-        for t in range(config.trials)
-    ]
-    if workers > 1 and config.trials > 1:
+    tasks = [(config, x_values, projection, lcssp_error, t) for t in range(config.trials)]
+    workers = min(workers, config.trials, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, tasks))
     else:
         outcomes = [_run_trial(task) for task in tasks]
-    if is_beampattern:
-        return _run_beampattern(config, lcssp_ctx, lcssp_error, outcomes)
-    raw, diagnostics = _collect(config, x_values, outcomes, lcssp_ctx, lcssp_error)
-    labels = {"sinr_vs_snr": "snr_db", "sinr_vs_snapshots": "k", "sinr_vs_inr": "inr_db"}
-    return _aggregate(labels[config.experiment], x_values, config.methods, raw, diagnostics, config)
+    if config.experiment == "beampattern":
+        x_values = np.arange(-900, 901) * 0.1
+    raw, diagnostics = _collect(config, len(x_values), outcomes, projection, epsilon, lcssp_error)
+    return _aggregate(
+        _X_LABELS[config.experiment], x_values, config.methods, raw, diagnostics, config
+    )
 
 
 def _fmt(value):

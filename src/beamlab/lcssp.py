@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .array_model import selection_zeros, steering_matrix, steering_vector
+from .array_model import selection_zeros, steering_matrix
 from .baselines import (
     BeamformerMethod,
     BeamformerWeights,
@@ -24,7 +24,6 @@ from .covariance import (
     CovarianceKind,
     extended_block,
     hermitize,
-    sample_covariance,
 )
 
 
@@ -136,9 +135,12 @@ def normalized_error(projection, interferer_angles):
 def select_dimension(config):
     """Smallest dimension in [l_initial, l_max] meeting the delta threshold.
 
-    Returns (l, projector). Raises NoConvergenceError, carrying the best
-    error seen, when no dimension qualifies.
+    Returns (l, projector); ``config.fixed_l`` pins l and skips the
+    search. Raises NoConvergenceError, carrying the best error seen, when
+    no dimension qualifies.
     """
+    if config.fixed_l is not None:
+        return config.fixed_l, build_projection(config, config.fixed_l)
     best_l, best_error = None, np.inf
     for l in range(config.l_initial, config.l_max + 1):
         projection = build_projection(config, l)
@@ -176,38 +178,6 @@ def lcssp_weights(ipnc, presumed_sv):
     return BeamformerWeights(
         values=values, presumed_sv=presumed_sv, method=BeamformerMethod.LCSSP
     )
-
-
-def run_lcssp(snapshot_source, config, k, seed):
-    """End-to-end pipeline from snapshots to weights.
-
-    ``snapshot_source(n_elements, k, seed)`` must return a complex
-    n_elements x k matrix for any n_elements up to config.l_max; the
-    extended dimension is chosen by threshold search unless
-    config.fixed_l pins it. Returns (weights, diagnostics) where
-    diagnostics exposes every intermediate: l_chosen, epsilon_n, the
-    projector, the extended sample covariance, and the reconstructed
-    IPNC.
-    """
-    if config.fixed_l is not None:
-        l = config.fixed_l
-        projection = build_projection(config, l)
-    else:
-        l, projection = select_dimension(config)
-    epsilon = normalized_error(projection, config.nominal_interferers)
-    snapshots = snapshot_source(l, k, seed)
-    scm_extended = sample_covariance(snapshots)
-    ipnc = reconstruct_ipnc(projection, scm_extended, config.l_initial)
-    presumed = steering_vector(config.presumed_soi, config.l_initial)
-    weights = lcssp_weights(ipnc, presumed)
-    diagnostics = {
-        "l_chosen": l,
-        "epsilon_n": epsilon,
-        "projection": projection,
-        "scm_extended": scm_extended,
-        "ipnc": ipnc,
-    }
-    return weights, diagnostics
 
 
 def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)):

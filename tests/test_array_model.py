@@ -12,6 +12,7 @@ from beamlab import (
     steering_matrix,
     steering_vector,
 )
+from beamlab.array_model import _steering_grid
 
 
 def test_steering_vector_first_element_and_norm():
@@ -26,6 +27,15 @@ def test_steering_vector_phase_progression():
     sv = steering_vector(angle, n)
     expected = np.exp(2j * np.pi * 0.5 * np.arange(n) * np.sin(angle)) / np.sqrt(n)
     np.testing.assert_allclose(sv.values, expected, atol=1e-14)
+
+
+def test_steering_grid_matches_direct_formula():
+    rng = np.random.default_rng(0)
+    positions = np.arange(10) * 0.5 + rng.uniform(-0.05, 0.05, 10)
+    sines = np.sort(rng.uniform(-1.0, 1.0, 64))
+    got = _steering_grid(positions, sines)
+    expected = np.exp(2j * np.pi * np.outer(positions, sines)) / np.sqrt(len(positions))
+    np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
 def test_steering_vector_broadside_is_uniform():

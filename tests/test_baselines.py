@@ -23,6 +23,8 @@ from beamlab import (
     steering_vector,
     theoretical_covariance,
 )
+from beamlab.array_model import _steering_grid
+from beamlab.baselines import _capon_accumulate
 
 # Total angular measure of [-90, -6] and [6, 90] degrees in radians;
 # quadrature weights must sum to it for any sample budget.
@@ -45,6 +47,25 @@ def _scenario(m=10, inr_db=10.0):
         noise_power=1.0,
         geometry=ArrayGeometry(m, 0.5),
     )
+
+
+def test_capon_accumulate_matches_direct_sum():
+    rng = np.random.default_rng(1)
+    n, g = 10, 64
+    positions = np.arange(n) * 0.5 + rng.uniform(-0.05, 0.05, n)
+    sines = np.sort(rng.uniform(-1.0, 1.0, g))
+    x = rng.standard_normal((n, 3 * n)) + 1j * rng.standard_normal((n, 3 * n))
+    rinv = np.linalg.inv(x @ x.conj().T / (3 * n) + np.eye(n))
+    rinv = (rinv + rinv.conj().T) / 2
+    deltas = rng.uniform(0.01, 0.1, g)
+    steer = _steering_grid(positions, sines)
+    got = _capon_accumulate(steer, rinv, deltas)
+    expected = np.zeros((n, n), dtype=complex)
+    for j in range(g):
+        a = steer[:, j]
+        q = (a.conj() @ rinv @ a).real
+        expected += deltas[j] * np.outer(a, a.conj()) / q
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_distortionless_solve_matches_direct_inverse():

@@ -89,6 +89,42 @@ def test_run_reports_failed_trials(tmp_path, capsys):
     assert ",nan," in body
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sector_halfwidth_deg", 95),
+        ("position_error_halfwidth_wl", 0.3),
+        ("presumed_soi_deg", float("nan")),
+        ("snr_grid_db", [float("nan")]),
+        ("snr_grid_db", [float("inf")]),
+    ],
+)
+def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "sinr_vs_snr", "trials": 2, field: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not out.exists()
+
+
+def test_run_survives_output_sinr_failure(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"experiment": "sinr_vs_snr", "trials": 2, "snr_grid_db": [10.0], "inr_grid_db": [400]}
+        )
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "nonpositive interference-plus-noise power" in capsys.readouterr().err
+    with open(tmp_path / "sinr_vs_snr.csv", newline="") as fh:
+        rows = {r["method"]: r for r in csv.DictReader(fh)}
+    assert int(rows["optimal"]["n_ok"]) < 2
+    assert rows["scm_mvdr"]["n_ok"] == "2"
+
+
 def test_cli_overrides_take_precedence(tmp_path, small_config):
     code = main(
         [

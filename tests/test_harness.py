@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamlab import ConfigError, default_config, emit_csv, load_config, run_experiment
+from beamlab import harness
 from beamlab.harness import _draw_mismatch, normalize_config
 
 
@@ -88,6 +89,33 @@ def test_normalize_config_rejects_bad_values():
     cfg.interferers_deg = [95.0]
     with pytest.raises(ConfigError):
         normalize_config(cfg)
+    # Values that used to pass here and then fail mid-run.
+    for field, value in (
+        ("sector_halfwidth_deg", 95.0),
+        ("position_error_halfwidth_wl", 0.3),
+        ("presumed_soi_deg", float("nan")),
+        ("inr_grid_db", [float("inf")]),
+        ("snr_grid_db", [4000.0]),
+        ("doa_mismatch_halfwidth_deg", 85.0),
+        ("trials", float("inf")),
+    ):
+        cfg = default_config("sinr_vs_snr")
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=field):
+            normalize_config(cfg)
+
+
+def test_doa_mismatch_limit_follows_experiment_protocol():
+    # Only the SNR and snapshot sweeps perturb interferer directions, so
+    # only they need room around the interferers for the mismatch draw.
+    for experiment, accepted in (("sinr_vs_snr", False), ("sinr_vs_inr", True)):
+        cfg = default_config(experiment)
+        cfg.interferers_deg = [-30.0, 87.0]
+        if accepted:
+            assert normalize_config(cfg).interferers_deg == [-30.0, 87.0]
+        else:
+            with pytest.raises(ConfigError):
+                normalize_config(cfg)
 
 
 def test_normalize_config_accepts_auto_dimension():
@@ -186,7 +214,6 @@ def test_dominance_accounting_on_clean_run():
     assert res.diagnostics["failures"] == []
     assert res.diagnostics["l_chosen"] == 20
     assert res.diagnostics["epsilon_n"] < 1e-12
-    assert res.diagnostics["l_histogram"] == {20: 3}
 
 
 def test_failed_method_recorded_and_excluded():
@@ -205,6 +232,55 @@ def test_failed_method_recorded_and_excluded():
     assert len(failures) == len(res.x_values) * cfg.trials
     assert all(rec["method"] == "lcssp" for rec in failures)
     assert all("NoConvergenceError" in rec["error"] for rec in failures)
+
+
+def test_output_sinr_failure_is_recorded_per_point():
+    # At 400 dB INR the true IPNC swamps double precision, so the optimal
+    # weights can give a nonpositive interference-plus-noise power.
+    res = run_experiment(_small(inr_grid_db=[400.0]))
+    failures = res.diagnostics["failures"]
+    assert failures
+    assert all("nonpositive interference-plus-noise power" in rec["error"] for rec in failures)
+    failed = {(rec["method"], rec["trial"], rec["x"]) for rec in failures}
+    for meth in res.methods:
+        for ix, x in enumerate(res.x_values):
+            for t in range(3):
+                assert np.isnan(res.raw[meth][ix, t]) == ((meth, t, x) in failed)
+        assert np.array_equal(res.n_ok[meth], np.isfinite(res.raw[meth]).sum(axis=1))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, expected",
+    [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (4, 3, None, None), (4, 1, 8, None)],
+)
+def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    cfg = _small(trials=trials, methods=["optimal", "scm_mvdr"])
+    res = run_experiment(cfg, workers=workers)
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    serial = run_experiment(cfg, workers=1)
+    for meth in res.methods:
+        np.testing.assert_array_equal(res.raw[meth], serial.raw[meth])
 
 
 def test_beampattern_result_shape():

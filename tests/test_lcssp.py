@@ -15,7 +15,6 @@ from beamlab import (
     lcssp_weights,
     normalized_error,
     reconstruct_ipnc,
-    run_lcssp,
     sample_covariance,
     select_dimension,
     steering_matrix,
@@ -164,33 +163,12 @@ def test_lcssp_weights_satisfy_constraint():
     assert w.values @ a.values.conj() == pytest.approx(1.0, abs=1e-12)
 
 
-def _snapshot_source(scenario):
-    def source(n_elements, k, seed):
-        return generate_snapshots(scenario, n_elements, k, seed)
-
-    return source
-
-
-def test_run_lcssp_auto_matches_equivalent_fixed_dimension():
-    sc = Scenario(
-        soi_direction_true=0.02,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=INTERFERERS,
-        interferer_directions_nominal=INTERFERERS,
-        soi_power=10.0,
-        interferer_powers=np.array([10.0, 10.0]),
-        noise_power=1.0,
-        geometry=ArrayGeometry(10, 0.5),
-    )
-    source = _snapshot_source(sc)
-    w_auto, diag_auto = run_lcssp(source, _config(), k=50, seed=21)
-    assert diag_auto["l_chosen"] == 12
-    w_fixed, diag_fixed = run_lcssp(source, _config(fixed_l=12), k=50, seed=21)
-    np.testing.assert_array_equal(w_auto.values, w_fixed.values)
-    assert diag_fixed["l_chosen"] == 12
-    assert diag_auto["epsilon_n"] == pytest.approx(diag_fixed["epsilon_n"], abs=0)
-    for key in ("l_chosen", "epsilon_n", "projection", "scm_extended", "ipnc"):
-        assert key in diag_auto
+def test_select_dimension_fixed_matches_equivalent_auto():
+    l_auto, proj_auto = select_dimension(_config())
+    l_fixed, proj_fixed = select_dimension(_config(fixed_l=12))
+    assert l_auto == l_fixed == 12
+    np.testing.assert_array_equal(proj_fixed.matrix, proj_auto.matrix)
+    assert normalized_error(proj_fixed, INTERFERERS) == normalized_error(proj_auto, INTERFERERS)
 
 
 def test_estimate_interferer_directions_finds_strong_sources():
