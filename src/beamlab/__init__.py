@@ -5,12 +5,12 @@ virtually extended, samples the Capon spectrum at the extension's
 orthogonal selection zeros outside the look sector, and rebuilds an
 interference-plus-noise covariance from the projected extended sample
 covariance. Classical baselines and a Monte Carlo harness round it out.
+Library functions take and return plain numpy arrays.
 """
 
 from .array_model import (
     ArrayGeometry,
     Scenario,
-    SteeringVector,
     generate_snapshots,
     selection_function,
     selection_zeros,
@@ -18,8 +18,6 @@ from .array_model import (
     steering_vector,
 )
 from .baselines import (
-    BeamformerMethod,
-    BeamformerWeights,
     SingularCovarianceError,
     capon_integral_ipnc,
     capon_integral_weights,
@@ -30,9 +28,6 @@ from .baselines import (
     scm_mvdr_weights,
 )
 from .covariance import (
-    CovarianceEstimate,
-    CovarianceKind,
-    extended_block,
     hermitize,
     sample_covariance,
     theoretical_covariance,
@@ -71,19 +66,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
-    "BeamformerMethod",
-    "BeamformerWeights",
     "BeampatternCurve",
     "ConfigError",
-    "CovarianceEstimate",
-    "CovarianceKind",
     "ExperimentConfig",
     "LcsspConfig",
     "NoConvergenceError",
     "ProjectionMatrix",
     "Scenario",
     "SingularCovarianceError",
-    "SteeringVector",
     "SweepResult",
     "beampattern",
     "build_projection",
@@ -96,7 +86,6 @@ __all__ = [
     "distortionless_solve",
     "emit_csv",
     "estimate_interferer_directions",
-    "extended_block",
     "generate_snapshots",
     "hermitize",
     "lcssp_weights",

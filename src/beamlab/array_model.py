@@ -12,13 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 HALF_PI = math.pi / 2
+# Element spacing in wavelengths; the selection zeros assume it is 0.5.
+SPACING_WL = 0.5
 MAX_POSITION_ERROR_WL = 0.25
 _ENDPOINT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Physical ULA description.
+    """Physical ULA description at half-wavelength spacing.
 
     ``position_errors`` holds per-element placement errors in wavelengths
     (zeros for nominal geometry). Virtual elements past ``n_physical``
@@ -27,14 +29,11 @@ class ArrayGeometry:
     """
 
     n_physical: int
-    spacing_wavelengths: float = 0.5
     position_errors: np.ndarray = None
 
     def __post_init__(self):
         if self.n_physical < 1:
             raise ValueError("n_physical must be at least 1")
-        if not 0.0 < self.spacing_wavelengths <= 0.5:
-            raise ValueError("spacing_wavelengths must lie in (0, 0.5]")
         errs = self.position_errors
         if errs is None:
             errs = np.zeros(self.n_physical)
@@ -50,32 +49,15 @@ class ArrayGeometry:
         """Element positions in wavelengths for an n-element (virtual) array."""
         if n < 1:
             raise ValueError("need at least one element")
-        pos = np.arange(n) * self.spacing_wavelengths
+        pos = np.arange(n) * SPACING_WL
         n_err = min(n, self.n_physical)
         pos[:n_err] += self.position_errors[:n_err]
         return pos
 
 
-@dataclass(frozen=True, eq=False)
-class SteeringVector:
-    """Unit-norm complex array response toward ``angle``.
-
-    Phases are referenced to element 0, so values[0] = 1/sqrt(n_elements)
-    exactly regardless of geometry perturbations.
-    """
-
-    angle: float
-    n_elements: int
-    values: np.ndarray
-
-
-def _positions_for(n, geometry, spacing_wavelengths):
-    if geometry is not None:
-        pos = geometry.positions(n)
-    else:
-        pos = np.arange(n) * spacing_wavelengths
-    # element 0 is the phase reference
-    return pos - pos[0]
+def _positions_for(n, geometry):
+    pos = np.arange(n) * SPACING_WL if geometry is None else geometry.positions(n)
+    return pos - pos[0]  # element 0 is the phase reference
 
 
 def _check_angle(angle):
@@ -96,15 +78,18 @@ def _steering_grid(positions, sines):
     return np.exp(1j * phases) / math.sqrt(positions.shape[0])
 
 
-def steering_matrix(angles, n, geometry=None, spacing_wavelengths=0.5):
+def steering_matrix(angles, n, geometry=None):
     """Stack unit-norm steering vectors as columns, one per angle."""
-    pos = _positions_for(n, geometry, spacing_wavelengths)
+    pos = _positions_for(n, geometry)
     sines = np.sin(np.asarray(angles, dtype=float))
     return _steering_grid(pos, np.atleast_1d(sines))
 
 
-def steering_vector(angle, n, geometry=None, spacing_wavelengths=0.5):
+def steering_vector(angle, n, geometry=None):
     """Unit-norm ULA steering vector toward ``angle``.
+
+    Phases are referenced to element 0, so element 0 is exactly
+    1/sqrt(n) regardless of geometry perturbations.
 
     Parameters
     ----------
@@ -114,19 +99,16 @@ def steering_vector(angle, n, geometry=None, spacing_wavelengths=0.5):
     n : int
         Element count; indices past ``geometry.n_physical`` are virtual.
     geometry : ArrayGeometry, optional
-        Perturbed geometry; nominal spacing when omitted.
-    spacing_wavelengths : float
-        Spacing used when no geometry is given.
+        Perturbed geometry; nominal positions when omitted.
 
     Returns
     -------
-    SteeringVector
+    numpy.ndarray
+        Complex vector of length n, the column of ``steering_matrix``.
     """
     if n < 1:
         raise ValueError("need at least one element")
-    angle = _check_angle(angle)
-    values = steering_matrix([angle], n, geometry, spacing_wavelengths)[:, 0]
-    return SteeringVector(angle=angle, n_elements=n, values=values)
+    return steering_matrix([_check_angle(angle)], n, geometry)[:, 0]
 
 
 def selection_function(phi, phi0, n):
@@ -136,9 +118,7 @@ def selection_function(phi, phi0, n):
     spacing; 1 when phi = phi0, 0 at the n-1 zeros that define the
     orthonormal steering basis.
     """
-    a0 = steering_vector(phi0, n)
-    a1 = steering_vector(phi, n)
-    return complex(np.vdot(a0.values, a1.values))
+    return complex(np.vdot(steering_vector(phi0, n), steering_vector(phi, n)))
 
 
 def selection_zeros(phi0, n):
@@ -233,7 +213,7 @@ def generate_snapshots(scenario, n_elements, k, seed):
         d = rng.standard_normal((k, 2))
         waveform = math.sqrt(power / 2.0) * (d[:, 0] + 1j * d[:, 1])
         sv = steering_vector(direction, n_elements, scenario.geometry)
-        x += np.outer(sv.values, waveform)
+        x += np.outer(sv, waveform)
     d = rng.standard_normal((n_elements, k, 2))
     x += math.sqrt(scenario.noise_power / 2.0) * (d[..., 0] + 1j * d[..., 1])
     return x

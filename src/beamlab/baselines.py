@@ -1,13 +1,13 @@
-"""Reference beamformers: optimal, SCM-MVDR, diagonal loading, Capon integral."""
+"""Reference beamformers: optimal, SCM-MVDR, diagonal loading, Capon integral.
 
-from dataclasses import dataclass
-from enum import Enum
+Each weight function returns the complex vector w, with w^H a = 1 exactly.
+"""
 
 import numpy as np
 import scipy.linalg
 
 from .array_model import steering_matrix
-from .covariance import CovarianceEstimate, CovarianceKind, hermitize
+from .covariance import hermitize
 
 COND_LIMIT = 1e12
 LOADING_FLOOR = 1e-10
@@ -15,27 +15,6 @@ LOADING_FLOOR = 1e-10
 
 class SingularCovarianceError(RuntimeError):
     """Covariance stayed numerically singular after the loading retry."""
-
-
-class BeamformerMethod(str, Enum):
-    OPTIMAL = "optimal"
-    SCM_MVDR = "scm_mvdr"
-    DIAGONAL_LOADING = "diagonal_loading"
-    CAPON_INTEGRAL = "capon_integral"
-    LCSSP = "lcssp"
-
-
-@dataclass(frozen=True, eq=False)
-class BeamformerWeights:
-    """Complex weight vector plus the presumed steering vector it targets.
-
-    Every constructor in this package enforces the distortionless
-    constraint values^H presumed = 1.
-    """
-
-    values: np.ndarray
-    presumed_sv: object
-    method: BeamformerMethod
 
 
 def conditioned_matrix(matrix):
@@ -75,14 +54,12 @@ def optimal_weights(ipnc, true_sv):
 
     The evaluation ceiling: maximizes output SINR over all weight vectors.
     """
-    values = distortionless_solve(ipnc.matrix, true_sv.values)
-    return BeamformerWeights(values=values, presumed_sv=true_sv, method=BeamformerMethod.OPTIMAL)
+    return distortionless_solve(ipnc, true_sv)
 
 
 def scm_mvdr_weights(scm, presumed_sv):
     """Plain sample-matrix-inversion MVDR against the presumed direction."""
-    values = distortionless_solve(scm.matrix, presumed_sv.values)
-    return BeamformerWeights(values=values, presumed_sv=presumed_sv, method=BeamformerMethod.SCM_MVDR)
+    return distortionless_solve(scm, presumed_sv)
 
 
 def diagonal_loading_weights(scm, presumed_sv, loading=None):
@@ -92,15 +69,10 @@ def diagonal_loading_weights(scm, presumed_sv, loading=None):
     at zero so a rank-deficient SCM cannot produce negative loading.
     """
     if loading is None:
-        noise_est = max(float(np.linalg.eigvalsh(scm.matrix)[0]), 0.0)
-        loading = 10.0 * noise_est
+        loading = 10.0 * max(float(np.linalg.eigvalsh(scm)[0]), 0.0)
     if loading < 0:
         raise ValueError("loading must be nonnegative")
-    matrix = scm.matrix + loading * np.eye(scm.n)
-    values = distortionless_solve(matrix, presumed_sv.values)
-    return BeamformerWeights(
-        values=values, presumed_sv=presumed_sv, method=BeamformerMethod.DIAGONAL_LOADING
-    )
+    return distortionless_solve(scm + loading * np.eye(scm.shape[0]), presumed_sv)
 
 
 def _validate_intervals(sector_complement):
@@ -132,8 +104,8 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
         raise ValueError("need at least two quadrature points")
     intervals = _validate_intervals(sector_complement)
     total = sum(hi - lo for lo, hi in intervals)
-    matrix = conditioned_matrix(scm.matrix)
-    rinv = scipy.linalg.solve(matrix, np.eye(scm.n, dtype=complex), assume_a="her")
+    n = scm.shape[0]
+    rinv = scipy.linalg.solve(conditioned_matrix(scm), np.eye(n, dtype=complex), assume_a="her")
     midpoints = []
     deltas = []
     for lo, hi in intervals:
@@ -142,17 +114,11 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
         midpoints.append(lo + (np.arange(ni) + 0.5) * step)
         deltas.append(np.full(ni, step))
     grid = np.concatenate(midpoints)
-    steer = steering_matrix(grid, scm.n)
-    acc = _capon_accumulate(steer, rinv, np.concatenate(deltas))
-    return CovarianceEstimate(
-        matrix=hermitize(acc), n=scm.n, kind=CovarianceKind.RECONSTRUCTED
-    )
+    steer = steering_matrix(grid, n)
+    return hermitize(_capon_accumulate(steer, rinv, np.concatenate(deltas)))
 
 
 def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200):
     """MVDR weights against the Capon-integral reconstructed IPNC."""
     ipnc = capon_integral_ipnc(scm, sector_complement, n_samples)
-    values = distortionless_solve(ipnc.matrix, presumed_sv.values)
-    return BeamformerWeights(
-        values=values, presumed_sv=presumed_sv, method=BeamformerMethod.CAPON_INTEGRAL
-    )
+    return distortionless_solve(ipnc, presumed_sv)

@@ -1,27 +1,11 @@
-"""Covariance construction: sample, theoretical, true IPNC, block forms."""
+"""Covariance construction: sample, theoretical and true IPNC matrices.
 
-from dataclasses import dataclass
-from enum import Enum
+Every function returns a Hermitian complex ``n x n`` numpy array.
+"""
 
 import numpy as np
 
 from .array_model import steering_matrix
-
-
-class CovarianceKind(str, Enum):
-    SAMPLE = "sample"
-    THEORETICAL = "theoretical"
-    TRUE_IPNC = "true_ipnc"
-    RECONSTRUCTED = "reconstructed"
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceEstimate:
-    """Hermitian complex matrix tagged with its provenance."""
-
-    matrix: np.ndarray
-    n: int
-    kind: CovarianceKind
 
 
 def hermitize(matrix):
@@ -34,15 +18,12 @@ def sample_covariance(snapshots):
     x = np.asarray(snapshots, dtype=complex)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("snapshot matrix must be nonempty and two dimensional")
-    r = hermitize(x @ x.conj().T / x.shape[1])
-    return CovarianceEstimate(matrix=r, n=x.shape[0], kind=CovarianceKind.SAMPLE)
+    return hermitize(x @ x.conj().T / x.shape[1])
 
 
 def _source_covariance(scenario, n, directions, powers, use_true_geometry):
     geometry = scenario.geometry if use_true_geometry else None
-    a = steering_matrix(
-        directions, n, geometry, scenario.geometry.spacing_wavelengths
-    )
+    a = steering_matrix(directions, n, geometry)
     r = (a * np.asarray(powers, dtype=float)) @ a.conj().T
     r += scenario.noise_power * np.eye(n)
     return hermitize(r)
@@ -58,8 +39,7 @@ def theoretical_covariance(scenario, n, use_true_geometry=True):
         raise ValueError("dimension below physical count with true geometry")
     directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
     powers = [scenario.soi_power, *scenario.interferer_powers]
-    r = _source_covariance(scenario, n, directions, powers, use_true_geometry)
-    return CovarianceEstimate(matrix=r, n=n, kind=CovarianceKind.THEORETICAL)
+    return _source_covariance(scenario, n, directions, powers, use_true_geometry)
 
 
 def true_ipnc(scenario, n):
@@ -69,18 +49,10 @@ def true_ipnc(scenario, n):
     """
     if n < scenario.geometry.n_physical:
         raise ValueError("dimension below physical count")
-    r = _source_covariance(
+    return _source_covariance(
         scenario,
         n,
         scenario.interferer_directions_true,
         scenario.interferer_powers,
         use_true_geometry=True,
     )
-    return CovarianceEstimate(matrix=r, n=n, kind=CovarianceKind.TRUE_IPNC)
-
-
-def extended_block(cov, m):
-    """Top-left m x m principal submatrix; preserves Hermitian PSD structure."""
-    if m < 1 or m > cov.n:
-        raise ValueError("block size must lie in [1, n]")
-    return CovarianceEstimate(matrix=cov.matrix[:m, :m].copy(), n=m, kind=cov.kind)

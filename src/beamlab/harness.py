@@ -38,7 +38,6 @@ from .array_model import (
     steering_vector,
 )
 from .baselines import (
-    BeamformerMethod,
     SingularCovarianceError,
     capon_integral_weights,
     diagonal_loading_weights,
@@ -54,10 +53,10 @@ from .lcssp import (
     reconstruct_ipnc,
     select_dimension,
 )
-from .metrics import beampattern, default_beampattern_grid, output_sinr
+from .metrics import beampattern, beampattern_grid_deg, default_beampattern_grid, output_sinr
 
 EXPERIMENTS = ("beampattern", "sinr_vs_snr", "sinr_vs_snapshots", "sinr_vs_inr")
-METHOD_NAMES = tuple(m.value for m in BeamformerMethod)
+METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
 DOMINANCE_TOL_DB = 1e-6
 CAPON_SAMPLES = 200
 
@@ -211,9 +210,16 @@ def _as_float(value, name):
     return out
 
 
+def _as_list(value, name):
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
 def _as_float_list(value, name):
+    items = _as_list(value, name)
     try:
-        out = [float(v) for v in value]
+        out = [float(v) for v in items]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
     if not out:
@@ -244,7 +250,7 @@ def normalize_config(config):
             10.0 ** (max(getattr(out, name)) / 10.0)
         except OverflowError as err:
             raise ConfigError(f"{name} entries overflow as linear powers") from err
-    out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in config.k_grid]
+    out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
     if not out.k_grid:
         raise ConfigError("k_grid must be nonempty")
     out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
@@ -267,7 +273,7 @@ def normalize_config(config):
     if not 0 < out.delta <= 1:
         raise ConfigError("delta must lie in (0, 1]")
     out.seed = _as_int(config.seed, "seed", minimum=0)
-    methods = list(config.methods)
+    methods = _as_list(config.methods, "methods")
     if not methods:
         raise ConfigError("methods must be nonempty")
     seen = set()
@@ -426,7 +432,7 @@ def _method_weights(method, scm, presumed, complement, ipnc_true, tsv, snapshots
         return diagonal_loading_weights(scm, presumed)
     if method == "capon_integral":
         return capon_integral_weights(scm, presumed, complement, CAPON_SAMPLES)
-    reconstructed = reconstruct_ipnc(projection, sample_covariance(snapshots), scm.n)
+    reconstructed = reconstruct_ipnc(projection, sample_covariance(snapshots), scm.shape[0])
     return lcssp_weights(reconstructed, presumed)
 
 
@@ -445,7 +451,7 @@ def _run_trial(task):
     """
     config, x_values, projection, lcssp_error, trial = task
     soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
-    geometry = ArrayGeometry(config.m, 0.5, perr)
+    geometry = ArrayGeometry(config.m, perr)
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
     int_nominal = np.deg2rad(np.asarray(config.interferers_deg, dtype=float))
     presumed = steering_vector(soi_nominal, config.m)
@@ -569,7 +575,7 @@ def run_experiment(config, workers=1):
     else:
         outcomes = [_run_trial(task) for task in tasks]
     if config.experiment == "beampattern":
-        x_values = np.arange(-900, 901) * 0.1
+        x_values = beampattern_grid_deg()
     raw, diagnostics = _collect(config, len(x_values), outcomes, projection, epsilon, lcssp_error)
     return _aggregate(
         _X_LABELS[config.experiment], x_values, config.methods, raw, diagnostics, config

@@ -13,18 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .array_model import selection_zeros, steering_matrix
-from .baselines import (
-    BeamformerMethod,
-    BeamformerWeights,
-    conditioned_matrix,
-    distortionless_solve,
-)
-from .covariance import (
-    CovarianceEstimate,
-    CovarianceKind,
-    extended_block,
-    hermitize,
-)
+from .baselines import conditioned_matrix, distortionless_solve
+from .covariance import hermitize
 
 
 class NoConvergenceError(RuntimeError):
@@ -158,26 +148,18 @@ def select_dimension(config):
 
 
 def reconstruct_ipnc(projection, cov_l, m):
-    """Top-left m x m block of C R_L C^H, the reconstructed IPNC."""
-    if cov_l.n != projection.dim:
+    """Top-left m x m block of C R_L C^H, the reconstructed IPNC; Hermitian PSD."""
+    if cov_l.shape != projection.matrix.shape:
         raise ValueError("covariance dimension must match the projector")
-    if m > projection.dim:
-        raise ValueError("physical count cannot exceed the extended dimension")
+    if not 1 <= m <= projection.dim:
+        raise ValueError("block size must lie in [1, extended dimension]")
     c = projection.matrix
-    full = CovarianceEstimate(
-        matrix=hermitize(c @ cov_l.matrix @ c.conj().T),
-        n=projection.dim,
-        kind=CovarianceKind.RECONSTRUCTED,
-    )
-    return extended_block(full, m)
+    return hermitize(c @ cov_l @ c.conj().T)[:m, :m].copy()
 
 
 def lcssp_weights(ipnc, presumed_sv):
     """MVDR weights against the reconstructed IPNC; w^H a = 1 exactly."""
-    values = distortionless_solve(ipnc.matrix, presumed_sv.values)
-    return BeamformerWeights(
-        values=values, presumed_sv=presumed_sv, method=BeamformerMethod.LCSSP
-    )
+    return distortionless_solve(ipnc, presumed_sv)
 
 
 def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)):
@@ -192,9 +174,8 @@ def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)
         raise ValueError("need at least one direction")
     half = np.pi / 2
     grid = np.arange(-half + grid_step, half, grid_step)
-    matrix = conditioned_matrix(scm.matrix)
-    steer = steering_matrix(grid, scm.n)
-    u = scipy.linalg.solve(matrix, steer, assume_a="her")
+    steer = steering_matrix(grid, scm.shape[0])
+    u = scipy.linalg.solve(conditioned_matrix(scm), steer, assume_a="her")
     spectrum = 1.0 / np.einsum("ij,ij->j", steer.conj(), u).real
     outside = np.abs(grid - config.presumed_soi) > config.soi_sector_halfwidth
     peaks = []

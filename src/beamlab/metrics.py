@@ -24,9 +24,8 @@ def output_sinr(weights, soi_power, true_sv, ipnc):
     interference-plus-noise covariance only, so the optimal weights
     maximize this over all w.
     """
-    w = weights.values
-    num = soi_power * abs(np.vdot(w, true_sv.values)) ** 2
-    den = float(np.real(np.vdot(w, ipnc.matrix @ w)))
+    num = soi_power * abs(np.vdot(weights, true_sv)) ** 2
+    den = float(np.real(np.vdot(weights, ipnc @ weights)))
     if den <= 0:
         raise ValueError("nonpositive interference-plus-noise power; weights invalid")
     with np.errstate(divide="ignore"):
@@ -35,7 +34,7 @@ def output_sinr(weights, soi_power, true_sv, ipnc):
 
 def sinr_deviation(weights, scenario):
     """Optimal output SINR minus the achieved one, in dB; nonnegative."""
-    m = len(weights.values)
+    m = len(weights)
     ipnc = true_ipnc(scenario, m)
     tsv = steering_vector(scenario.soi_direction_true, m, scenario.geometry)
     w_opt = optimal_weights(ipnc, tsv)
@@ -43,9 +42,14 @@ def sinr_deviation(weights, scenario):
     return best - output_sinr(weights, scenario.soi_power, tsv, ipnc)
 
 
+def beampattern_grid_deg():
+    """1801 angles over [-90, 90] degrees at 0.1 degree steps."""
+    return np.arange(-900, 901) * 0.1
+
+
 def default_beampattern_grid():
-    """1801 angles over [-90, 90] degrees at 0.1 degree steps, in radians."""
-    return np.deg2rad(np.arange(-900, 901) * 0.1)
+    """``beampattern_grid_deg()`` in radians."""
+    return np.deg2rad(beampattern_grid_deg())
 
 
 def beampattern(weights, grid):
@@ -60,8 +64,8 @@ def beampattern(weights, grid):
         raise ValueError("angle grid must be nonempty")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("angle grid must be strictly increasing")
-    steer = steering_matrix(grid, len(weights.values))
-    response = np.abs(weights.values.conj() @ steer)
+    steer = steering_matrix(grid, len(weights))
+    response = np.abs(weights.conj() @ steer)
     gains = 20.0 * np.log10(np.maximum(response, 1e-300))
     gains -= gains.max()
     return BeampatternCurve(angles=grid, gains_db=gains)

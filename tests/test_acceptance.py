@@ -55,7 +55,7 @@ def _nominal_scenario(snr_db, inr_db, m=10):
         soi_power=10.0 ** (snr_db / 10.0),
         interferer_powers=np.full(2, 10.0 ** (inr_db / 10.0)),
         noise_power=1.0,
-        geometry=ArrayGeometry(m, 0.5),
+        geometry=ArrayGeometry(m),
     )
 
 
@@ -75,7 +75,7 @@ def test_criterion_1_projector_properties():
                 eigs = np.linalg.eigvalsh(c)
                 assert np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1))) <= 1e-9
                 assert int(np.sum(eigs > 0.5)) == len(proj.retained_angles)
-                center = steering_vector(np.deg2rad(phi0_deg), l).values
+                center = steering_vector(np.deg2rad(phi0_deg), l)
                 assert np.linalg.norm(c @ center) <= 1e-9
                 kept = steering_matrix(proj.retained_angles, l)
                 assert np.max(np.abs(c @ kept - kept)) <= 1e-9

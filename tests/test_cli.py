@@ -97,6 +97,9 @@ def test_run_reports_failed_trials(tmp_path, capsys):
         ("presumed_soi_deg", float("nan")),
         ("snr_grid_db", [float("nan")]),
         ("snr_grid_db", [float("inf")]),
+        ("methods", 5),
+        ("methods", None),
+        ("k_grid", 5),
     ],
 )
 def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):

@@ -5,10 +5,7 @@ import pytest
 
 from beamlab import (
     ArrayGeometry,
-    CovarianceEstimate,
-    CovarianceKind,
     Scenario,
-    extended_block,
     generate_snapshots,
     hermitize,
     sample_covariance,
@@ -27,17 +24,14 @@ def _scenario(m=10):
         soi_power=10.0,
         interferer_powers=np.array([100.0, 100.0]),
         noise_power=1.0,
-        geometry=ArrayGeometry(m, 0.5),
+        geometry=ArrayGeometry(m),
     )
 
 
 def test_sample_covariance_hand_computed():
     x = np.array([[1.0 + 0j, 1j], [2.0, 0.0]])
-    est = sample_covariance(x)
     expected = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
-    np.testing.assert_allclose(est.matrix, expected, atol=1e-15)
-    assert est.n == 2
-    assert est.kind is CovarianceKind.SAMPLE
+    np.testing.assert_allclose(sample_covariance(x), expected, atol=1e-15)
 
 
 def test_sample_covariance_rejects_empty():
@@ -48,7 +42,7 @@ def test_sample_covariance_rejects_empty():
 def test_sample_covariance_hermitian_psd():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
-    r = sample_covariance(x).matrix
+    r = sample_covariance(x)
     np.testing.assert_allclose(r, r.conj().T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(r)) > -1e-12
 
@@ -63,43 +57,26 @@ def test_hermitize_idempotent_on_hermitian():
 
 def test_theoretical_covariance_structure():
     sc = _scenario()
-    est = theoretical_covariance(sc, 10)
-    assert est.kind is CovarianceKind.THEORETICAL
-    r = est.matrix
+    r = theoretical_covariance(sc, 10)
     np.testing.assert_allclose(r, r.conj().T, atol=1e-14)
     assert np.trace(r).real == pytest.approx(10.0 + 2 * 100.0 + 10 * 1.0, rel=1e-12)
 
 
 def test_true_ipnc_plus_soi_term_equals_full_covariance():
     sc = _scenario()
-    full = theoretical_covariance(sc, 10).matrix
+    full = theoretical_covariance(sc, 10)
     ipnc = true_ipnc(sc, 10)
-    assert ipnc.kind is CovarianceKind.TRUE_IPNC
-    a = steering_vector(sc.soi_direction_true, 10, sc.geometry).values
-    rebuilt = ipnc.matrix + sc.soi_power * np.outer(a, a.conj())
+    a = steering_vector(sc.soi_direction_true, 10, sc.geometry)
+    rebuilt = ipnc + sc.soi_power * np.outer(a, a.conj())
     np.testing.assert_allclose(rebuilt, full, atol=1e-12)
 
 
 def test_sample_covariance_converges_to_theoretical():
     sc = _scenario(m=6)
-    scm = sample_covariance(generate_snapshots(sc, 6, 100_000, seed=11)).matrix
-    theo = theoretical_covariance(sc, 6).matrix
+    scm = sample_covariance(generate_snapshots(sc, 6, 100_000, seed=11))
+    theo = theoretical_covariance(sc, 6)
     rel = np.linalg.norm(scm - theo) / np.linalg.norm(theo)
     assert rel < 0.02
-
-
-def test_extended_block_extracts_leading_submatrix():
-    rng = np.random.default_rng(2)
-    m = hermitize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    est = CovarianceEstimate(matrix=m, n=8, kind=CovarianceKind.RECONSTRUCTED)
-    sub = extended_block(est, 3)
-    np.testing.assert_array_equal(sub.matrix, m[:3, :3])
-    assert sub.n == 3
-    assert sub.kind is CovarianceKind.RECONSTRUCTED
-    with pytest.raises(ValueError):
-        extended_block(est, 9)
-    with pytest.raises(ValueError):
-        extended_block(est, 0)
 
 
 def test_theoretical_covariance_geometry_choice():
@@ -111,8 +88,8 @@ def test_theoretical_covariance_geometry_choice():
         soi_power=1.0,
         interferer_powers=np.array([10.0]),
         noise_power=1.0,
-        geometry=ArrayGeometry(4, 0.5, np.array([0.0, 0.05, -0.05, 0.02])),
+        geometry=ArrayGeometry(4, np.array([0.0, 0.05, -0.05, 0.02])),
     )
-    with_errors = theoretical_covariance(sc, 4, use_true_geometry=True).matrix
-    nominal = theoretical_covariance(sc, 4, use_true_geometry=False).matrix
+    with_errors = theoretical_covariance(sc, 4, use_true_geometry=True)
+    nominal = theoretical_covariance(sc, 4, use_true_geometry=False)
     assert not np.allclose(with_errors, nominal)

@@ -103,6 +103,17 @@ def test_normalize_config_rejects_bad_values():
         setattr(cfg, field, value)
         with pytest.raises(ConfigError, match=field):
             normalize_config(cfg)
+    # Values that are not lists, a string grid among them.
+    for experiment, field, value in (
+        ("sinr_vs_snr", "methods", 5),
+        ("sinr_vs_snr", "methods", None),
+        ("sinr_vs_snapshots", "k_grid", 5),
+        ("sinr_vs_snr", "snr_grid_db", "10"),
+    ):
+        cfg = default_config(experiment)
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match=field):
+            normalize_config(cfg)
 
 
 def test_doa_mismatch_limit_follows_experiment_protocol():

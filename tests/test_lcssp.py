@@ -5,7 +5,6 @@ import pytest
 
 from beamlab import (
     ArrayGeometry,
-    CovarianceKind,
     LcsspConfig,
     NoConvergenceError,
     Scenario,
@@ -133,14 +132,18 @@ def test_reconstruct_ipnc_takes_physical_block():
         soi_power=10.0,
         interferer_powers=np.array([1000.0, 1000.0]),
         noise_power=1.0,
-        geometry=ArrayGeometry(10, 0.5),
+        geometry=ArrayGeometry(10),
     )
     r20 = theoretical_covariance(sc, 20)
     rec = reconstruct_ipnc(proj, r20, 10)
-    assert rec.n == 10
-    assert rec.kind is CovarianceKind.RECONSTRUCTED
-    full = proj.matrix @ r20.matrix @ proj.matrix.conj().T
-    np.testing.assert_allclose(rec.matrix, (full + full.conj().T)[:10, :10] / 2, atol=1e-10)
+    assert rec.shape == (10, 10)
+    full = proj.matrix @ r20 @ proj.matrix.conj().T
+    np.testing.assert_allclose(rec, (full + full.conj().T)[:10, :10] / 2, atol=1e-10)
+    for m in (0, 21):
+        with pytest.raises(ValueError):
+            reconstruct_ipnc(proj, r20, m)
+    with pytest.raises(ValueError):
+        reconstruct_ipnc(proj, theoretical_covariance(sc, 10), 10)
 
 
 def test_lcssp_weights_satisfy_constraint():
@@ -154,13 +157,13 @@ def test_lcssp_weights_satisfy_constraint():
         soi_power=10.0,
         interferer_powers=np.array([100.0, 100.0]),
         noise_power=1.0,
-        geometry=ArrayGeometry(10, 0.5),
+        geometry=ArrayGeometry(10),
     )
     scm = sample_covariance(generate_snapshots(sc, 20, 50, seed=8))
     rec = reconstruct_ipnc(proj, scm, 10)
     a = steering_vector(0.0, 10)
     w = lcssp_weights(rec, a)
-    assert w.values @ a.values.conj() == pytest.approx(1.0, abs=1e-12)
+    assert w @ a.conj() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_select_dimension_fixed_matches_equivalent_auto():
@@ -180,7 +183,7 @@ def test_estimate_interferer_directions_finds_strong_sources():
         soi_power=10.0,
         interferer_powers=np.array([1000.0, 1000.0]),
         noise_power=1.0,
-        geometry=ArrayGeometry(10, 0.5),
+        geometry=ArrayGeometry(10),
     )
     theo = theoretical_covariance(sc, 10)
     found = estimate_interferer_directions(theo, 2, _config())

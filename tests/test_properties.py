@@ -1,4 +1,5 @@
-"""Property tests: projector algebra, distortionless constraint, SINR bound."""
+"""Property tests: projector algebra, distortionless constraint, SINR bound,
+and invariance of sweep results under trial-count and worker splits."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -6,14 +7,14 @@ from hypothesis import strategies as st
 
 from beamlab import (
     ArrayGeometry,
-    BeamformerMethod,
-    BeamformerWeights,
     LcsspConfig,
     Scenario,
     build_projection,
+    default_config,
     distortionless_solve,
     optimal_weights,
     output_sinr,
+    run_experiment,
     select_dimension,
     steering_vector,
     true_ipnc,
@@ -77,7 +78,7 @@ def hermitian_positive_definite(draw, n):
 @given(data=st.data(), n=st.integers(min_value=2, max_value=16), angle=degrees)
 def test_distortionless_solve_meets_constraint(data, n, angle):
     matrix = data.draw(hermitian_positive_definite(n))
-    a = steering_vector(np.deg2rad(angle), n).values
+    a = steering_vector(np.deg2rad(angle), n)
     w = distortionless_solve(matrix, a)
     assert abs(np.vdot(w, a) - 1.0) < 1e-12
 
@@ -102,11 +103,53 @@ def test_output_sinr_never_exceeds_optimal(soi, interferers, snr_db, inr_db, see
         soi_power=10.0 ** (snr_db / 10.0),
         interferer_powers=np.full(len(interferers), 10.0 ** (inr_db / 10.0)),
         noise_power=1.0,
-        geometry=ArrayGeometry(m, 0.5, perr),
+        geometry=ArrayGeometry(m, perr),
     )
     ipnc = true_ipnc(scenario, m)
     tsv = steering_vector(scenario.soi_direction_true, m, scenario.geometry)
     best = output_sinr(optimal_weights(ipnc, tsv), scenario.soi_power, tsv, ipnc)
-    values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    weights = BeamformerWeights(values=values, presumed_sv=tsv, method=BeamformerMethod.SCM_MVDR)
+    weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     assert output_sinr(weights, scenario.soi_power, tsv, ipnc) <= best + 1e-9
+
+
+# Swept grid field of each SINR experiment.
+_SWEPT_FIELD = {
+    "sinr_vs_snr": "snr_grid_db",
+    "sinr_vs_inr": "inr_grid_db",
+    "sinr_vs_snapshots": "k_grid",
+}
+
+
+def _bits(a):
+    """Raw float64 bits, so the comparison is exact and nan equals nan."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    experiment=st.sampled_from(sorted(_SWEPT_FIELD)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    trials=st.integers(min_value=2, max_value=5),
+)
+def test_trial_prefix_and_worker_split_invariance(data, experiment, seed, trials):
+    # Trial t depends on (seed, t) alone, so the first t trials of a
+    # longer run equal a t-trial run, and the worker count changes nothing.
+    field = _SWEPT_FIELD[experiment]
+    choices = getattr(default_config(experiment), field)
+    grid = data.draw(st.lists(st.sampled_from(choices), min_size=2, max_size=3))
+    prefix = data.draw(st.integers(min_value=1, max_value=trials - 1))
+
+    def run(n_trials, workers=1):
+        config = default_config(experiment)
+        config.seed, config.trials = seed, n_trials
+        setattr(config, field, grid)
+        return run_experiment(config, workers=workers)
+
+    full, short, split = run(trials), run(prefix), run(trials, workers=2)
+    for meth in full.methods:
+        np.testing.assert_array_equal(_bits(full.raw[meth][:, :prefix]), _bits(short.raw[meth]))
+        np.testing.assert_array_equal(_bits(split.raw[meth]), _bits(full.raw[meth]))
+    head = [rec for rec in full.diagnostics["failures"] if rec["trial"] < prefix]
+    assert head == short.diagnostics["failures"]
+    assert split.diagnostics == full.diagnostics
