@@ -5,9 +5,12 @@ import pytest
 
 from beamlab import (
     ArrayGeometry,
+    LcsspConfig,
     Scenario,
+    build_projection,
     generate_snapshots,
     hermitize,
+    reconstruct_ipnc,
     sample_covariance,
     steering_vector,
     theoretical_covariance,
@@ -77,6 +80,26 @@ def test_sample_covariance_converges_to_theoretical():
     theo = theoretical_covariance(sc, 6)
     rel = np.linalg.norm(scm - theo) / np.linalg.norm(theo)
     assert rel < 0.02
+
+
+def test_extended_block_extracts_leading_submatrix():
+    rng = np.random.default_rng(2)
+    r8 = hermitize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    proj = build_projection(
+        LcsspConfig(
+            presumed_soi=0.0,
+            soi_sector_halfwidth=np.deg2rad(6.0),
+            nominal_interferers=np.deg2rad([-30.0, 30.0]),
+        ),
+        8,
+    )
+    full = reconstruct_ipnc(proj, r8, 8)
+    sub = reconstruct_ipnc(proj, r8, 3)
+    np.testing.assert_array_equal(sub, full[:3, :3])
+    with pytest.raises(ValueError):
+        reconstruct_ipnc(proj, r8, 9)
+    with pytest.raises(ValueError):
+        reconstruct_ipnc(proj, r8, 0)
 
 
 def test_theoretical_covariance_geometry_choice():
