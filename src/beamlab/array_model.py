@@ -206,13 +206,15 @@ def generate_snapshots(scenario, n_elements, k, seed):
     if k < 1:
         raise ValueError("need at least one snapshot")
     rng = np.random.default_rng(seed)
-    x = np.zeros((n_elements, k), dtype=complex)
     directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
-    powers = [scenario.soi_power, *scenario.interferer_powers]
-    for direction, power in zip(directions, powers):
-        d = rng.standard_normal((k, 2))
-        waveform = math.sqrt(power / 2.0) * (d[:, 0] + 1j * d[:, 1])
-        sv = steering_vector(direction, n_elements, scenario.geometry)
+    powers = np.array([scenario.soi_power, *scenario.interferer_powers])
+    # One (k, 2) block per source in a single draw: the same stream as
+    # one draw per source.
+    d = rng.standard_normal((len(powers), k, 2))
+    waveforms = np.sqrt(powers / 2.0)[:, None] * (d[..., 0] + 1j * d[..., 1])
+    steer = steering_matrix(directions, n_elements, scenario.geometry)
+    x = np.zeros((n_elements, k), dtype=complex)
+    for sv, waveform in zip(steer.T, waveforms):
         x += np.outer(sv, waveform)
     d = rng.standard_normal((n_elements, k, 2))
     x += math.sqrt(scenario.noise_power / 2.0) * (d[..., 0] + 1j * d[..., 1])

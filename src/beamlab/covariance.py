@@ -9,8 +9,11 @@ from .array_model import steering_matrix
 
 
 def hermitize(matrix):
-    """Symmetrize (A + A^H)/2; downstream solvers assume exact Hermitian."""
-    return (matrix + matrix.conj().T) / 2.0
+    """Symmetrize (A + A^H)/2 of a matrix or a (..., n, n) stack.
+
+    Downstream solvers assume exact Hermitian input.
+    """
+    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2.0
 
 
 def sample_covariance(snapshots):

@@ -35,6 +35,7 @@ from .array_model import (
     ArrayGeometry,
     Scenario,
     generate_snapshots,
+    steering_matrix,
     steering_vector,
 )
 from .baselines import (
@@ -53,12 +54,21 @@ from .lcssp import (
     reconstruct_ipnc,
     select_dimension,
 )
-from .metrics import beampattern, beampattern_grid_deg, default_beampattern_grid, output_sinr
+from .metrics import (
+    beampattern_grid_deg,
+    default_beampattern_grid,
+    output_sinr,
+    pattern_gains_db,
+)
 
 EXPERIMENTS = ("beampattern", "sinr_vs_snr", "sinr_vs_snapshots", "sinr_vs_inr")
 METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
 DOMINANCE_TOL_DB = 1e-6
 CAPON_SAMPLES = 200
+# Trials per task: each task stacks the points of this many trials and
+# runs every method over the stack in one batched call. Worker runs use
+# smaller chunks so that every worker gets one.
+TRIAL_CHUNK = 16
 
 _TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
 # Experiments whose trials draw interferer direction offsets.
@@ -250,6 +260,8 @@ def normalize_config(config):
             10.0 ** (max(getattr(out, name)) / 10.0)
         except OverflowError as err:
             raise ConfigError(f"{name} entries overflow as linear powers") from err
+        if 10.0 ** (min(getattr(out, name)) / 10.0) == 0.0:
+            raise ConfigError(f"{name} entries underflow to zero linear power")
     out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
     if not out.k_grid:
         raise ConfigError("k_grid must be nonempty")
@@ -423,40 +435,130 @@ def _resolve_point(config, x):
     return config.snr_grid_db[0], config.inr_grid_db[0], config.k
 
 
-def _method_weights(method, scm, presumed, complement, ipnc_true, tsv, snapshots, projection):
+@dataclass(frozen=True, eq=False)
+class _Points:
+    """Inputs of a chunk's trial points, stacked in (trial, x) order."""
+
+    cov: np.ndarray  # (B, L, L) extended sample covariances
+    scm: np.ndarray  # (B, m, m) sample covariances of the physical rows
+    ipnc: np.ndarray  # (B, m, m) true IPNCs
+    tsv: np.ndarray  # (B, m) true steering vectors
+    soi_power: np.ndarray  # (B,)
+
+    def __getitem__(self, index):
+        return _Points(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def __len__(self):
+        return len(self.soi_power)
+
+
+def _draw_points(config, x_values, trials, n_generate):
+    """Draw every (trial, x) point of ``trials``, keeping only covariances.
+
+    Each snapshot draw is reduced to its sample covariance at once, so no
+    snapshot array outlives its own point.
+    """
+    m = config.m
+    n_points = len(trials) * len(x_values)
+    cov = np.empty((n_points, n_generate, n_generate), dtype=complex)
+    scm = np.empty((n_points, m, m), dtype=complex)
+    ipnc = np.empty((n_points, m, m), dtype=complex)
+    tsv = np.empty((n_points, m), dtype=complex)
+    soi_power = np.empty(n_points)
+    soi_nominal = np.deg2rad(config.presumed_soi_deg)
+    int_nominal = np.deg2rad(np.asarray(config.interferers_deg, dtype=float))
+    b = 0
+    for trial in trials:
+        soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
+        geometry = ArrayGeometry(m, perr)
+        sv = steering_vector(soi_true, m, geometry)
+        for x in x_values:
+            snr_db, inr_db, k = _resolve_point(config, x)
+            scenario = Scenario(
+                soi_direction_true=soi_true,
+                soi_direction_presumed=soi_nominal,
+                interferer_directions_true=int_true,
+                interferer_directions_nominal=int_nominal,
+                soi_power=10.0 ** (snr_db / 10.0),
+                interferer_powers=np.full(len(int_nominal), 10.0 ** (inr_db / 10.0)),
+                noise_power=1.0,
+                geometry=geometry,
+            )
+            snapshots = generate_snapshots(scenario, n_generate, k, snap_seed)
+            cov[b] = sample_covariance(snapshots)
+            scm[b] = sample_covariance(snapshots[:m])
+            ipnc[b] = true_ipnc(scenario, m)
+            tsv[b] = sv
+            soi_power[b] = scenario.soi_power
+            b += 1
+    return _Points(cov, scm, ipnc, tsv, soi_power)
+
+
+def _method_sinr(method, points, presumed, complement, projection, failures):
+    """Weights and output SINRs of one method at every point of the stack."""
     if method == "optimal":
-        return optimal_weights(ipnc_true, tsv)
-    if method == "scm_mvdr":
-        return scm_mvdr_weights(scm, presumed)
-    if method == "diagonal_loading":
-        return diagonal_loading_weights(scm, presumed)
-    if method == "capon_integral":
-        return capon_integral_weights(scm, presumed, complement, CAPON_SAMPLES)
-    reconstructed = reconstruct_ipnc(projection, sample_covariance(snapshots), scm.shape[0])
-    return lcssp_weights(reconstructed, presumed)
+        w = optimal_weights(points.ipnc, points.tsv, failures)
+    elif method == "scm_mvdr":
+        w = scm_mvdr_weights(points.scm, presumed, failures)
+    elif method == "diagonal_loading":
+        w = diagonal_loading_weights(points.scm, presumed, failures=failures)
+    elif method == "capon_integral":
+        w = capon_integral_weights(points.scm, presumed, complement, CAPON_SAMPLES, failures)
+    else:
+        m = points.scm.shape[-1]
+        w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed, failures)
+    return w, output_sinr(w, points.soi_power, points.tsv, points.ipnc, failures)
+
+
+def _point_values(method, points, presumed, complement, projection):
+    """(weights, SINRs, {point index: error text}) of one method over a stack.
+
+    A point that fails gets nan, and so does a non-finite SINR, so a nan
+    value always has a failure record. If LAPACK rejects a whole batch in
+    a way the per-point checks did not foresee, the stack is redone one
+    point at a time; batch-of-one results equal the batched ones bit for
+    bit, so only the offending point is lost.
+    """
+    args = (presumed, complement, projection)
+    failures = {}
+    try:
+        w, sinr = _method_sinr(method, points, *args, failures)
+    except _TRIAL_ERRORS:
+        w = np.zeros(points.tsv.shape, dtype=complex)
+        sinr = np.full(len(points), np.nan)
+        failures = {}
+        for b in range(len(points)):
+            try:
+                w_b, sinr_b = _method_sinr(method, points[b : b + 1], *args, None)
+            except _TRIAL_ERRORS + (ValueError,) as err:
+                failures[b] = err
+                continue
+            w[b], sinr[b] = w_b[0], sinr_b[0]
+    for b in np.flatnonzero(~np.isfinite(sinr)):
+        failures.setdefault(int(b), ValueError(f"non-finite output SINR {sinr[b]} dB"))
+    failed = sorted(failures)
+    sinr[failed] = np.nan
+    w[failed] = 0.0
+    return w, sinr, {b: f"{type(err).__name__}: {err}" for b, err in failures.items()}
 
 
 def _failure(trial, x, method, error):
     return {"trial": trial, "x": float(x), "method": method, "error": error}
 
 
-def _run_trial(task):
-    """One Monte Carlo trial across the whole x grid.
+def _run_chunk(task):
+    """Monte Carlo trials ``trials`` across the whole x grid, batched.
 
-    Returns (trial, values per method, failures, dominance violations).
-    Values are output SINRs, one per grid point; for the beampattern
+    Returns (trials, values per method, failures, dominance violations).
+    Values are (n_x, len(trials)) output SINRs; for the beampattern
     experiment they are the gain curves of the single operating point
-    instead, one per beampattern angle. Top-level so process pools can
-    pick it up.
+    instead, one row per beampattern angle. Top-level so process pools
+    can pick it up.
     """
-    config, x_values, projection, lcssp_error, trial = task
-    soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
-    geometry = ArrayGeometry(config.m, perr)
+    config, x_values, projection, lcssp_error, trials = task
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
-    int_nominal = np.deg2rad(np.asarray(config.interferers_deg, dtype=float))
     presumed = steering_vector(soi_nominal, config.m)
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
-    n_interferers = len(int_nominal)
     # Snapshots always come from the extended aperture when one is
     # resolvable, so shared methods see identical data whether or not the
     # subspace method runs alongside them.
@@ -466,57 +568,38 @@ def _run_trial(task):
         n_generate = config.l
     else:
         n_generate = config.m
-    values = {meth: np.full(len(x_values), np.nan) for meth in config.methods}
-    weights = {}
-    failures = []
+    points = _draw_points(config, x_values, trials, n_generate)
+    shape = (len(trials), len(x_values))
+    values, weights, failures = {}, {}, []
+    for meth in config.methods:
+        if meth == "lcssp" and projection is None:
+            errors = dict.fromkeys(range(len(points)), lcssp_error)
+            weights[meth] = np.zeros((len(points), config.m), dtype=complex)
+            sinr = np.full(len(points), np.nan)
+        else:
+            weights[meth], sinr, errors = _point_values(
+                meth, points, presumed, complement, projection
+            )
+        values[meth] = sinr.reshape(shape)
+        for b, error in errors.items():
+            t, ix = divmod(b, len(x_values))
+            failures.append(_failure(trials[t], x_values[ix], meth, error))
     violations = 0
-    for ix, x in enumerate(x_values):
-        snr_db, inr_db, k = _resolve_point(config, x)
-        scenario = Scenario(
-            soi_direction_true=soi_true,
-            soi_direction_presumed=soi_nominal,
-            interferer_directions_true=int_true,
-            interferer_directions_nominal=int_nominal,
-            soi_power=10.0 ** (snr_db / 10.0),
-            interferer_powers=np.full(n_interferers, 10.0 ** (inr_db / 10.0)),
-            noise_power=1.0,
-            geometry=geometry,
-        )
-        snapshots = generate_snapshots(scenario, n_generate, k, snap_seed)
-        ipnc_true = true_ipnc(scenario, config.m)
-        tsv = steering_vector(soi_true, config.m, geometry)
-        scm = sample_covariance(snapshots[: config.m])
+    if "optimal" in config.methods:
+        best = values["optimal"]
         for meth in config.methods:
-            if meth == "lcssp" and projection is None:
-                failures.append(_failure(trial, x, meth, lcssp_error))
-                continue
-            try:
-                w = _method_weights(
-                    meth, scm, presumed, complement, ipnc_true, tsv, snapshots, projection
-                )
-            except _TRIAL_ERRORS as err:
-                failures.append(_failure(trial, x, meth, f"{type(err).__name__}: {err}"))
-                continue
-            try:
-                values[meth][ix] = output_sinr(w, scenario.soi_power, tsv, ipnc_true)
-            except ValueError as err:
-                failures.append(_failure(trial, x, meth, f"{type(err).__name__}: {err}"))
-                continue
-            weights[meth] = w
-        if "optimal" in config.methods and np.isfinite(values["optimal"][ix]):
-            best = values["optimal"][ix]
-            for meth in config.methods:
-                if meth != "optimal" and np.isfinite(values[meth][ix]):
-                    if values[meth][ix] > best + DOMINANCE_TOL_DB:
-                        violations += 1
+            if meth != "optimal":
+                violations += int(np.sum(values[meth] > best + DOMINANCE_TOL_DB))
     if config.experiment == "beampattern":
-        grid = default_beampattern_grid()
-        values = {
-            meth: beampattern(weights[meth], grid).gains_db if meth in weights
-            else np.full(len(grid), np.nan)
-            for meth in config.methods
-        }
-    return trial, values, failures, violations
+        steer = steering_matrix(default_beampattern_grid(), config.m)
+        block = np.stack([weights[meth] for meth in config.methods], axis=1)
+        gains = pattern_gains_db(block, steer)  # (trials, methods, angles)
+        for j, meth in enumerate(config.methods):
+            gains[np.isnan(values[meth][:, 0]), j] = np.nan
+        values = {meth: gains[:, j].T for j, meth in enumerate(config.methods)}
+    else:
+        values = {meth: v.T for meth, v in values.items()}
+    return trials, values, failures, violations
 
 
 def _collect(config, n_x, outcomes, projection, epsilon, lcssp_error):
@@ -528,9 +611,9 @@ def _collect(config, n_x, outcomes, projection, epsilon, lcssp_error):
         "epsilon_n": epsilon,
         "lcssp_error": lcssp_error,
     }
-    for trial, values, failures, violations in outcomes:
+    for trials, values, failures, violations in outcomes:
         for meth in config.methods:
-            raw[meth][:, trial] = values[meth]
+            raw[meth][:, trials] = values[meth]
         diagnostics["failures"].extend(failures)
         diagnostics["dominance_violations"] += violations
     diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
@@ -560,20 +643,25 @@ def run_experiment(config, workers=1):
 
     Deterministic for a given config: trial t's randomness is derived from
     (seed, t) alone, and aggregation is order-insensitive, so any worker
-    count yields identical results. At most min(workers, trials, CPU
-    count) processes run. Failed trial points are recorded in
+    count yields identical results. Trials run in chunks of at most
+    TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
+    processes maps the chunks. Failed trial points are recorded in
     diagnostics["failures"], excluded from means, and reflected in n_ok.
     """
     config = normalize_config(config)
     projection, epsilon, lcssp_error = _resolve_lcssp(config)
     x_values = np.asarray(_x_grid(config), dtype=float)
-    tasks = [(config, x_values, projection, lcssp_error, t) for t in range(config.trials)]
-    workers = min(workers, config.trials, os.cpu_count() or 1)
+    workers = max(1, min(workers, config.trials, os.cpu_count() or 1))
+    size = min(TRIAL_CHUNK, -(-config.trials // workers))
+    tasks = [
+        (config, x_values, projection, lcssp_error, range(start, min(start + size, config.trials)))
+        for start in range(0, config.trials, size)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, tasks))
+            outcomes = list(pool.map(_run_chunk, tasks))
     else:
-        outcomes = [_run_trial(task) for task in tasks]
+        outcomes = [_run_chunk(task) for task in tasks]
     if config.experiment == "beampattern":
         x_values = beampattern_grid_deg()
     raw, diagnostics = _collect(config, len(x_values), outcomes, projection, epsilon, lcssp_error)

@@ -10,7 +10,6 @@ The zero-set formula assumes half-wavelength element spacing.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .array_model import selection_zeros, steering_matrix
 from .baselines import conditioned_matrix, distortionless_solve
@@ -148,18 +147,24 @@ def select_dimension(config):
 
 
 def reconstruct_ipnc(projection, cov_l, m):
-    """Top-left m x m block of C R_L C^H, the reconstructed IPNC; Hermitian PSD."""
-    if cov_l.shape != projection.matrix.shape:
+    """Top-left m x m block of C R_L C^H, the reconstructed IPNC; Hermitian PSD.
+
+    ``cov_l`` may be a (B, L, L) stack; the result is then (B, m, m).
+    """
+    if cov_l.shape[-2:] != projection.matrix.shape:
         raise ValueError("covariance dimension must match the projector")
     if not 1 <= m <= projection.dim:
         raise ValueError("block size must lie in [1, extended dimension]")
     c = projection.matrix
-    return hermitize(c @ cov_l @ c.conj().T)[:m, :m].copy()
+    return hermitize(c @ cov_l @ c.conj().T)[..., :m, :m].copy()
 
 
-def lcssp_weights(ipnc, presumed_sv):
-    """MVDR weights against the reconstructed IPNC; w^H a = 1 exactly."""
-    return distortionless_solve(ipnc, presumed_sv)
+def lcssp_weights(ipnc, presumed_sv, failures=None):
+    """MVDR weights against the reconstructed IPNC; w^H a = 1 exactly.
+
+    Takes a stack like ``baselines.distortionless_solve``.
+    """
+    return distortionless_solve(ipnc, presumed_sv, failures)
 
 
 def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)):
@@ -175,7 +180,7 @@ def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)
     half = np.pi / 2
     grid = np.arange(-half + grid_step, half, grid_step)
     steer = steering_matrix(grid, scm.shape[0])
-    u = scipy.linalg.solve(conditioned_matrix(scm), steer, assume_a="her")
+    u = np.linalg.solve(conditioned_matrix(scm), steer)
     spectrum = 1.0 / np.einsum("ij,ij->j", steer.conj(), u).real
     outside = np.abs(grid - config.presumed_soi) > config.soi_sector_halfwidth
     peaks = []

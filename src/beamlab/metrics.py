@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import steering_matrix, steering_vector
-from .baselines import optimal_weights
+from .baselines import inner, optimal_weights, record_failure
 from .covariance import true_ipnc
 
 
@@ -17,19 +17,29 @@ class BeampatternCurve:
     gains_db: np.ndarray
 
 
-def output_sinr(weights, soi_power, true_sv, ipnc):
+def output_sinr(weights, soi_power, true_sv, ipnc, failures=None):
     """Output SINR in dB against the true steering vector and true IPNC.
 
     10 log10( soi_power |w^H a|^2 / (w^H R w) ); the denominator uses the
     interference-plus-noise covariance only, so the optimal weights
     maximize this over all w.
+
+    Also takes (B, n) weights with (B,) powers, (B, n) steering vectors
+    and (B, n, n) IPNCs and returns (B,) values; a nonpositive
+    denominator raises ValueError, or with a ``failures`` dict is stored
+    under the item's index (see ``baselines``) and gives nan.
     """
-    num = soi_power * abs(np.vdot(weights, true_sv)) ** 2
-    den = float(np.real(np.vdot(weights, ipnc @ weights)))
-    if den <= 0:
-        raise ValueError("nonpositive interference-plus-noise power; weights invalid")
-    with np.errstate(divide="ignore"):
-        return float(10.0 * np.log10(num / den))
+    w = np.asarray(weights)
+    num = soi_power * np.abs(inner(w, true_sv)) ** 2
+    den = inner(w, (ipnc @ w[..., None])[..., 0]).real
+    bad = den <= 0
+    for i in np.flatnonzero(np.atleast_1d(bad)):
+        record_failure(
+            failures, i, ValueError("nonpositive interference-plus-noise power; weights invalid")
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(bad, np.nan, 10.0 * np.log10(num / den))
+    return float(sinr) if w.ndim == 1 else sinr
 
 
 def sinr_deviation(weights, scenario):
@@ -65,7 +75,14 @@ def beampattern(weights, grid):
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("angle grid must be strictly increasing")
     steer = steering_matrix(grid, len(weights))
+    return BeampatternCurve(angles=grid, gains_db=pattern_gains_db(weights, steer))
+
+
+def pattern_gains_db(weights, steer):
+    """Gains 20 log10 |w^H a_j| over the columns of ``steer``, peak at 0 dB.
+
+    ``weights`` may be a (..., n) stack; each curve is normalized on its own.
+    """
     response = np.abs(weights.conj() @ steer)
     gains = 20.0 * np.log10(np.maximum(response, 1e-300))
-    gains -= gains.max()
-    return BeampatternCurve(angles=grid, gains_db=gains)
+    return gains - gains.max(axis=-1, keepdims=True)

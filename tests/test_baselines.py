@@ -113,6 +113,20 @@ def test_conditioned_matrix_raises_when_loading_cannot_help():
         conditioned_matrix(np.zeros((3, 3), dtype=complex))
 
 
+def test_conditioning_failure_is_per_item():
+    good = np.diag([2.0, 1.0]).astype(complex)
+    stack = np.stack([good, np.zeros((2, 2), dtype=complex), good])
+    a = np.array([1.0, 0.0], dtype=complex)
+    failures = {}
+    w = scm_mvdr_weights(stack, a, failures)
+    assert list(failures) == [1]
+    assert isinstance(failures[1], SingularCovarianceError)
+    np.testing.assert_array_equal(w[0], scm_mvdr_weights(good, a))
+    np.testing.assert_array_equal(w[2], w[0])
+    with pytest.raises(SingularCovarianceError):
+        scm_mvdr_weights(stack, a)
+
+
 def test_single_snapshot_scm_survives_conditioning():
     sc = _scenario()
     scm = sample_covariance(generate_snapshots(sc, 10, 1, seed=2))

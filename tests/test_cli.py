@@ -100,6 +100,7 @@ def test_run_reports_failed_trials(tmp_path, capsys):
         ("methods", 5),
         ("methods", None),
         ("k_grid", 5),
+        ("snr_grid_db", [-4000]),
     ],
 )
 def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from beamlab import ConfigError, default_config, emit_csv, load_config, run_experiment
+from beamlab import (
+    ConfigError,
+    default_config,
+    emit_csv,
+    load_config,
+    run_experiment,
+    steering_vector,
+)
 from beamlab import harness
 from beamlab.harness import _draw_mismatch, normalize_config
 
@@ -96,6 +103,8 @@ def test_normalize_config_rejects_bad_values():
         ("presumed_soi_deg", float("nan")),
         ("inr_grid_db", [float("inf")]),
         ("snr_grid_db", [4000.0]),
+        ("snr_grid_db", [10.0, -4000.0]),
+        ("inr_grid_db", [-4000.0]),
         ("doa_mismatch_halfwidth_deg", 85.0),
         ("trials", float("inf")),
     ):
@@ -280,7 +289,14 @@ class _RecordingPool:
 
 @pytest.mark.parametrize(
     "workers, trials, cpus, expected",
-    [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (4, 3, None, None), (4, 1, 8, None)],
+    [
+        (1000, 3, 8, 3),
+        (1000, 6, 4, 4),
+        (2, 6, 4, 2),
+        (4, 3, None, None),
+        (4, 1, 8, None),
+        (0, 3, 8, None),
+    ],
 )
 def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, expected):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
@@ -337,3 +353,108 @@ def test_emit_csv_wraps_write_errors(tmp_path):
     res = run_experiment(_small(methods=["optimal"]))
     with pytest.raises(OSError):
         emit_csv(res, tmp_path / "no" / "such" / "dir" / "out.csv")
+
+
+def _bits(a):
+    """Raw float64 bits, so the comparison is exact and nan equals nan."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        # At 400 dB INR some points fail in output_sinr, so failure
+        # records cross chunk boundaries too.
+        ("sinr_vs_snr", {"inr_grid_db": [400.0]}),
+        ("sinr_vs_snr", {}),
+        ("sinr_vs_snapshots", {"k_grid": [5, 50]}),
+        ("beampattern", {}),
+    ],
+)
+def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, overrides):
+    cfg = _small(experiment, trials=5, **overrides)
+
+    def run(name, workers=1):
+        res = run_experiment(cfg, workers=workers)
+        paths = emit_csv(res, tmp_path / f"{name}.csv")
+        return res, [p.read_bytes() for p in paths]
+
+    reference, reference_csv = run("default")
+    if overrides.get("inr_grid_db") == [400.0]:
+        assert reference.diagnostics["failures"]
+    runs = [run("workers2", workers=2)]
+    for chunk in (1, 2):
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+        runs.append(run(f"chunk{chunk}"))
+    for res, csv_bytes in runs:
+        for meth in reference.methods:
+            np.testing.assert_array_equal(_bits(res.raw[meth]), _bits(reference.raw[meth]))
+        assert res.diagnostics == reference.diagnostics
+        assert csv_bytes == reference_csv
+
+
+def _chunk_points(n_trials=3):
+    """A chunk's stacked points and method context, as the engine builds them."""
+    cfg = normalize_config(_small(snr_grid_db=[0.0, 10.0, 20.0]))
+    projection, _, _ = harness._resolve_lcssp(cfg)
+    x_values = np.asarray(cfg.snr_grid_db)
+    points = harness._draw_points(cfg, x_values, range(n_trials), projection.dim)
+    context = (
+        steering_vector(0.0, cfg.m),
+        harness._sector_complement(0.0, np.deg2rad(cfg.sector_halfwidth_deg)),
+        projection,
+    )
+    return points, context
+
+
+def _assert_batch_of_one(method, points, context, w, sinr, failed):
+    for b in range(len(points)):
+        if b in failed:
+            assert np.isnan(sinr[b])
+            continue
+        w_b, sinr_b, errors_b = harness._point_values(method, points[b : b + 1], *context)
+        assert errors_b == {}
+        np.testing.assert_array_equal(w_b[0], w[b])
+        assert _bits(sinr_b[0]) == _bits(sinr[b])
+
+
+def test_failing_points_do_not_touch_the_rest_of_the_stack():
+    points, context = _chunk_points()
+    # Point 4: zero covariances that loading cannot fix; point 2: a
+    # negative definite true IPNC, so every method's output power is
+    # negative; point 6: zero SOI power, an output SINR of -inf dB.
+    points.scm[4] = 0.0
+    points.cov[4] = 0.0
+    points.ipnc[2] = -np.eye(points.ipnc.shape[-1])
+    points.soi_power[6] = 0.0
+    for method in harness.METHOD_NAMES:
+        w, sinr, errors = harness._point_values(method, points, *context)
+        expected = {2: "ValueError: nonpositive", 6: "ValueError: non-finite output SINR -inf"}
+        if method != "optimal":
+            expected[4] = "SingularCovarianceError: covariance condition number"
+        assert sorted(errors) == sorted(expected), method
+        for b, prefix in expected.items():
+            assert errors[b].startswith(prefix), (method, errors[b])
+        assert np.isfinite(sinr).sum() == len(points) - len(expected)
+        _assert_batch_of_one(method, points, context, w, sinr, errors)
+
+
+def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
+    points, context = _chunk_points()
+    points.ipnc[1] *= 2.0  # the only IPNC with this diagonal
+    clean = harness._point_values("optimal", points, *context)
+    poison = points.ipnc[1, 0, 0]
+    real_inv = np.linalg.inv
+
+    def flaky_inv(a):
+        if np.any(a[..., 0, 0] == poison):
+            raise np.linalg.LinAlgError("simulated LAPACK failure")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+    w, sinr, errors = harness._point_values("optimal", points, *context)
+    assert errors == {1: "LinAlgError: simulated LAPACK failure"}
+    assert np.isnan(sinr[1])
+    keep = np.arange(len(points)) != 1
+    np.testing.assert_array_equal(w[keep], clean[0][keep])
+    np.testing.assert_array_equal(_bits(sinr[keep]), _bits(clean[1][keep]))

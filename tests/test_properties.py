@@ -9,7 +9,9 @@ from beamlab import (
     ArrayGeometry,
     LcsspConfig,
     Scenario,
+    SingularCovarianceError,
     build_projection,
+    conditioned_matrix,
     default_config,
     distortionless_solve,
     optimal_weights,
@@ -19,6 +21,7 @@ from beamlab import (
     steering_vector,
     true_ipnc,
 )
+from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -81,6 +84,58 @@ def test_distortionless_solve_meets_constraint(data, n, angle):
     a = steering_vector(np.deg2rad(angle), n)
     w = distortionless_solve(matrix, a)
     assert abs(np.vdot(w, a) - 1.0) < 1e-12
+
+
+def _svd_decision(matrix):
+    """Pass, load or raise, decided with np.linalg.cond (an SVD)."""
+    if np.linalg.cond(matrix) <= COND_LIMIT:
+        return "pass"
+    n = matrix.shape[0]
+    loaded = matrix + (LOADING_FLOOR * np.trace(matrix).real / n) * np.eye(n)
+    return "load" if np.linalg.cond(loaded) <= COND_LIMIT else "raise"
+
+
+@st.composite
+def sample_covariances(draw, n):
+    """Hermitian PSD sample covariances, rank-deficient when k < n, or zero."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return np.zeros((n, n), dtype=complex)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    k = draw(st.integers(min_value=1, max_value=3 * n))
+    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    # A strong source along one random direction spreads the spectrum.
+    source = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    power = 10.0 ** draw(st.floats(min_value=-3.0, max_value=6.0))
+    x += np.sqrt(power) * np.outer(source, rng.standard_normal(k))
+    scale = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+    r = scale * (x @ x.conj().T) / k
+    return (r + r.conj().T) / 2
+
+
+def _decision(matrix):
+    try:
+        return "pass" if conditioned_matrix(matrix) is matrix else "load"
+    except SingularCovarianceError:
+        return "raise"
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(min_value=2, max_value=12))
+def test_eigenvalue_condition_check_matches_svd(data, n):
+    # For Hermitian matrices max|lambda|/min|lambda| is the 2-norm
+    # condition number, so the batched eigvalsh check must decide like
+    # np.linalg.cond, one matrix at a time and across a stack.
+    stack = np.stack([data.draw(sample_covariances(n)) for _ in range(3)])
+    expected = [_svd_decision(r) for r in stack]
+    assert [_decision(r) for r in stack] == expected
+    failures = {}
+    out = conditioned_matrix(stack, failures)
+    assert sorted(failures) == [i for i, d in enumerate(expected) if d == "raise"]
+    for i, decision in enumerate(expected):
+        if decision == "pass":
+            np.testing.assert_array_equal(out[i], stack[i])
+        elif decision == "load":
+            np.testing.assert_array_equal(out[i], conditioned_matrix(stack[i]))
 
 
 @PROPERTY_SETTINGS
