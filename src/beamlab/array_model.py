@@ -190,16 +190,11 @@ class Scenario:
             raise ValueError("noise power must be positive")
 
 
-def generate_snapshots(scenario, n_elements, k, seed):
-    """Synthesize k array snapshots at dimension ``n_elements``.
+def _snapshot_terms(scenario, n_elements, k, seed):
+    """The terms ``generate_snapshots`` sums, each at the scenario's power.
 
-    Column t is s(t) a(soi) + sum_p i_p(t) a(interferer_p) + noise, with
-    waveforms and noise drawn as i.i.d. circular complex Gaussians (two
-    real normals of variance sigma^2/2 per sample). True directions and
-    true geometry apply to the first ``geometry.n_physical`` rows; rows
-    beyond are virtual elements at nominal positions. Deterministic for a
-    given seed, and the first M rows of an L-element draw equal the
-    M-element draw with the same seed.
+    Returns the (n, P + 1) steering matrix of [SOI, *interferers], their
+    (P + 1, k) waveforms and the (n, k) noise.
     """
     if n_elements < scenario.geometry.n_physical:
         raise ValueError("extended dimension must not be below the physical element count")
@@ -213,9 +208,39 @@ def generate_snapshots(scenario, n_elements, k, seed):
     d = rng.standard_normal((len(powers), k, 2))
     waveforms = np.sqrt(powers / 2.0)[:, None] * (d[..., 0] + 1j * d[..., 1])
     steer = steering_matrix(directions, n_elements, scenario.geometry)
+    d = rng.standard_normal((n_elements, k, 2))
+    noise = math.sqrt(scenario.noise_power / 2.0) * (d[..., 0] + 1j * d[..., 1])
+    return steer, waveforms, noise
+
+
+def _split_snapshots(scenario, n_elements, k, seed, swept):
+    """The ``generate_snapshots`` draw as c S + Y, from one draw for every c.
+
+    ``swept`` marks sources of [SOI, *interferers] that ``scenario``
+    gives unit power: S sums them, Y the other sources and the noise.
+    For any c, c S + Y is the draw with the marked powers set to c^2,
+    equal to ``generate_snapshots`` up to rounding.
+    """
+    steer, waveforms, noise = _snapshot_terms(scenario, n_elements, k, seed)
+    s = steer[:, swept] @ waveforms[swept]
+    y = steer[:, ~swept] @ waveforms[~swept] + noise
+    return s, y
+
+
+def generate_snapshots(scenario, n_elements, k, seed):
+    """Synthesize k array snapshots at dimension ``n_elements``.
+
+    Column t is s(t) a(soi) + sum_p i_p(t) a(interferer_p) + noise, with
+    waveforms and noise drawn as i.i.d. circular complex Gaussians (two
+    real normals of variance sigma^2/2 per sample). True directions and
+    true geometry apply to the first ``geometry.n_physical`` rows; rows
+    beyond are virtual elements at nominal positions. Deterministic for a
+    given seed, and the first M rows of an L-element draw equal the
+    M-element draw with the same seed.
+    """
+    steer, waveforms, noise = _snapshot_terms(scenario, n_elements, k, seed)
     x = np.zeros((n_elements, k), dtype=complex)
     for sv, waveform in zip(steer.T, waveforms):
         x += np.outer(sv, waveform)
-    d = rng.standard_normal((n_elements, k, 2))
-    x += math.sqrt(scenario.noise_power / 2.0) * (d[..., 0] + 1j * d[..., 1])
+    x += noise
     return x

@@ -73,9 +73,20 @@ def conditioned_matrix(matrix, failures=None):
     fail are loaded. Returns ``matrix`` itself when nothing was loaded.
     """
     stack, single = _as_stack(matrix)
-    need = ~(_condition_numbers(_eigvalsh(stack)) <= COND_LIMIT)
-    if not need.any():
+    out = _conditioned(stack, _eigvalsh(stack), failures)
+    if out is stack:
         return matrix
+    return out[0] if single else out
+
+
+def _conditioned(stack, eigenvalues, failures):
+    """``conditioned_matrix`` of a (B, n, n) stack whose eigenvalues are known.
+
+    Returns ``stack`` itself when nothing was loaded.
+    """
+    need = ~(_condition_numbers(eigenvalues) <= COND_LIMIT)
+    if not need.any():
+        return stack
     n = stack.shape[-1]
     idx = np.flatnonzero(need)
     trace = np.trace(stack[idx], axis1=-2, axis2=-1).real
@@ -88,7 +99,7 @@ def conditioned_matrix(matrix, failures=None):
             message = f"covariance condition number {c:.3e} exceeds {COND_LIMIT:.0e} after loading"
             record_failure(failures, i, SingularCovarianceError(message))
             out[i] = np.eye(n)
-    return out[0] if single else out
+    return out
 
 
 def inner(u, v):
@@ -101,9 +112,14 @@ def distortionless_solve(matrix, sv_values, failures=None):
 
     The normalization makes w^H a = 1 exact in floating point.
     """
+    return _distortionless_solve(matrix, sv_values, failures)
+
+
+def _distortionless_solve(matrix, sv_values, failures, eigenvalues=None):
+    """``distortionless_solve``, reusing the stack's ascending ``eigenvalues`` if given."""
     stack, single = _as_stack(matrix)
     svs = np.broadcast_to(sv_values, stack.shape[:-1])
-    u = (np.linalg.inv(conditioned_matrix(stack, failures)) @ svs[..., None])[..., 0]
+    u = (np.linalg.inv(_solvable(stack, failures, eigenvalues)) @ svs[..., None])[..., 0]
     den = inner(svs, u)
     for i in np.flatnonzero(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
         record_failure(
@@ -112,6 +128,13 @@ def distortionless_solve(matrix, sv_values, failures=None):
         den[i] = 1.0
     w = u / den[:, None]
     return w[0] if single else w
+
+
+def _solvable(matrix, failures, eigenvalues):
+    """``conditioned_matrix``, or its check on the stack's ``eigenvalues`` if given."""
+    if eigenvalues is None:
+        return conditioned_matrix(matrix, failures)
+    return _conditioned(matrix, eigenvalues, failures)
 
 
 def optimal_weights(ipnc, true_sv, failures=None):
@@ -135,13 +158,18 @@ def diagonal_loading_weights(scm, presumed_sv, loading=None, failures=None):
     """
     stack, single = _as_stack(scm)
     if loading is None:
-        loading = 10.0 * np.maximum(_eigvalsh(stack)[:, 0], 0.0)
+        loading = _loading_level(_eigvalsh(stack))
     loading = np.broadcast_to(np.asarray(loading, dtype=float), stack.shape[:1])
     if np.any(loading < 0):
         raise ValueError("loading must be nonnegative")
     n = stack.shape[-1]
     w = distortionless_solve(stack + loading[:, None, None] * np.eye(n), presumed_sv, failures)
     return w[0] if single else w
+
+
+def _loading_level(eigenvalues):
+    """Default diagonal loading of SCMs with these ascending eigenvalues."""
+    return 10.0 * np.maximum(eigenvalues[:, 0], 0.0)
 
 
 def _validate_intervals(sector_complement):
@@ -174,12 +202,17 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None):
     length. capon(theta) is the Capon spectrum a^H R^-1 a of the supplied
     covariance. Nominal half-wavelength geometry throughout.
     """
+    return _capon_integral_ipnc(scm, sector_complement, n_samples, failures)
+
+
+def _capon_integral_ipnc(scm, sector_complement, n_samples, failures, eigenvalues=None):
+    """``capon_integral_ipnc``, reusing the SCM stack's ascending ``eigenvalues`` if given."""
     if n_samples < 2:
         raise ValueError("need at least two quadrature points")
     intervals = _validate_intervals(sector_complement)
     total = sum(hi - lo for lo, hi in intervals)
     n = np.shape(scm)[-1]
-    rinv = np.linalg.inv(conditioned_matrix(scm, failures))
+    rinv = np.linalg.inv(_solvable(scm, failures, eigenvalues))
     midpoints = []
     deltas = []
     for lo, hi in intervals:

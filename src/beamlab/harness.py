@@ -19,13 +19,23 @@ of its grid field; the snapshot count for non-K sweeps is the scalar
 ``k``. Trial t derives both its mismatch and snapshot RNG streams from
 the master seed by counter, so runs are reproducible and trials can
 execute in parallel in any order.
+
+The SNR and INR sweeps draw each trial once and scale it: the grid
+changes only the power of the swept sources, so every grid point's
+covariance follows from three Gram matrices of the one draw. The sample
+covariance of the physical array is the leading m x m block of the
+extended one. ``normalize_config`` rejects power grid entries above
+``MAX_POWER_DB``, where double precision no longer resolves the noise
+floor, next to its other up-front checks.
 """
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +44,23 @@ from .array_model import (
     MAX_POSITION_ERROR_WL,
     ArrayGeometry,
     Scenario,
+    _split_snapshots,
     generate_snapshots,
     steering_matrix,
     steering_vector,
 )
 from .baselines import (
+    COND_LIMIT,
     SingularCovarianceError,
-    capon_integral_weights,
+    _capon_integral_ipnc,
+    _distortionless_solve,
+    _eigvalsh,
+    _loading_level,
     diagonal_loading_weights,
+    distortionless_solve,
     optimal_weights,
-    scm_mvdr_weights,
 )
-from .covariance import sample_covariance, true_ipnc
+from .covariance import hermitize, sample_covariance, true_ipnc
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -69,6 +84,11 @@ CAPON_SAMPLES = 200
 # runs every method over the stack in one batched call. Worker runs use
 # smaller chunks so that every worker gets one.
 TRIAL_CHUNK = 16
+# Largest SNR or INR grid entry, in dB over the unit noise floor. One
+# interferer of power p gives a true IPNC of condition number p + 1, so
+# above COND_LIMIT the optimal weights need diagonal loading: the noise
+# floor is lost in rounding, and every SINR would be noise.
+MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
 
 _TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
 # Experiments whose trials draw interferer direction offsets.
@@ -256,10 +276,11 @@ def normalize_config(config):
     out.snr_grid_db = _as_float_list(config.snr_grid_db, "snr_grid_db")
     out.inr_grid_db = _as_float_list(config.inr_grid_db, "inr_grid_db")
     for name in ("snr_grid_db", "inr_grid_db"):
-        try:
-            10.0 ** (max(getattr(out, name)) / 10.0)
-        except OverflowError as err:
-            raise ConfigError(f"{name} entries overflow as linear powers") from err
+        if max(getattr(out, name)) > MAX_POWER_DB:
+            raise ConfigError(
+                f"{name} entries must be at most {MAX_POWER_DB:g} dB over the unit noise "
+                "floor, where double precision still resolves the noise"
+            )
         if 10.0 ** (min(getattr(out, name)) / 10.0) == 0.0:
             raise ConfigError(f"{name} entries underflow to zero linear power")
     out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
@@ -424,15 +445,32 @@ def _draw_mismatch(config, trial):
     return soi_true, int_true, perr, snap_seed
 
 
-def _resolve_point(config, x):
-    """(snr_db, inr_db, k) for one grid value of the selected sweep."""
-    if config.experiment == "sinr_vs_snr":
-        return float(x), config.inr_grid_db[0], config.k
-    if config.experiment == "sinr_vs_snapshots":
-        return config.snr_grid_db[0], config.inr_grid_db[0], int(x)
-    if config.experiment == "sinr_vs_inr":
-        return config.snr_grid_db[0], float(x), config.k
-    return config.snr_grid_db[0], config.inr_grid_db[0], config.k
+def _swept_sources(config):
+    """Mask over [SOI, *interferers] of the sources whose power the grid sets."""
+    n_int = len(config.interferers_deg)
+    return np.array(
+        [config.experiment == "sinr_vs_snr"] + [config.experiment == "sinr_vs_inr"] * n_int
+    )
+
+
+def _trial_scenario(config, trial, swept):
+    """Trial ``trial``'s ``Scenario`` and snapshot seed.
+
+    The ``swept`` sources get unit power, for the grid to scale; the
+    others take the first entry of their grid field.
+    """
+    soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
+    scenario = Scenario(
+        soi_direction_true=soi_true,
+        soi_direction_presumed=np.deg2rad(config.presumed_soi_deg),
+        interferer_directions_true=int_true,
+        interferer_directions_nominal=np.deg2rad(np.asarray(config.interferers_deg, dtype=float)),
+        soi_power=1.0 if swept[0] else 10.0 ** (config.snr_grid_db[0] / 10.0),
+        interferer_powers=np.where(swept[1:], 1.0, 10.0 ** (config.inr_grid_db[0] / 10.0)),
+        noise_power=1.0,
+        geometry=ArrayGeometry(config.m, perr),
+    )
+    return scenario, snap_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,10 +478,24 @@ class _Points:
     """Inputs of a chunk's trial points, stacked in (trial, x) order."""
 
     cov: np.ndarray  # (B, L, L) extended sample covariances
-    scm: np.ndarray  # (B, m, m) sample covariances of the physical rows
     ipnc: np.ndarray  # (B, m, m) true IPNCs
     tsv: np.ndarray  # (B, m) true steering vectors
     soi_power: np.ndarray  # (B,)
+
+    @property
+    def scm(self):
+        """(B, m, m) sample covariances of the physical rows, a view of ``cov``.
+
+        The first m rows of an L-element draw are the m-element draw, so
+        the SCM is the leading block of the extended covariance.
+        """
+        m = self.tsv.shape[-1]
+        return self.cov[:, :m, :m]
+
+    @cached_property
+    def scm_eigenvalues(self):
+        """Ascending SCM eigenvalues: one eigvalsh shared by the SCM methods."""
+        return _eigvalsh(self.scm)
 
     def __getitem__(self, index):
         return _Points(*(getattr(self, f.name)[index] for f in fields(self)))
@@ -455,43 +507,49 @@ class _Points:
 def _draw_points(config, x_values, trials, n_generate):
     """Draw every (trial, x) point of ``trials``, keeping only covariances.
 
-    Each snapshot draw is reduced to its sample covariance at once, so no
-    snapshot array outlives its own point.
+    Each trial builds its ``Scenario``, geometry, true steering vector
+    and true IPNC once. The SNR and INR sweeps draw each trial once: its
+    x values share the normals and change only the power p of the swept
+    sources (the SOI, or every interferer), so the snapshots are c S + Y
+    with c = sqrt(p), S the swept sources at unit power and Y the rest
+    plus noise. Each x's covariance is p G_SS + c (G_SY + G_YS) + G_YY,
+    from one Gram matrix of [S; Y] per trial, and the true IPNC is the
+    same at every x of the SNR sweep and linear in p in the INR sweep.
+    The snapshot sweep's stream depends on k, so it draws every point
+    and reduces the draw to its covariance at once.
     """
-    m = config.m
-    n_points = len(trials) * len(x_values)
-    cov = np.empty((n_points, n_generate, n_generate), dtype=complex)
-    scm = np.empty((n_points, m, m), dtype=complex)
-    ipnc = np.empty((n_points, m, m), dtype=complex)
-    tsv = np.empty((n_points, m), dtype=complex)
-    soi_power = np.empty(n_points)
-    soi_nominal = np.deg2rad(config.presumed_soi_deg)
-    int_nominal = np.deg2rad(np.asarray(config.interferers_deg, dtype=float))
-    b = 0
+    m, n, n_x = config.m, n_generate, len(x_values)
+    swept = _swept_sources(config)
+    draws, ipnc, tsv = [], [], []
     for trial in trials:
-        soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
-        geometry = ArrayGeometry(m, perr)
-        sv = steering_vector(soi_true, m, geometry)
-        for x in x_values:
-            snr_db, inr_db, k = _resolve_point(config, x)
-            scenario = Scenario(
-                soi_direction_true=soi_true,
-                soi_direction_presumed=soi_nominal,
-                interferer_directions_true=int_true,
-                interferer_directions_nominal=int_nominal,
-                soi_power=10.0 ** (snr_db / 10.0),
-                interferer_powers=np.full(len(int_nominal), 10.0 ** (inr_db / 10.0)),
-                noise_power=1.0,
-                geometry=geometry,
+        scenario, snap_seed = _trial_scenario(config, trial, swept)
+        tsv.append(steering_vector(scenario.soi_direction_true, m, scenario.geometry))
+        ipnc.append(true_ipnc(scenario, m))
+        if swept.any():
+            z = np.concatenate(_split_snapshots(scenario, n, config.k, snap_seed, swept))
+            draws.append(hermitize(z @ z.conj().T / config.k))
+        else:
+            ks = x_values if config.experiment == "sinr_vs_snapshots" else [config.k]
+            draws.extend(
+                sample_covariance(generate_snapshots(scenario, n, int(k), snap_seed)) for k in ks
             )
-            snapshots = generate_snapshots(scenario, n_generate, k, snap_seed)
-            cov[b] = sample_covariance(snapshots)
-            scm[b] = sample_covariance(snapshots[:m])
-            ipnc[b] = true_ipnc(scenario, m)
-            tsv[b] = sv
-            soi_power[b] = scenario.soi_power
-            b += 1
-    return _Points(cov, scm, ipnc, tsv, soi_power)
+    tsv = np.repeat(np.stack(tsv), n_x, axis=0)
+    ipnc = np.repeat(np.stack(ipnc), n_x, axis=0)
+    soi_power = np.full(len(tsv), scenario.soi_power)  # the same in every trial
+    if not swept.any():
+        return _Points(np.stack(draws), ipnc, tsv, soi_power)
+    gram = np.stack(draws)[:, None]
+    p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
+    cov = p[:, None, None] * gram[..., :n, :n]
+    cov += np.sqrt(p)[:, None, None] * (gram[..., :n, n:] + gram[..., n:, :n])
+    cov += gram[..., n:, n:]
+    p = np.tile(p, len(trials))
+    if swept[0]:
+        soi_power = p
+    else:
+        noise = np.eye(m)  # unit noise power
+        ipnc = p[:, None, None] * (ipnc - noise) + noise
+    return _Points(cov.reshape(-1, n, n), ipnc, tsv, soi_power)
 
 
 def _method_sinr(method, points, presumed, complement, projection, failures):
@@ -499,11 +557,15 @@ def _method_sinr(method, points, presumed, complement, projection, failures):
     if method == "optimal":
         w = optimal_weights(points.ipnc, points.tsv, failures)
     elif method == "scm_mvdr":
-        w = scm_mvdr_weights(points.scm, presumed, failures)
+        w = _distortionless_solve(points.scm, presumed, failures, points.scm_eigenvalues)
     elif method == "diagonal_loading":
-        w = diagonal_loading_weights(points.scm, presumed, failures=failures)
+        loading = _loading_level(points.scm_eigenvalues)
+        w = diagonal_loading_weights(points.scm, presumed, loading, failures)
     elif method == "capon_integral":
-        w = capon_integral_weights(points.scm, presumed, complement, CAPON_SAMPLES, failures)
+        ipnc = _capon_integral_ipnc(
+            points.scm, complement, CAPON_SAMPLES, failures, points.scm_eigenvalues
+        )
+        w = distortionless_solve(ipnc, presumed, failures)
     else:
         m = points.scm.shape[-1]
         w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed, failures)

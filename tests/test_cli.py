@@ -101,6 +101,7 @@ def test_run_reports_failed_trials(tmp_path, capsys):
         ("methods", None),
         ("k_grid", 5),
         ("snr_grid_db", [-4000]),
+        ("inr_grid_db", [400]),
     ],
 )
 def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
@@ -114,19 +115,18 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
-def test_run_survives_output_sinr_failure(tmp_path, capsys):
+def test_run_survives_output_sinr_failure(tmp_path, capsys, negative_ipnc):
+    negative_ipnc({(1, 0)})
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {"experiment": "sinr_vs_snr", "trials": 2, "snr_grid_db": [10.0], "inr_grid_db": [400]}
-        )
-    )
+    cfg.write_text(json.dumps({"experiment": "sinr_vs_snr", "trials": 2, "snr_grid_db": [10.0]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "nonpositive interference-plus-noise power" in capsys.readouterr().err
     with open(tmp_path / "sinr_vs_snr.csv", newline="") as fh:
-        rows = {r["method"]: r for r in csv.DictReader(fh)}
-    assert int(rows["optimal"]["n_ok"]) < 2
-    assert rows["scm_mvdr"]["n_ok"] == "2"
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 and all(row["n_ok"] == "1" for row in rows)
+    with open(tmp_path / "sinr_vs_snr_raw.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    assert all((row["sinr_db"] == "nan") == (row["trial"] == "1") for row in raw)
 
 
 def test_cli_overrides_take_precedence(tmp_path, small_config):

@@ -103,6 +103,8 @@ def test_normalize_config_rejects_bad_values():
         ("presumed_soi_deg", float("nan")),
         ("inr_grid_db", [float("inf")]),
         ("snr_grid_db", [4000.0]),
+        ("inr_grid_db", [400.0]),
+        ("snr_grid_db", [10.0, 120.5]),
         ("snr_grid_db", [10.0, -4000.0]),
         ("inr_grid_db", [-4000.0]),
         ("doa_mismatch_halfwidth_deg", 85.0),
@@ -180,10 +182,11 @@ def test_grid_power_mapping_exact_for_optimal():
 def test_common_random_numbers_across_grid():
     # One snapshot seed per trial covers the whole grid: repeating an x
     # value must reproduce the identical per-trial result.
-    cfg = _small(snr_grid_db=[10.0, 10.0], methods=["scm_mvdr", "lcssp"])
-    res = run_experiment(cfg)
-    for meth in res.methods:
-        np.testing.assert_array_equal(res.raw[meth][0], res.raw[meth][1])
+    for experiment, grid in (("sinr_vs_snr", "snr_grid_db"), ("sinr_vs_inr", "inr_grid_db")):
+        cfg = _small(experiment, methods=["optimal", "scm_mvdr", "lcssp"], **{grid: [10.0, 10.0]})
+        res = run_experiment(cfg)
+        for meth in res.methods:
+            np.testing.assert_array_equal(res.raw[meth][0], res.raw[meth][1])
 
 
 def test_mismatch_draws_respect_experiment_protocol():
@@ -254,12 +257,12 @@ def test_failed_method_recorded_and_excluded():
     assert all("NoConvergenceError" in rec["error"] for rec in failures)
 
 
-def test_output_sinr_failure_is_recorded_per_point():
-    # At 400 dB INR the true IPNC swamps double precision, so the optimal
-    # weights can give a nonpositive interference-plus-noise power.
-    res = run_experiment(_small(inr_grid_db=[400.0]))
+def test_output_sinr_failure_is_recorded_per_point(negative_ipnc):
+    negative_ipnc({(0, 1), (2, 0)})
+    res = run_experiment(_small())
     failures = res.diagnostics["failures"]
-    assert failures
+    assert {(rec["trial"], rec["x"]) for rec in failures} == {(0, 10.0), (2, 0.0)}
+    assert len(failures) == 2 * len(res.methods)
     assert all("nonpositive interference-plus-noise power" in rec["error"] for rec in failures)
     failed = {(rec["method"], rec["trial"], rec["x"]) for rec in failures}
     for meth in res.methods:
@@ -360,19 +363,9 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize(
-    "experiment, overrides",
-    [
-        # At 400 dB INR some points fail in output_sinr, so failure
-        # records cross chunk boundaries too.
-        ("sinr_vs_snr", {"inr_grid_db": [400.0]}),
-        ("sinr_vs_snr", {}),
-        ("sinr_vs_snapshots", {"k_grid": [5, 50]}),
-        ("beampattern", {}),
-    ],
-)
-def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, overrides):
-    cfg = _small(experiment, trials=5, **overrides)
+def _check_chunking(tmp_path, monkeypatch, cfg):
+    """Run ``cfg`` in default chunks, on two workers and in chunks of 1 and
+    2 trials: raw bits, diagnostics and CSV bytes must all agree."""
 
     def run(name, workers=1):
         res = run_experiment(cfg, workers=workers)
@@ -380,8 +373,6 @@ def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, override
         return res, [p.read_bytes() for p in paths]
 
     reference, reference_csv = run("default")
-    if overrides.get("inr_grid_db") == [400.0]:
-        assert reference.diagnostics["failures"]
     runs = [run("workers2", workers=2)]
     for chunk in (1, 2):
         monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
@@ -391,6 +382,40 @@ def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, override
             np.testing.assert_array_equal(_bits(res.raw[meth]), _bits(reference.raw[meth]))
         assert res.diagnostics == reference.diagnostics
         assert csv_bytes == reference_csv
+    return reference
+
+
+# Interferers that no extended dimension up to 8 m resolves to delta:
+# LCSSP fails at every point of every chunk.
+_NO_CONVERGENCE = {"interferers_deg": [-31.7, 28.3], "delta": 1e-4, "l": "auto"}
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("sinr_vs_snr", _NO_CONVERGENCE),
+        ("sinr_vs_snr", {}),
+        ("sinr_vs_snapshots", {"k_grid": [5, 50]}),
+        ("beampattern", {}),
+        ("sinr_vs_inr", {"inr_grid_db": [10.0, 40.0]}),
+    ],
+)
+def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, overrides):
+    reference = _check_chunking(tmp_path, monkeypatch, _small(experiment, trials=5, **overrides))
+    if overrides is _NO_CONVERGENCE:
+        assert len(reference.diagnostics["failures"]) == 5 * len(reference.x_values)
+
+
+def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_ipnc):
+    negative_ipnc({(1, 0), (2, 1), (4, 0)})
+    # The patched draw lives in this process only: split the chunks for
+    # two workers, but run them here.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    reference = _check_chunking(tmp_path, monkeypatch, _small(trials=5))
+    failed = {(rec["trial"], rec["x"]) for rec in reference.diagnostics["failures"]}
+    assert failed == {(1, 0.0), (2, 10.0), (4, 0.0)}
+    assert len(reference.diagnostics["failures"]) == 3 * len(reference.methods)
 
 
 def _chunk_points(n_trials=3):

@@ -1,5 +1,6 @@
 """Property tests: projector algebra, distortionless constraint, SINR bound,
-and invariance of sweep results under trial-count and worker splits."""
+invariance of sweep results under trial-count and worker splits, and the
+factored point draw against the per-point draw."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -14,14 +15,19 @@ from beamlab import (
     conditioned_matrix,
     default_config,
     distortionless_solve,
+    generate_snapshots,
+    normalize_config,
     optimal_weights,
     output_sinr,
     run_experiment,
+    sample_covariance,
     select_dimension,
     steering_vector,
     true_ipnc,
 )
+from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
+from beamlab.harness import MAX_POWER_DB, _draw_mismatch
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -208,3 +214,92 @@ def test_trial_prefix_and_worker_split_invariance(data, experiment, seed, trials
     head = [rec for rec in full.diagnostics["failures"] if rec["trial"] < prefix]
     assert head == short.diagnostics["failures"]
     assert split.diagnostics == full.diagnostics
+
+
+def _direct_points(config, x_values, trials, n_generate):
+    """Per-point construction of a chunk's inputs: one Scenario, draw and
+    covariance per (trial, x), as the harness built them point by point.
+
+    Yields (covariance, SCM, true IPNC, true steering vector, SOI power);
+    the SCM is the leading block of the covariance.
+    """
+    m = config.m
+    for trial in trials:
+        soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
+        geometry = ArrayGeometry(m, perr)
+        for x in x_values:
+            snr_db, inr_db, k = config.snr_grid_db[0], config.inr_grid_db[0], config.k
+            if config.experiment == "sinr_vs_snr":
+                snr_db = float(x)
+            elif config.experiment == "sinr_vs_inr":
+                inr_db = float(x)
+            else:
+                k = int(x)
+            scenario = Scenario(
+                soi_direction_true=soi_true,
+                soi_direction_presumed=np.deg2rad(config.presumed_soi_deg),
+                interferer_directions_true=int_true,
+                interferer_directions_nominal=np.deg2rad(config.interferers_deg),
+                soi_power=10.0 ** (snr_db / 10.0),
+                interferer_powers=np.full(len(int_true), 10.0 ** (inr_db / 10.0)),
+                noise_power=1.0,
+                geometry=geometry,
+            )
+            cov = sample_covariance(generate_snapshots(scenario, n_generate, k, snap_seed))
+            yield (
+                cov,
+                cov[:m, :m],
+                true_ipnc(scenario, m),
+                steering_vector(soi_true, m, geometry),
+                scenario.soi_power,
+            )
+
+
+def _assert_close(got, expected, rtol=1e-12):
+    assert np.linalg.norm(np.subtract(got, expected)) <= rtol * np.linalg.norm(expected)
+
+
+@st.composite
+def sweep_configs(draw, experiment):
+    config = default_config(experiment)
+    config.m = draw(st.integers(min_value=2, max_value=8))
+    config.k = draw(st.integers(min_value=1, max_value=60))
+    config.seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    config.interferers_deg = draw(st.lists(degrees, min_size=1, max_size=3))
+    config.doa_mismatch_halfwidth_deg = draw(st.floats(min_value=0.0, max_value=10.0))
+    config.position_error_halfwidth_wl = draw(st.floats(min_value=0.0, max_value=0.1))
+    powers_db = st.floats(min_value=-30.0, max_value=MAX_POWER_DB)
+    for field in ("snr_grid_db", "inr_grid_db"):
+        setattr(config, field, draw(st.lists(powers_db, min_size=1, max_size=4)))
+    config.k_grid = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4))
+    return normalize_config(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    experiment=st.sampled_from(sorted(_SWEPT_FIELD)),
+    extra=st.integers(min_value=0, max_value=12),
+    first=st.integers(min_value=0, max_value=1000),
+    n_trials=st.integers(min_value=1, max_value=3),
+)
+def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n_trials):
+    # The SNR and INR sweeps derive every x of a trial from one draw;
+    # each point must still be the per-point draw up to rounding. The
+    # snapshot sweep builds each point from hoisted per-trial parts and
+    # must equal the per-point construction bit for bit.
+    config = data.draw(sweep_configs(experiment))
+    x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
+    trials = range(first, first + n_trials)
+    n_generate = config.m + extra
+    points = harness._draw_points(config, x_values, trials, n_generate)
+    direct = list(_direct_points(config, x_values, trials, n_generate))
+    assert len(points) == len(direct)
+    for b, (cov, scm, ipnc, tsv, soi_power) in enumerate(direct):
+        got = (points.cov[b], points.scm[b], points.ipnc[b], points.tsv[b], points.soi_power[b])
+        if experiment == "sinr_vs_snapshots":
+            for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
+                np.testing.assert_array_equal(value, expected)
+        else:
+            for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
+                _assert_close(value, expected)
