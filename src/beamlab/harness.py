@@ -29,13 +29,12 @@ extended one. ``normalize_config`` rejects power grid entries above
 floor, next to its other up-front checks.
 """
 
-import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +83,9 @@ CAPON_SAMPLES = 200
 # runs every method over the stack in one batched call. Worker runs use
 # smaller chunks so that every worker gets one.
 TRIAL_CHUNK = 16
+# Rows per CSV write: a block's text is all of the file held in memory,
+# and one block amortizes the interpreter's cost per write.
+CSV_BLOCK_ROWS = 4096
 # Largest SNR or INR grid entry, in dB over the unit noise floor. One
 # interferer of power p gives a true IPNC of condition number p + 1, so
 # above COND_LIMIT the optimal weights need diagonal loading: the noise
@@ -481,6 +483,9 @@ class _Points:
     ipnc: np.ndarray  # (B, m, m) true IPNCs
     tsv: np.ndarray  # (B, m) true steering vectors
     soi_power: np.ndarray  # (B,)
+    # Runs of this many consecutive points share one true IPNC and true
+    # steering vector, so the optimal weights are solved once per run.
+    shared: int = 1
 
     @property
     def scm(self):
@@ -498,7 +503,8 @@ class _Points:
         return _eigvalsh(self.scm)
 
     def __getitem__(self, index):
-        return _Points(*(getattr(self, f.name)[index] for f in fields(self)))
+        """The points at ``index``, each with its own optimal-weight solve."""
+        return _Points(self.cov[index], self.ipnc[index], self.tsv[index], self.soi_power[index])
 
     def __len__(self):
         return len(self.soi_power)
@@ -513,10 +519,11 @@ def _draw_points(config, x_values, trials, n_generate):
     sources (the SOI, or every interferer), so the snapshots are c S + Y
     with c = sqrt(p), S the swept sources at unit power and Y the rest
     plus noise. Each x's covariance is p G_SS + c (G_SY + G_YS) + G_YY,
-    from one Gram matrix of [S; Y] per trial, and the true IPNC is the
-    same at every x of the SNR sweep and linear in p in the INR sweep.
-    The snapshot sweep's stream depends on k, so it draws every point
-    and reduces the draw to its covariance at once.
+    from one Gram matrix of [S; Y] per trial, and the true IPNC is
+    linear in p in the INR sweep. The snapshot sweep's stream depends on
+    k, so it draws every point and reduces the draw to its covariance at
+    once. In every sweep but the INR one, the x values of a trial share
+    its true IPNC and steering vector: ``shared`` is the grid length.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     swept = _swept_sources(config)
@@ -537,7 +544,7 @@ def _draw_points(config, x_values, trials, n_generate):
     ipnc = np.repeat(np.stack(ipnc), n_x, axis=0)
     soi_power = np.full(len(tsv), scenario.soi_power)  # the same in every trial
     if not swept.any():
-        return _Points(np.stack(draws), ipnc, tsv, soi_power)
+        return _Points(np.stack(draws), ipnc, tsv, soi_power, shared=n_x)
     gram = np.stack(draws)[:, None]
     p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
     cov = p[:, None, None] * gram[..., :n, :n]
@@ -545,17 +552,28 @@ def _draw_points(config, x_values, trials, n_generate):
     cov += gram[..., n:, n:]
     p = np.tile(p, len(trials))
     if swept[0]:
-        soi_power = p
-    else:
-        noise = np.eye(m)  # unit noise power
-        ipnc = p[:, None, None] * (ipnc - noise) + noise
+        return _Points(cov.reshape(-1, n, n), ipnc, tsv, p, shared=n_x)
+    noise = np.eye(m)  # unit noise power
+    ipnc = p[:, None, None] * (ipnc - noise) + noise
     return _Points(cov.reshape(-1, n, n), ipnc, tsv, soi_power)
+
+
+def _shared_optimal_weights(points, failures):
+    """Optimal weights of a stack, solved once per run of ``points.shared``
+    points; a failed solve is recorded at every point of its run."""
+    r = points.shared
+    per_run = None if failures is None else {}
+    w = optimal_weights(points.ipnc[::r], points.tsv[::r], per_run)
+    for run, error in (per_run or {}).items():
+        for b in range(run * r, run * r + r):
+            failures.setdefault(b, error)
+    return np.repeat(w, r, axis=0)
 
 
 def _method_sinr(method, points, presumed, complement, projection, failures):
     """Weights and output SINRs of one method at every point of the stack."""
     if method == "optimal":
-        w = optimal_weights(points.ipnc, points.tsv, failures)
+        w = _shared_optimal_weights(points, failures)
     elif method == "scm_mvdr":
         w = _distortionless_solve(points.scm, presumed, failures, points.scm_eigenvalues)
     elif method == "diagonal_loading":
@@ -720,6 +738,8 @@ def run_experiment(config, workers=1):
         for start in range(0, config.trials, size)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_chunk, tasks))
     else:
@@ -732,11 +752,25 @@ def run_experiment(config, workers=1):
     )
 
 
-def _fmt(value):
-    value = float(value)
-    if not np.isfinite(value):
-        return "nan"
-    return f"{value:.12g}"
+def _cells(values):
+    """CSV text of each value: 12 significant digits, every non-finite value as nan."""
+    return [f"{v:.12g}" for v in np.where(np.isfinite(values), values, np.nan).ravel().tolist()]
+
+
+def _flat_rows(table, methods, per_x, start, stop):
+    """Rows ``start:stop`` of ``table``'s values in CSV order: x, then method,
+    then trial, with ``per_x`` rows per x. Copies only the x values they span."""
+    first, last = start // per_x, -(-stop // per_x)
+    block = np.stack([table[meth][first:last] for meth in methods], axis=1).ravel()
+    return block[start - first * per_x : stop - first * per_x]
+
+
+def _write_blocks(path, header, n_rows, block_text):
+    """Write ``header``, then ``block_text(start, stop)`` for each block of rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            fh.write(block_text(start, min(start + CSV_BLOCK_ROWS, n_rows)))
 
 
 def emit_csv(result, path):
@@ -744,34 +778,36 @@ def emit_csv(result, path):
 
     Schema: ``x,method,mean_sinr_db,std_db,n_ok`` plus a sibling
     ``*_raw.csv`` with ``x,method,trial,sinr_db`` (nan rows keep failed
-    trials visible). UTF-8, LF line endings, ``.`` decimal separator;
-    byte-identical for identical runs.
+    trials visible). UTF-8, LF line endings, ``.`` decimal separator,
+    numbers to 12 significant digits with every non-finite value as
+    ``nan``; byte-identical for identical runs. Rows are formatted and
+    written in blocks of CSV_BLOCK_ROWS, so the text held in memory does
+    not grow with the file.
     """
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
-    trials = result.config.trials
+    methods, trials = result.methods, result.config.trials
+    x_cells = _cells(result.x_values)
+    n_agg, n_raw = len(x_cells) * len(methods), len(x_cells) * len(methods) * trials
+    agg_keys = product(x_cells, methods)
+    raw_keys = product(x_cells, methods, range(trials))
+
+    def aggregate_block(start, stop):
+        mean, std, n_ok = (
+            _flat_rows(table, methods, len(methods), start, stop)
+            for table in (result.mean_sinr_db, result.std_db, result.n_ok)
+        )
+        rows = zip(islice(agg_keys, stop - start), _cells(mean), _cells(std), n_ok.tolist())
+        return "".join([f"{x},{meth},{mu},{sd},{n}\n" for (x, meth), mu, sd, n in rows])
+
+    def raw_block(start, stop):
+        values = _cells(_flat_rows(result.raw, methods, len(methods) * trials, start, stop))
+        rows = zip(islice(raw_keys, stop - start), values)
+        return "".join([f"{x},{meth},{t},{v}\n" for (x, meth, t), v in rows])
+
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "method", "mean_sinr_db", "std_db", "n_ok"])
-            for ix, x in enumerate(result.x_values):
-                for meth in result.methods:
-                    writer.writerow(
-                        [
-                            _fmt(x),
-                            meth,
-                            _fmt(result.mean_sinr_db[meth][ix]),
-                            _fmt(result.std_db[meth][ix]),
-                            str(int(result.n_ok[meth][ix])),
-                        ]
-                    )
-        with open(raw_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "method", "trial", "sinr_db"])
-            for ix, x in enumerate(result.x_values):
-                for meth in result.methods:
-                    for t in range(trials):
-                        writer.writerow([_fmt(x), meth, str(t), _fmt(result.raw[meth][ix, t])])
+        _write_blocks(path, "x,method,mean_sinr_db,std_db,n_ok\n", n_agg, aggregate_block)
+        _write_blocks(raw_path, "x,method,trial,sinr_db\n", n_raw, raw_block)
     except OSError as err:
         raise OSError(f"writing results to {path}: {err}") from err
     return path, raw_path

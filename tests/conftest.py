@@ -12,8 +12,10 @@ def negative_ipnc(monkeypatch):
 
     Every method's output power w^H R w is then negative at those points,
     so each of them fails in ``output_sinr`` whatever the order of the
-    arithmetic, and no other point changes. Call the fixture with the set
-    of points; the patch lives in this process only.
+    arithmetic, and no other point fails. Where a trial's points share
+    their IPNC, the optimal weights of the whole trial come from its
+    first point. Call the fixture with the set of points; the patch lives
+    in this process only.
     """
 
     def poison(points_to_fail):

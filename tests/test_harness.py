@@ -1,5 +1,6 @@
 """Experiment configs, Monte Carlo driver, aggregation, CSV emission."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -302,7 +303,7 @@ class _RecordingPool:
     ],
 )
 def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, expected):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = _small(trials=trials, methods=["optimal", "scm_mvdr"])
@@ -410,7 +411,7 @@ def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_i
     negative_ipnc({(1, 0), (2, 1), (4, 0)})
     # The patched draw lives in this process only: split the chunks for
     # two workers, but run them here.
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     reference = _check_chunking(tmp_path, monkeypatch, _small(trials=5))
     failed = {(rec["trial"], rec["x"]) for rec in reference.diagnostics["failures"]}
@@ -466,9 +467,12 @@ def test_failing_points_do_not_touch_the_rest_of_the_stack():
 
 def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
     points, context = _chunk_points()
-    points.ipnc[1] *= 2.0  # the only IPNC with this diagonal
+    # The only IPNC with this diagonal: trial 0's, which its three points
+    # share, so the optimal weights solve it once for all of them.
+    assert points.shared == 3
+    points.ipnc[:3] *= 2.0
     clean = harness._point_values("optimal", points, *context)
-    poison = points.ipnc[1, 0, 0]
+    poison = points.ipnc[0, 0, 0]
     real_inv = np.linalg.inv
 
     def flaky_inv(a):
@@ -478,8 +482,8 @@ def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", flaky_inv)
     w, sinr, errors = harness._point_values("optimal", points, *context)
-    assert errors == {1: "LinAlgError: simulated LAPACK failure"}
-    assert np.isnan(sinr[1])
-    keep = np.arange(len(points)) != 1
+    assert errors == dict.fromkeys(range(3), "LinAlgError: simulated LAPACK failure")
+    assert np.isnan(sinr[:3]).all()
+    keep = np.arange(len(points)) >= 3
     np.testing.assert_array_equal(w[keep], clean[0][keep])
     np.testing.assert_array_equal(_bits(sinr[keep]), _bits(clean[1][keep]))

@@ -1,6 +1,12 @@
 """Property tests: projector algebra, distortionless constraint, SINR bound,
-invariance of sweep results under trial-count and worker splits, and the
-factored point draw against the per-point draw."""
+invariance of sweep results under trial-count and worker splits, the
+factored point draw against the per-point draw, and the blocked CSV
+writer against a row-at-a-time one."""
+
+import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -15,6 +21,7 @@ from beamlab import (
     conditioned_matrix,
     default_config,
     distortionless_solve,
+    emit_csv,
     generate_snapshots,
     normalize_config,
     optimal_weights,
@@ -27,7 +34,7 @@ from beamlab import (
 )
 from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
-from beamlab.harness import MAX_POWER_DB, _draw_mismatch
+from beamlab.harness import METHOD_NAMES, MAX_POWER_DB, SweepResult, _draw_mismatch
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -303,3 +310,107 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
         else:
             for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
                 _assert_close(value, expected)
+
+
+def _oracle_csv(result, path):
+    """The row-at-a-time writer that ``emit_csv`` replaced: one csv.writer
+    row and one float(), isfinite and format per value. Returns the bytes
+    of the aggregate and raw files."""
+
+    def fmt(value):
+        value = float(value)
+        if not np.isfinite(value):
+            return "nan"
+        return f"{value:.12g}"
+
+    path = Path(path)
+    raw_path = path.with_name(path.stem + "_raw" + path.suffix)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "method", "mean_sinr_db", "std_db", "n_ok"])
+        for ix, x in enumerate(result.x_values):
+            for meth in result.methods:
+                writer.writerow(
+                    [
+                        fmt(x),
+                        meth,
+                        fmt(result.mean_sinr_db[meth][ix]),
+                        fmt(result.std_db[meth][ix]),
+                        str(int(result.n_ok[meth][ix])),
+                    ]
+                )
+    with open(raw_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x", "method", "trial", "sinr_db"])
+        for ix, x in enumerate(result.x_values):
+            for meth in result.methods:
+                for t in range(result.config.trials):
+                    writer.writerow([fmt(x), meth, str(t), fmt(result.raw[meth][ix, t])])
+    return path.read_bytes(), raw_path.read_bytes()
+
+
+def _assert_csv_matches_oracle(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = emit_csv(result, Path(tmp) / "new.csv")
+        got = tuple(p.read_bytes() for p in paths)
+        assert got == _oracle_csv(result, Path(tmp) / "oracle.csv")
+
+
+# nan, +-inf, signed zeros, subnormals (the smallest one included) and
+# numbers near the ends of the double range.
+_SPECIAL_VALUES = np.array(
+    [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 1e300, -1e300, 1e-300]
+)
+
+
+@st.composite
+def sweep_results(draw):
+    """A ``SweepResult`` of random shape whose values mix special floats
+    with normals of random scale, and whose x grid may be integer valued."""
+    methods = draw(st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=5, unique=True))
+    trials = draw(st.integers(min_value=1, max_value=40))
+    n_x = draw(st.integers(min_value=1, max_value=300))
+    special_share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def values(shape):
+        out = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        pick = rng.random(shape) < special_share
+        out[pick] = rng.choice(_SPECIAL_VALUES, size=int(pick.sum()))
+        return out
+
+    if draw(st.booleans()):
+        x_values = np.sort(rng.integers(-100, 10**6, size=n_x)).astype(float)
+    else:
+        x_values = values(n_x)
+    config = default_config("sinr_vs_snr")
+    config.trials, config.methods = trials, methods
+    return SweepResult(
+        x_label="x",
+        x_values=x_values,
+        methods=methods,
+        raw={meth: values((n_x, trials)) for meth in methods},
+        mean_sinr_db={meth: values(n_x) for meth in methods},
+        std_db={meth: values(n_x) for meth in methods},
+        n_ok={meth: rng.integers(0, trials + 1, size=n_x) for meth in methods},
+        diagnostics={},
+        config=config,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(result=sweep_results(), block_rows=st.sampled_from([1, 2, 7, 64, harness.CSV_BLOCK_ROWS]))
+def test_blocked_csv_matches_row_at_a_time_writer(result, block_rows):
+    # Small blocks put block boundaries inside an x value's rows and
+    # inside a method's trials; the real block size is drawn too.
+    with mock.patch.object(harness, "CSV_BLOCK_ROWS", block_rows):
+        _assert_csv_matches_oracle(result)
+
+
+def test_beampattern_csv_matches_row_at_a_time_writer():
+    # 1801 angles x 5 methods x 2 trials: several blocks of real output.
+    config = default_config("beampattern")
+    config.trials = 2
+    result = run_experiment(config)
+    assert len(result.x_values) * len(result.methods) * 2 > 2 * harness.CSV_BLOCK_ROWS
+    _assert_csv_matches_oracle(result)
