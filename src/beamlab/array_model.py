@@ -190,41 +190,18 @@ class Scenario:
             raise ValueError("noise power must be positive")
 
 
-def _snapshot_terms(scenario, n_elements, k, seed):
-    """The terms ``generate_snapshots`` sums, each at the scenario's power.
+def _normal_blocks(n_rows, ks, seed):
+    """Complex standard normals of seed's stream, an (n_rows, k) block per k.
 
-    Returns the (n, P + 1) steering matrix of [SOI, *interferers], their
-    (P + 1, k) waveforms and the (n, k) noise.
+    The stream is drawn once, for the largest k; each block, in the order
+    of ``ks``, is a view of its first 2 n_rows k numbers read as complex
+    pairs. For n_rows = P + 1 + n that is the k draw of
+    ``generate_snapshots``: the waveform rows of [SOI, *interferers],
+    then the noise rows.
     """
-    if n_elements < scenario.geometry.n_physical:
-        raise ValueError("extended dimension must not be below the physical element count")
-    if k < 1:
-        raise ValueError("need at least one snapshot")
-    rng = np.random.default_rng(seed)
-    directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
-    powers = np.array([scenario.soi_power, *scenario.interferer_powers])
-    # One (k, 2) block per source in a single draw: the same stream as
-    # one draw per source.
-    d = rng.standard_normal((len(powers), k, 2))
-    waveforms = np.sqrt(powers / 2.0)[:, None] * (d[..., 0] + 1j * d[..., 1])
-    steer = steering_matrix(directions, n_elements, scenario.geometry)
-    d = rng.standard_normal((n_elements, k, 2))
-    noise = math.sqrt(scenario.noise_power / 2.0) * (d[..., 0] + 1j * d[..., 1])
-    return steer, waveforms, noise
-
-
-def _split_snapshots(scenario, n_elements, k, seed, swept):
-    """The ``generate_snapshots`` draw as c S + Y, from one draw for every c.
-
-    ``swept`` marks sources of [SOI, *interferers] that ``scenario``
-    gives unit power: S sums them, Y the other sources and the noise.
-    For any c, c S + Y is the draw with the marked powers set to c^2,
-    equal to ``generate_snapshots`` up to rounding.
-    """
-    steer, waveforms, noise = _snapshot_terms(scenario, n_elements, k, seed)
-    s = steer[:, swept] @ waveforms[swept]
-    y = steer[:, ~swept] @ waveforms[~swept] + noise
-    return s, y
+    flat = np.random.default_rng(seed).standard_normal(2 * n_rows * max(ks))
+    for k in ks:
+        yield flat[: 2 * n_rows * k].view(complex).reshape(n_rows, k)
 
 
 def generate_snapshots(scenario, n_elements, k, seed):
@@ -236,11 +213,22 @@ def generate_snapshots(scenario, n_elements, k, seed):
     true geometry apply to the first ``geometry.n_physical`` rows; rows
     beyond are virtual elements at nominal positions. Deterministic for a
     given seed, and the first M rows of an L-element draw equal the
-    M-element draw with the same seed.
+    M-element draw with the same seed. The k draw takes the first
+    2 k (P + 1 + n) normals of the seed's stream, the waveforms' before
+    the noise's, so at one seed and dimension the draw of every k is
+    read from a prefix of the largest k's stream.
     """
-    steer, waveforms, noise = _snapshot_terms(scenario, n_elements, k, seed)
+    if n_elements < scenario.geometry.n_physical:
+        raise ValueError("extended dimension must not be below the physical element count")
+    if k < 1:
+        raise ValueError("need at least one snapshot")
+    directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
+    powers = np.array([scenario.soi_power, *scenario.interferer_powers])
+    (z,) = _normal_blocks(len(powers) + n_elements, [k], seed)
+    waveforms = np.sqrt(powers / 2.0)[:, None] * z[: len(powers)]
+    steer = steering_matrix(directions, n_elements, scenario.geometry)
     x = np.zeros((n_elements, k), dtype=complex)
     for sv, waveform in zip(steer.T, waveforms):
         x += np.outer(sv, waveform)
-    x += noise
+    x += math.sqrt(scenario.noise_power / 2.0) * z[len(powers) :]
     return x

@@ -20,9 +20,10 @@ of its grid field; the snapshot count for non-K sweeps is the scalar
 the master seed by counter, so runs are reproducible and trials can
 execute in parallel in any order.
 
-The SNR and INR sweeps draw each trial once and scale it: the grid
-changes only the power of the swept sources, so every grid point's
-covariance follows from three Gram matrices of the one draw. The sample
+Every sweep reduces a trial's draw to the Gram matrix of its normals,
+and no snapshot matrix is formed. The SNR and INR sweeps draw each trial
+once and scale it; the snapshot sweep draws each trial's stream once, at
+its largest k, and takes every k's draw from a prefix of it. The sample
 covariance of the physical array is the leading m x m block of the
 extended one. ``normalize_config`` rejects power grid entries above
 ``MAX_POWER_DB``, where double precision no longer resolves the noise
@@ -43,8 +44,7 @@ from .array_model import (
     MAX_POSITION_ERROR_WL,
     ArrayGeometry,
     Scenario,
-    _split_snapshots,
-    generate_snapshots,
+    _normal_blocks,
     steering_matrix,
     steering_vector,
 )
@@ -55,11 +55,10 @@ from .baselines import (
     _distortionless_solve,
     _eigvalsh,
     _loading_level,
-    diagonal_loading_weights,
     distortionless_solve,
     optimal_weights,
 )
-from .covariance import hermitize, sample_covariance, true_ipnc
+from .covariance import hermitize, true_ipnc
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -514,48 +513,51 @@ def _draw_points(config, x_values, trials, n_generate):
     """Draw every (trial, x) point of ``trials``, keeping only covariances.
 
     Each trial builds its ``Scenario``, geometry, true steering vector
-    and true IPNC once. The SNR and INR sweeps draw each trial once: its
-    x values share the normals and change only the power p of the swept
-    sources (the SOI, or every interferer), so the snapshots are c S + Y
-    with c = sqrt(p), S the swept sources at unit power and Y the rest
-    plus noise. Each x's covariance is p G_SS + c (G_SY + G_YS) + G_YY,
-    from one Gram matrix of [S; Y] per trial, and the true IPNC is
-    linear in p in the INR sweep. The snapshot sweep's stream depends on
-    k, so it draws every point and reduces the draw to its covariance at
-    once. In every sweep but the INR one, the x values of a trial share
-    its true IPNC and steering vector: ``shared`` is the grid length.
+    and true IPNC once. Its snapshots would be B Z, with Z the draw's
+    complex normals (source waveforms, then noise) and B = [A, I] diag(a)
+    for the sources' steering matrix A and the amplitudes
+    a = sqrt(power / 2), so each point's covariance is B G B^H with
+    G = Z Z^H / k, and no snapshot matrix is formed. In the SNR and INR
+    sweeps the x values of a trial share G and change only the power p
+    of the swept sources (the SOI, or every interferer), and the true
+    IPNC is linear in p in the INR sweep. The snapshot sweep draws each
+    trial's stream once, at its largest k, and takes every k's Z from a
+    prefix of it. In every sweep but the INR one, the x values of a
+    trial share its true IPNC and steering vector: ``shared`` is the
+    grid length.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     swept = _swept_sources(config)
-    draws, ipnc, tsv = [], [], []
+    ks = [int(k) for k in x_values] if config.experiment == "sinr_vs_snapshots" else [config.k]
+    if swept.any():
+        p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
+    cov, ipnc, tsv = [], [], []
     for trial in trials:
         scenario, snap_seed = _trial_scenario(config, trial, swept)
         tsv.append(steering_vector(scenario.soi_direction_true, m, scenario.geometry))
         ipnc.append(true_ipnc(scenario, m))
+        directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
+        mix = np.hstack((steering_matrix(directions, n, scenario.geometry), np.eye(n)))
+        # Powers of [SOI, *interferers], then the unit noise of each element.
+        powers = np.array([scenario.soi_power, *scenario.interferer_powers, *[1.0] * n])
         if swept.any():
-            z = np.concatenate(_split_snapshots(scenario, n, config.k, snap_seed, swept))
-            draws.append(hermitize(z @ z.conj().T / config.k))
-        else:
-            ks = x_values if config.experiment == "sinr_vs_snapshots" else [config.k]
-            draws.extend(
-                sample_covariance(generate_snapshots(scenario, n, int(k), snap_seed)) for k in ks
-            )
+            powers = np.where(np.pad(swept, (0, n)), p[:, None], powers)
+        b = mix * np.sqrt(np.atleast_2d(powers) / 2.0)[:, None, :]
+        blocks = _normal_blocks(mix.shape[1], ks, snap_seed)
+        gram = np.stack([z @ z.conj().T / z.shape[1] for z in blocks])
+        cov.append(hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj()))
+    cov = np.concatenate(cov)
     tsv = np.repeat(np.stack(tsv), n_x, axis=0)
     ipnc = np.repeat(np.stack(ipnc), n_x, axis=0)
     soi_power = np.full(len(tsv), scenario.soi_power)  # the same in every trial
     if not swept.any():
-        return _Points(np.stack(draws), ipnc, tsv, soi_power, shared=n_x)
-    gram = np.stack(draws)[:, None]
-    p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
-    cov = p[:, None, None] * gram[..., :n, :n]
-    cov += np.sqrt(p)[:, None, None] * (gram[..., :n, n:] + gram[..., n:, :n])
-    cov += gram[..., n:, n:]
+        return _Points(cov, ipnc, tsv, soi_power, shared=n_x)
     p = np.tile(p, len(trials))
     if swept[0]:
-        return _Points(cov.reshape(-1, n, n), ipnc, tsv, p, shared=n_x)
+        return _Points(cov, ipnc, tsv, p, shared=n_x)
     noise = np.eye(m)  # unit noise power
     ipnc = p[:, None, None] * (ipnc - noise) + noise
-    return _Points(cov.reshape(-1, n, n), ipnc, tsv, soi_power)
+    return _Points(cov, ipnc, tsv, soi_power)
 
 
 def _shared_optimal_weights(points, failures):
@@ -578,7 +580,10 @@ def _method_sinr(method, points, presumed, complement, projection, failures):
         w = _distortionless_solve(points.scm, presumed, failures, points.scm_eigenvalues)
     elif method == "diagonal_loading":
         loading = _loading_level(points.scm_eigenvalues)
-        w = diagonal_loading_weights(points.scm, presumed, loading, failures)
+        loaded = points.scm + loading[:, None, None] * np.eye(points.scm.shape[-1])
+        # R + loading I has the SCM's eigenvalues plus the loading.
+        shifted = points.scm_eigenvalues + loading[:, None]
+        w = _distortionless_solve(loaded, presumed, failures, shifted)
     elif method == "capon_integral":
         ipnc = _capon_integral_ipnc(
             points.scm, complement, CAPON_SAMPLES, failures, points.scm_eigenvalues

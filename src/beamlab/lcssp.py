@@ -149,14 +149,18 @@ def select_dimension(config):
 def reconstruct_ipnc(projection, cov_l, m):
     """Top-left m x m block of C R_L C^H, the reconstructed IPNC; Hermitian PSD.
 
-    ``cov_l`` may be a (B, L, L) stack; the result is then (B, m, m).
+    Only the m rows C_m R_L C^H are formed (C_m: the first m rows of C),
+    not the L x L product; with all of C on the right, BLAS rounds the
+    block as it does the leading block of a larger m, which it does not
+    for C_m R_L C_m^H. ``cov_l`` may be a (B, L, L) stack; the result is
+    then (B, m, m).
     """
     if cov_l.shape[-2:] != projection.matrix.shape:
         raise ValueError("covariance dimension must match the projector")
     if not 1 <= m <= projection.dim:
         raise ValueError("block size must lie in [1, extended dimension]")
     c = projection.matrix
-    return hermitize(c @ cov_l @ c.conj().T)[..., :m, :m].copy()
+    return hermitize((c[:m] @ cov_l @ c.conj().T)[..., :m])
 
 
 def lcssp_weights(ipnc, presumed_sv, failures=None):

@@ -12,7 +12,7 @@ from beamlab import (
     steering_matrix,
     steering_vector,
 )
-from beamlab.array_model import _steering_grid
+from beamlab.array_model import _normal_blocks, _steering_grid
 
 
 def test_steering_vector_first_element_and_norm():
@@ -199,6 +199,24 @@ def test_snapshots_match_reference_draw_protocol():
     expected += np.sqrt(sc.noise_power / 2) * (d[..., 0] + 1j * d[..., 1])
     got = generate_snapshots(sc, n, k, seed=seed)
     np.testing.assert_array_equal(got, expected)
+
+
+def test_normal_blocks_are_each_k_draw():
+    # Every block, for an unsorted grid with repeats, holds the complex
+    # normals of a fresh k draw: the (P + 1, k, 2) waveform block, then
+    # the (n, k, 2) noise block.
+    n_sources, n, seed = 3, 13, 99
+    ks = [50, 1, 8, 50, 3]
+    blocks = list(_normal_blocks(n_sources + n, ks, seed))
+    assert len(blocks) == len(ks)
+    for k, block in zip(ks, blocks):
+        rng = np.random.default_rng(seed)
+        d = np.concatenate(
+            (rng.standard_normal((n_sources, k, 2)), rng.standard_normal((n, k, 2)))
+        )
+        assert block.shape == (n_sources + n, k)
+        np.testing.assert_array_equal(block.real, d[..., 0])
+        np.testing.assert_array_equal(block.imag, d[..., 1])
 
 
 def _silent_scenario():

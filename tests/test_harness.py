@@ -419,6 +419,15 @@ def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_i
     assert len(reference.diagnostics["failures"]) == 3 * len(reference.methods)
 
 
+def test_snapshot_points_depend_only_on_their_k():
+    # Each k's draw is a prefix of the trial's one stream, so the other
+    # entries of the grid and their order leave its values alone.
+    wide = run_experiment(_small("sinr_vs_snapshots", k_grid=[500, 10, 50]))
+    narrow = run_experiment(_small("sinr_vs_snapshots", k_grid=[10, 50]))
+    for meth in wide.methods:
+        np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
+
+
 def _chunk_points(n_trials=3):
     """A chunk's stacked points and method context, as the engine builds them."""
     cfg = normalize_config(_small(snr_grid_db=[0.0, 10.0, 20.0]))

@@ -291,10 +291,11 @@ def sweep_configs(draw, experiment):
     n_trials=st.integers(min_value=1, max_value=3),
 )
 def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n_trials):
-    # The SNR and INR sweeps derive every x of a trial from one draw;
-    # each point must still be the per-point draw up to rounding. The
-    # snapshot sweep builds each point from hoisted per-trial parts and
-    # must equal the per-point construction bit for bit.
+    # Every sweep forms each point's covariance from the Gram matrix of
+    # its trial's normals; the covariances must still be the per-point
+    # draw up to rounding. The snapshot sweep takes its true IPNC,
+    # steering vector and SOI power from hoisted per-trial parts, and
+    # those must equal the per-point construction bit for bit.
     config = data.draw(sweep_configs(experiment))
     x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
     trials = range(first, first + n_trials)
@@ -305,7 +306,9 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     for b, (cov, scm, ipnc, tsv, soi_power) in enumerate(direct):
         got = (points.cov[b], points.scm[b], points.ipnc[b], points.tsv[b], points.soi_power[b])
         if experiment == "sinr_vs_snapshots":
-            for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
+            for value, expected in zip(got[:2], (cov, scm)):
+                _assert_close(value, expected)
+            for value, expected in zip(got[2:], (ipnc, tsv, soi_power)):
                 np.testing.assert_array_equal(value, expected)
         else:
             for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
