@@ -12,7 +12,6 @@ from .array_model import (
     ArrayGeometry,
     Scenario,
     generate_snapshots,
-    selection_function,
     selection_zeros,
     steering_matrix,
     steering_vector,
@@ -48,25 +47,20 @@ from .lcssp import (
     NoConvergenceError,
     ProjectionMatrix,
     build_projection,
-    estimate_interferer_directions,
     lcssp_weights,
     normalized_error,
     reconstruct_ipnc,
     select_dimension,
 )
 from .metrics import (
-    BeampatternCurve,
-    beampattern,
     default_beampattern_grid,
     output_sinr,
-    sinr_deviation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
-    "BeampatternCurve",
     "ConfigError",
     "ExperimentConfig",
     "LcsspConfig",
@@ -75,7 +69,6 @@ __all__ = [
     "Scenario",
     "SingularCovarianceError",
     "SweepResult",
-    "beampattern",
     "build_projection",
     "capon_integral_ipnc",
     "capon_integral_weights",
@@ -85,7 +78,6 @@ __all__ = [
     "diagonal_loading_weights",
     "distortionless_solve",
     "emit_csv",
-    "estimate_interferer_directions",
     "generate_snapshots",
     "hermitize",
     "lcssp_weights",
@@ -99,9 +91,7 @@ __all__ = [
     "sample_covariance",
     "scm_mvdr_weights",
     "select_dimension",
-    "selection_function",
     "selection_zeros",
-    "sinr_deviation",
     "steering_matrix",
     "steering_vector",
     "theoretical_covariance",

@@ -1,9 +1,9 @@
 """Array signal model for uniform linear arrays.
 
-Steering vectors, the selection (indication) function and its zero set,
-and snapshot synthesis for physical and virtually extended arrays under
-direction and sensor-position mismatch. All angles are radians; degrees
-appear only at CLI and config surfaces.
+Steering vectors, the zeros of the selection (indication) function
+a^H(phi0) a(phi), and snapshot synthesis for physical and virtually
+extended arrays under direction and sensor-position mismatch. All angles
+are radians; degrees appear only at CLI and config surfaces.
 """
 
 import math
@@ -109,16 +109,6 @@ def steering_vector(angle, n, geometry=None):
     if n < 1:
         raise ValueError("need at least one element")
     return steering_matrix([_check_angle(angle)], n, geometry)[:, 0]
-
-
-def selection_function(phi, phi0, n):
-    """Inner product a^H(phi0) a(phi) of two nominal steering vectors.
-
-    Equals (1/n) sum_m exp(j m pi (sin phi - sin phi0)) for half-wavelength
-    spacing; 1 when phi = phi0, 0 at the n-1 zeros that define the
-    orthonormal steering basis.
-    """
-    return complex(np.vdot(steering_vector(phi0, n), steering_vector(phi, n)))
 
 
 def selection_zeros(phi0, n):

@@ -64,29 +64,21 @@ def _condition_numbers(eigenvalues):
         return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest)
 
 
-def conditioned_matrix(matrix, failures=None):
+def conditioned_matrix(matrix, failures=None, *, eigenvalues=None):
     """Return a solvable Hermitian matrix, loading the diagonal once if needed.
 
     Condition number above COND_LIMIT triggers a single retry with
     LOADING_FLOOR * trace/n added to the diagonal; still singular raises.
-    One batched eigvalsh checks a whole stack and only the items that
-    fail are loaded. Returns ``matrix`` itself when nothing was loaded.
+    One batched eigvalsh checks a whole stack, or the caller passes the
+    stack's ascending ``eigenvalues``, and only the items that fail are
+    loaded. Returns ``matrix`` itself when nothing was loaded.
     """
     stack, single = _as_stack(matrix)
-    out = _conditioned(stack, _eigvalsh(stack), failures)
-    if out is stack:
-        return matrix
-    return out[0] if single else out
-
-
-def _conditioned(stack, eigenvalues, failures):
-    """``conditioned_matrix`` of a (B, n, n) stack whose eigenvalues are known.
-
-    Returns ``stack`` itself when nothing was loaded.
-    """
-    need = ~(_condition_numbers(eigenvalues) <= COND_LIMIT)
+    if eigenvalues is None:
+        eigenvalues = _eigvalsh(stack)
+    need = ~(_condition_numbers(np.atleast_2d(eigenvalues)) <= COND_LIMIT)
     if not need.any():
-        return stack
+        return matrix
     n = stack.shape[-1]
     idx = np.flatnonzero(need)
     trace = np.trace(stack[idx], axis1=-2, axis2=-1).real
@@ -99,7 +91,7 @@ def _conditioned(stack, eigenvalues, failures):
             message = f"covariance condition number {c:.3e} exceeds {COND_LIMIT:.0e} after loading"
             record_failure(failures, i, SingularCovarianceError(message))
             out[i] = np.eye(n)
-    return out
+    return out[0] if single else out
 
 
 def inner(u, v):
@@ -107,19 +99,16 @@ def inner(u, v):
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def distortionless_solve(matrix, sv_values, failures=None):
+def distortionless_solve(matrix, sv_values, failures=None, *, eigenvalues=None):
     """w = R^-1 a / (a^H R^-1 a), with R^-1 from one batched inverse.
 
-    The normalization makes w^H a = 1 exact in floating point.
+    The normalization makes w^H a = 1 exact in floating point. Given the
+    matrix's ascending ``eigenvalues``, the condition check reuses them.
     """
-    return _distortionless_solve(matrix, sv_values, failures)
-
-
-def _distortionless_solve(matrix, sv_values, failures, eigenvalues=None):
-    """``distortionless_solve``, reusing the stack's ascending ``eigenvalues`` if given."""
     stack, single = _as_stack(matrix)
     svs = np.broadcast_to(sv_values, stack.shape[:-1])
-    u = (np.linalg.inv(_solvable(stack, failures, eigenvalues)) @ svs[..., None])[..., 0]
+    solvable = conditioned_matrix(stack, failures, eigenvalues=eigenvalues)
+    u = (np.linalg.inv(solvable) @ svs[..., None])[..., 0]
     den = inner(svs, u)
     for i in np.flatnonzero(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
         record_failure(
@@ -130,13 +119,6 @@ def _distortionless_solve(matrix, sv_values, failures, eigenvalues=None):
     return w[0] if single else w
 
 
-def _solvable(matrix, failures, eigenvalues):
-    """``conditioned_matrix``, or its check on the stack's ``eigenvalues`` if given."""
-    if eigenvalues is None:
-        return conditioned_matrix(matrix, failures)
-    return _conditioned(matrix, eigenvalues, failures)
-
-
 def optimal_weights(ipnc, true_sv, failures=None):
     """MVDR weights from the true IPNC and true steering vector.
 
@@ -145,31 +127,32 @@ def optimal_weights(ipnc, true_sv, failures=None):
     return distortionless_solve(ipnc, true_sv, failures)
 
 
-def scm_mvdr_weights(scm, presumed_sv, failures=None):
+def scm_mvdr_weights(scm, presumed_sv, failures=None, *, eigenvalues=None):
     """Plain sample-matrix-inversion MVDR against the presumed direction."""
-    return distortionless_solve(scm, presumed_sv, failures)
+    return distortionless_solve(scm, presumed_sv, failures, eigenvalues=eigenvalues)
 
 
-def diagonal_loading_weights(scm, presumed_sv, loading=None, failures=None):
+def diagonal_loading_weights(scm, presumed_sv, loading=None, failures=None, *, eigenvalues=None):
     """MVDR on R + loading I; default loading is 10x the smallest eigenvalue.
 
     The smallest SCM eigenvalue estimates the noise floor; it is clipped
     at zero so a rank-deficient SCM cannot produce negative loading.
+    R + loading I has the SCM's ascending ``eigenvalues`` (passed, or
+    computed for the default level) plus the loading; its check reuses them.
     """
     stack, single = _as_stack(scm)
+    if eigenvalues is None and loading is None:
+        eigenvalues = _eigvalsh(stack)
     if loading is None:
-        loading = _loading_level(_eigvalsh(stack))
+        loading = 10.0 * np.maximum(eigenvalues[..., 0], 0.0)
     loading = np.broadcast_to(np.asarray(loading, dtype=float), stack.shape[:1])
     if np.any(loading < 0):
         raise ValueError("loading must be nonnegative")
     n = stack.shape[-1]
-    w = distortionless_solve(stack + loading[:, None, None] * np.eye(n), presumed_sv, failures)
+    shifted = None if eigenvalues is None else eigenvalues + loading[:, None]
+    loaded = stack + loading[:, None, None] * np.eye(n)
+    w = distortionless_solve(loaded, presumed_sv, failures, eigenvalues=shifted)
     return w[0] if single else w
-
-
-def _loading_level(eigenvalues):
-    """Default diagonal loading of SCMs with these ascending eigenvalues."""
-    return 10.0 * np.maximum(eigenvalues[:, 0], 0.0)
 
 
 def _validate_intervals(sector_complement):
@@ -194,25 +177,21 @@ def _capon_accumulate(steer, rinv, deltas):
     return u @ steer.conj().T
 
 
-def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None):
+def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None, *, eigenvalues=None):
     """Reconstruct the IPNC by integrating a(theta) a^H(theta) / capon(theta).
 
     Midpoint quadrature over the union of ``sector_complement`` intervals
     (radians), with points allocated to intervals proportionally to their
     length. capon(theta) is the Capon spectrum a^H R^-1 a of the supplied
-    covariance. Nominal half-wavelength geometry throughout.
+    covariance, whose ascending ``eigenvalues`` the condition check
+    reuses if given. Nominal half-wavelength geometry throughout.
     """
-    return _capon_integral_ipnc(scm, sector_complement, n_samples, failures)
-
-
-def _capon_integral_ipnc(scm, sector_complement, n_samples, failures, eigenvalues=None):
-    """``capon_integral_ipnc``, reusing the SCM stack's ascending ``eigenvalues`` if given."""
     if n_samples < 2:
         raise ValueError("need at least two quadrature points")
     intervals = _validate_intervals(sector_complement)
     total = sum(hi - lo for lo, hi in intervals)
     n = np.shape(scm)[-1]
-    rinv = np.linalg.inv(_solvable(scm, failures, eigenvalues))
+    rinv = np.linalg.inv(conditioned_matrix(scm, failures, eigenvalues=eigenvalues))
     midpoints = []
     deltas = []
     for lo, hi in intervals:
@@ -225,7 +204,9 @@ def _capon_integral_ipnc(scm, sector_complement, n_samples, failures, eigenvalue
     return hermitize(_capon_accumulate(steer, rinv, np.concatenate(deltas)))
 
 
-def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200, failures=None):
+def capon_integral_weights(
+    scm, presumed_sv, sector_complement, n_samples=200, failures=None, *, eigenvalues=None
+):
     """MVDR weights against the Capon-integral reconstructed IPNC."""
-    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples, failures)
+    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples, failures, eigenvalues=eigenvalues)
     return distortionless_solve(ipnc, presumed_sv, failures)

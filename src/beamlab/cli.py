@@ -4,9 +4,10 @@
 output directory. ``beamlab plot-script`` drops a standalone matplotlib
 script next to the CSVs so plotting needs nothing from this package.
 
-Exit codes: 0 on full success, 1 on configuration errors, 2 when any
-trial point failed (results are still written; means cover the
-successful trials only).
+Exit codes: 0 on full success, 1 on configuration errors (an unusable
+output directory among them) and CSV write errors, 2 when any trial
+point failed (results are still written; means cover the successful
+trials only).
 """
 
 import argparse
@@ -154,9 +155,17 @@ def _run(args):
     if args.workers < 1:
         print("config error: --workers must be at least 1", file=sys.stderr)
         return 1
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot create output directory {args.out}: {err}", file=sys.stderr)
+        return 1
     result = run_experiment(config, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
-    csv_path, raw_path = emit_csv(result, args.out / f"{config.experiment}.csv")
+    try:
+        csv_path, raw_path = emit_csv(result, args.out / f"{config.experiment}.csv")
+    except OSError as err:
+        print(err, file=sys.stderr)
+        return 1
     print(f"wrote {csv_path}")
     print(f"wrote {raw_path}")
     diag = result.diagnostics

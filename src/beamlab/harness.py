@@ -51,12 +51,11 @@ from .array_model import (
 from .baselines import (
     COND_LIMIT,
     SingularCovarianceError,
-    _capon_integral_ipnc,
-    _distortionless_solve,
     _eigvalsh,
-    _loading_level,
-    distortionless_solve,
+    capon_integral_weights,
+    diagonal_loading_weights,
     optimal_weights,
+    scm_mvdr_weights,
 )
 from .covariance import hermitize, true_ipnc
 from .lcssp import (
@@ -77,7 +76,6 @@ from .metrics import (
 EXPERIMENTS = ("beampattern", "sinr_vs_snr", "sinr_vs_snapshots", "sinr_vs_inr")
 METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
 DOMINANCE_TOL_DB = 1e-6
-CAPON_SAMPLES = 200
 # Trials per task: each task stacks the points of this many trials and
 # runs every method over the stack in one batched call. Worker runs use
 # smaller chunks so that every worker gets one.
@@ -219,9 +217,16 @@ def load_config(path=None, overrides=None):
     return normalize_config(config)
 
 
+def _not_bool(value):
+    """``value`` itself; TypeError for a bool, since JSON true and false are not numbers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is a boolean")
+    return value
+
+
 def _as_int(value, name, minimum=None):
     try:
-        out = int(value)
+        out = int(_not_bool(value))
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from err
     if isinstance(value, float) and value != out:
@@ -233,7 +238,7 @@ def _as_int(value, name, minimum=None):
 
 def _as_float(value, name):
     try:
-        out = float(value)
+        out = float(_not_bool(value))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be a number, got {value!r}") from err
     if not np.isfinite(out):
@@ -250,7 +255,7 @@ def _as_list(value, name):
 def _as_float_list(value, name):
     items = _as_list(value, name)
     try:
-        out = [float(v) for v in items]
+        out = [float(_not_bool(v)) for v in items]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
     if not out:
@@ -577,18 +582,15 @@ def _method_sinr(method, points, presumed, complement, projection, failures):
     if method == "optimal":
         w = _shared_optimal_weights(points, failures)
     elif method == "scm_mvdr":
-        w = _distortionless_solve(points.scm, presumed, failures, points.scm_eigenvalues)
+        w = scm_mvdr_weights(points.scm, presumed, failures, eigenvalues=points.scm_eigenvalues)
     elif method == "diagonal_loading":
-        loading = _loading_level(points.scm_eigenvalues)
-        loaded = points.scm + loading[:, None, None] * np.eye(points.scm.shape[-1])
-        # R + loading I has the SCM's eigenvalues plus the loading.
-        shifted = points.scm_eigenvalues + loading[:, None]
-        w = _distortionless_solve(loaded, presumed, failures, shifted)
-    elif method == "capon_integral":
-        ipnc = _capon_integral_ipnc(
-            points.scm, complement, CAPON_SAMPLES, failures, points.scm_eigenvalues
+        w = diagonal_loading_weights(
+            points.scm, presumed, failures=failures, eigenvalues=points.scm_eigenvalues
         )
-        w = distortionless_solve(ipnc, presumed, failures)
+    elif method == "capon_integral":
+        w = capon_integral_weights(
+            points.scm, presumed, complement, failures=failures, eigenvalues=points.scm_eigenvalues
+        )
     else:
         m = points.scm.shape[-1]
         w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed, failures)

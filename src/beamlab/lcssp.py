@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import selection_zeros, steering_matrix
-from .baselines import conditioned_matrix, distortionless_solve
+from .baselines import distortionless_solve
 from .covariance import hermitize
 
 
@@ -169,29 +169,3 @@ def lcssp_weights(ipnc, presumed_sv, failures=None):
     Takes a stack like ``baselines.distortionless_solve``.
     """
     return distortionless_solve(ipnc, presumed_sv, failures)
-
-
-def estimate_interferer_directions(scm, count, config, grid_step=np.deg2rad(0.1)):
-    """Largest Capon-spectrum peaks outside the look sector.
-
-    Automatic alternative to config-provided nominal interferer
-    directions: scans 1/(a^H R^-1 a) of the physical-size covariance on a
-    uniform grid, keeps local maxima outside the sector, and returns the
-    ``count`` strongest angles sorted ascending.
-    """
-    if count < 1:
-        raise ValueError("need at least one direction")
-    half = np.pi / 2
-    grid = np.arange(-half + grid_step, half, grid_step)
-    steer = steering_matrix(grid, scm.shape[0])
-    u = np.linalg.solve(conditioned_matrix(scm), steer)
-    spectrum = 1.0 / np.einsum("ij,ij->j", steer.conj(), u).real
-    outside = np.abs(grid - config.presumed_soi) > config.soi_sector_halfwidth
-    peaks = []
-    for i in range(1, len(grid) - 1):
-        if outside[i] and spectrum[i] > spectrum[i - 1] and spectrum[i] >= spectrum[i + 1]:
-            peaks.append((spectrum[i], grid[i]))
-    if len(peaks) < count:
-        raise ValueError(f"found only {len(peaks)} spectrum peaks outside the sector")
-    peaks.sort(key=lambda item: -item[0])
-    return np.sort(np.array([angle for _, angle in peaks[:count]]))

@@ -1,20 +1,8 @@
-"""Evaluation metrics: output SINR, deviation from optimal, beampatterns."""
-
-from dataclasses import dataclass
+"""Evaluation metrics: output SINR and normalized beampattern gains."""
 
 import numpy as np
 
-from .array_model import steering_matrix, steering_vector
-from .baselines import inner, optimal_weights, record_failure
-from .covariance import true_ipnc
-
-
-@dataclass(frozen=True, eq=False)
-class BeampatternCurve:
-    """Normalized gain versus angle; peak pinned at exactly 0 dB."""
-
-    angles: np.ndarray
-    gains_db: np.ndarray
+from .baselines import inner, record_failure
 
 
 def output_sinr(weights, soi_power, true_sv, ipnc, failures=None):
@@ -42,16 +30,6 @@ def output_sinr(weights, soi_power, true_sv, ipnc, failures=None):
     return float(sinr) if w.ndim == 1 else sinr
 
 
-def sinr_deviation(weights, scenario):
-    """Optimal output SINR minus the achieved one, in dB; nonnegative."""
-    m = len(weights)
-    ipnc = true_ipnc(scenario, m)
-    tsv = steering_vector(scenario.soi_direction_true, m, scenario.geometry)
-    w_opt = optimal_weights(ipnc, tsv)
-    best = output_sinr(w_opt, scenario.soi_power, tsv, ipnc)
-    return best - output_sinr(weights, scenario.soi_power, tsv, ipnc)
-
-
 def beampattern_grid_deg():
     """1801 angles over [-90, 90] degrees at 0.1 degree steps."""
     return np.arange(-900, 901) * 0.1
@@ -60,22 +38,6 @@ def beampattern_grid_deg():
 def default_beampattern_grid():
     """``beampattern_grid_deg()`` in radians."""
     return np.deg2rad(beampattern_grid_deg())
-
-
-def beampattern(weights, grid):
-    """Normalized response 20 log10 |w^H a(theta)| over ``grid`` (radians).
-
-    Nominal-geometry steering vectors by convention; the curve is shifted
-    so its maximum is exactly 0 dB, making it invariant to any nonzero
-    scaling of the weights.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("angle grid must be nonempty")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise ValueError("angle grid must be strictly increasing")
-    steer = steering_matrix(grid, len(weights))
-    return BeampatternCurve(angles=grid, gains_db=pattern_gains_db(weights, steer))
 
 
 def pattern_gains_db(weights, steer):

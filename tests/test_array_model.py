@@ -7,7 +7,6 @@ from beamlab import (
     ArrayGeometry,
     Scenario,
     generate_snapshots,
-    selection_function,
     selection_zeros,
     steering_matrix,
     steering_vector,
@@ -72,13 +71,6 @@ def test_steering_rejects_out_of_range_angles():
     with pytest.raises(ValueError):
         steering_vector(np.pi / 2 + 0.01, 8)
     steering_vector(np.pi / 2, 8)
-
-
-def test_selection_function_unity_at_center_zero_at_zeros():
-    n, phi0 = 10, 0.1
-    assert selection_function(phi0, phi0, n) == pytest.approx(1.0, abs=1e-12)
-    for z in selection_zeros(phi0, n):
-        assert abs(selection_function(z, phi0, n)) < 1e-12
 
 
 def test_selection_zeros_closed_form():

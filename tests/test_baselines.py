@@ -20,7 +20,7 @@ from beamlab import (
     theoretical_covariance,
 )
 from beamlab.array_model import _steering_grid
-from beamlab.baselines import _capon_accumulate
+from beamlab.baselines import _capon_accumulate, _eigvalsh
 
 # Total angular measure of [-90, -6] and [6, 90] degrees in radians;
 # quadrature weights must sum to it for any sample budget.
@@ -145,6 +145,36 @@ def test_diagonal_loading_default_level():
         diagonal_loading_weights(scm, a, loading=level),
         atol=1e-14,
     )
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        scm_mvdr_weights,
+        diagonal_loading_weights,
+        lambda scm, a, **kw: diagonal_loading_weights(scm, a, loading=1.0, **kw),
+        lambda scm, a, **kw: capon_integral_weights(scm, a, COMPLEMENT, **kw),
+    ],
+    ids=["scm_mvdr", "diagonal_loading", "diagonal_loading_fixed", "capon_integral"],
+)
+def test_passed_eigenvalues_change_nothing(weights):
+    # A well-conditioned SCM, a rank-3 one (K < n) and one that fails.
+    # With a fixed loading and no eigenvalues, the check of R + loading I
+    # runs its own eigvalsh, which the shifted SCM eigenvalues must match.
+    sc = _scenario()
+    stack = np.stack(
+        [
+            sample_covariance(generate_snapshots(sc, 10, 50, seed=5)),
+            sample_covariance(generate_snapshots(sc, 10, 3, seed=6)),
+            np.zeros((10, 10), dtype=complex),
+        ]
+    )
+    a = steering_vector(0.0, 10)
+    plain, shared = {}, {}
+    w_plain = weights(stack, a, failures=plain)
+    w_shared = weights(stack, a, failures=shared, eigenvalues=_eigvalsh(stack))
+    np.testing.assert_array_equal(w_shared, w_plain)
+    assert sorted(shared) == sorted(plain)
 
 
 def test_capon_integral_weight_normalization():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from beamlab import cli
 from beamlab.cli import main
 
 
@@ -113,6 +114,31 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
     assert err.startswith("config error:")
     assert field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", [None, "sub"])
+def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, sub):
+    def never(*args, **kwargs):
+        raise AssertionError("run_experiment must not start")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if sub is None else blocker / sub
+    assert main(_run_args(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}:")
+    assert "Traceback" not in err
+
+
+def test_csv_write_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    def failing(result, path):
+        raise OSError(f"writing results to {path}: disk full")
+
+    monkeypatch.setattr(cli, "emit_csv", failing)
+    assert main(_run_args(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"writing results to {tmp_path / 'sinr_vs_snr.csv'}: disk full\n"
 
 
 def test_run_survives_output_sinr_failure(tmp_path, capsys, negative_ipnc):

@@ -110,6 +110,13 @@ def test_normalize_config_rejects_bad_values():
         ("inr_grid_db", [-4000.0]),
         ("doa_mismatch_halfwidth_deg", 85.0),
         ("trials", float("inf")),
+        # JSON booleans are not numbers.
+        ("trials", True),
+        ("seed", False),
+        ("snr_grid_db", [True, 10.0]),
+        ("delta", True),
+        ("k", np.bool_(True)),
+        ("interferers_deg", [np.bool_(False)]),
     ):
         cfg = default_config("sinr_vs_snr")
         setattr(cfg, field, value)

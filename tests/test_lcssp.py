@@ -9,7 +9,6 @@ from beamlab import (
     NoConvergenceError,
     Scenario,
     build_projection,
-    estimate_interferer_directions,
     generate_snapshots,
     lcssp_weights,
     normalized_error,
@@ -173,18 +172,3 @@ def test_select_dimension_fixed_matches_equivalent_auto():
     np.testing.assert_array_equal(proj_fixed.matrix, proj_auto.matrix)
     assert normalized_error(proj_fixed, INTERFERERS) == normalized_error(proj_auto, INTERFERERS)
 
-
-def test_estimate_interferer_directions_finds_strong_sources():
-    sc = Scenario(
-        soi_direction_true=0.0,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=INTERFERERS,
-        interferer_directions_nominal=INTERFERERS,
-        soi_power=10.0,
-        interferer_powers=np.array([1000.0, 1000.0]),
-        noise_power=1.0,
-        geometry=ArrayGeometry(10),
-    )
-    theo = theoretical_covariance(sc, 10)
-    found = estimate_interferer_directions(theo, 2, _config())
-    np.testing.assert_allclose(np.sort(found), INTERFERERS, atol=np.deg2rad(0.11))
