@@ -115,7 +115,7 @@ def build_parser():
     run.add_argument("--seed", type=int, default=None, help="master seed")
     run.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     run.add_argument("--out", type=Path, default=Path.cwd(), help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    run.add_argument("--workers", type=int, default=1, help="parallel trial processes")
     dim = run.add_mutually_exclusive_group()
     dim.add_argument("--fix-l", type=int, default=None, dest="fix_l",
                      help="use this extended dimension")

@@ -30,11 +30,13 @@ extended one. ``normalize_config`` rejects power grid entries above
 floor, next to its other up-front checks.
 """
 
+import ctypes
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product
 from pathlib import Path
 
@@ -92,6 +94,12 @@ MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
 _TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
 # Experiments whose trials draw interferer direction offsets.
 _PERTURBS_INTERFERERS = ("sinr_vs_snr", "sinr_vs_snapshots")
+# (getter, setter) symbol names of OpenBLAS's thread count: the
+# scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class ConfigError(ValueError):
@@ -725,6 +733,58 @@ _X_LABELS = {
 }
 
 
+@cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, looked up once per process.
+
+    Empty where the process has no ``/proc/self/maps`` (not Linux) or
+    numpy links another BLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return ()
+    controls = []
+    for path in (p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # mapped already; load nothing new
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS of the process at one thread, and
+    give each back its caller's thread count afterwards, also on error.
+
+    Trials are the unit of parallelism: a threaded BLAS inside each pool
+    worker would oversubscribe the cores, and threaded zgemm rounds
+    differently from the single-threaded one. Forked workers inherit the
+    setting. Without OpenBLAS this does nothing.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), threads in zip(controls, saved):
+            set_(threads)
+
+
 def run_experiment(config, workers=1):
     """Run the configured experiment and aggregate per-method results.
 
@@ -732,25 +792,29 @@ def run_experiment(config, workers=1):
     (seed, t) alone, and aggregation is order-insensitive, so any worker
     count yields identical results. Trials run in chunks of at most
     TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
-    processes maps the chunks. Failed trial points are recorded in
-    diagnostics["failures"], excluded from means, and reflected in n_ok.
+    processes maps the chunks; ``workers`` below 1 runs serially, and a
+    non-integer one is a ConfigError. OpenBLAS runs at one thread in every
+    process for the duration of the call and gets the caller's thread
+    count back afterwards, so the worker count is the only parallelism
+    and the raw bits do not depend on the BLAS thread count. Failed trial
+    points are recorded in diagnostics["failures"], excluded from means,
+    and reflected in n_ok.
     """
     config = normalize_config(config)
-    projection, epsilon, lcssp_error = _resolve_lcssp(config)
+    workers = max(1, min(_as_int(workers, "workers"), config.trials, os.cpu_count() or 1))
     x_values = np.asarray(_x_grid(config), dtype=float)
-    workers = max(1, min(workers, config.trials, os.cpu_count() or 1))
     size = min(TRIAL_CHUNK, -(-config.trials // workers))
-    tasks = [
-        (config, x_values, projection, lcssp_error, range(start, min(start + size, config.trials)))
-        for start in range(0, config.trials, size)
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
+    chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
+    with _one_blas_thread():
+        projection, epsilon, lcssp_error = _resolve_lcssp(config)
+        tasks = [(config, x_values, projection, lcssp_error, trials) for trials in chunks]
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_chunk, tasks))
-    else:
-        outcomes = [_run_chunk(task) for task in tasks]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_run_chunk, tasks))
+        else:
+            outcomes = [_run_chunk(task) for task in tasks]
     if config.experiment == "beampattern":
         x_values = beampattern_grid_deg()
     raw, diagnostics = _collect(config, len(x_values), outcomes, projection, epsilon, lcssp_error)

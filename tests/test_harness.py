@@ -2,6 +2,10 @@
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,11 +176,86 @@ def test_run_experiment_deterministic():
 
 
 def test_parallel_matches_serial():
-    cfg = _small("sinr_vs_inr", inr_grid_db=[10.0, 30.0])
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=2)
-    for meth in serial.methods:
-        np.testing.assert_array_equal(serial.raw[meth], parallel.raw[meth])
+    for cfg in (
+        _small("sinr_vs_inr", inr_grid_db=[10.0, 30.0]),
+        # A 23 x 500 Gram matrix is large enough for OpenBLAS to thread.
+        _small("sinr_vs_snapshots", k_grid=[50, 500]),
+    ):
+        serial = run_experiment(cfg, workers=1)
+        parallel = run_experiment(cfg, workers=2)
+        for meth in serial.methods:
+            np.testing.assert_array_equal(serial.raw[meth], parallel.raw[meth])
+
+
+def _blas_controls():
+    controls = harness._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS in this process: the thread pin does nothing")
+    return controls
+
+
+_RAW_SCRIPT = """
+import sys
+import numpy as np
+from beamlab import default_config, run_experiment
+cfg = default_config("sinr_vs_snapshots")
+cfg.trials, cfg.k_grid = 4, [50, 500]
+res = run_experiment(cfg)
+np.savez(sys.argv[1], **res.raw)
+"""
+
+
+def test_raw_bits_do_not_depend_on_blas_threads(tmp_path):
+    # Threaded and single-threaded zgemm round differently; the harness
+    # runs every sweep at one BLAS thread, whatever the environment says.
+    _blas_controls()
+    src = Path(harness.__file__).parents[1]
+    raws = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", _RAW_SCRIPT, str(out)], env=env, check=True, timeout=120
+        )
+        with np.load(out) as raw:
+            raws.append({meth: raw[meth] for meth in raw.files})
+    assert raws[0].keys() == raws[1].keys()
+    for meth in raws[0]:
+        np.testing.assert_array_equal(_bits(raws[0][meth]), _bits(raws[1][meth]))
+
+
+def test_blas_thread_pin_is_scoped(monkeypatch):
+    controls = _blas_controls()
+
+    def threads():
+        return [get() for get, _ in controls]
+
+    caller = threads()
+    seen = []
+    run_chunk = harness._run_chunk
+
+    def recording(task):
+        seen.append(threads())
+        return run_chunk(task)
+
+    def failing(task):
+        raise RuntimeError("chunk failed")
+
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        monkeypatch.setattr(harness, "_run_chunk", recording)
+        run_experiment(_small())
+        assert seen and all(reading == [1] * len(controls) for reading in seen)
+        assert threads() == [2] * len(controls)
+        monkeypatch.setattr(harness, "_run_chunk", failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run_experiment(_small())
+        assert threads() == [2] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, caller):
+            set_threads(count)
 
 
 def test_grid_power_mapping_exact_for_optimal():
@@ -307,6 +386,12 @@ class _RecordingPool:
         (4, 3, None, None),
         (4, 1, 8, None),
         (0, 3, 8, None),
+        # Checked like an integer config field.
+        ("3", 6, 4, 3),
+        ("two", 3, 8, ConfigError),
+        (2.5, 3, 8, ConfigError),
+        (True, 3, 8, ConfigError),
+        (None, 3, 8, ConfigError),
     ],
 )
 def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, expected):
@@ -314,6 +399,11 @@ def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = _small(trials=trials, methods=["optimal", "scm_mvdr"])
+    if expected is ConfigError:
+        with pytest.raises(ConfigError, match="workers must be an integer"):
+            run_experiment(cfg, workers=workers)
+        assert _RecordingPool.sizes == []
+        return
     res = run_experiment(cfg, workers=workers)
     assert _RecordingPool.sizes == ([] if expected is None else [expected])
     serial = run_experiment(cfg, workers=1)
