@@ -34,13 +34,14 @@ import ctypes
 import json
 import math
 import os
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .array_model import (
     MAX_POSITION_ERROR_WL,
@@ -734,55 +735,82 @@ _X_LABELS = {
 
 
 @cache
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS mapped into this
-    process, looked up once per process.
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy links, or
+    None where numpy links another BLAS; looked up once per process.
 
-    Empty where the process has no ``/proc/self/maps`` (not Linux) or
-    numpy links another BLAS.
+    A symbol lookup through a library's handle also searches the libraries
+    it depends on, so numpy's linalg extension reaches its OpenBLAS.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+        lib = ctypes.CDLL(_umath_linalg.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
     except OSError:
-        return ()
-    controls = []
-    for path in (p for p in paths if "openblas" in os.path.basename(p)):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # mapped already; load nothing new
-        except OSError:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            try:
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-            break
-    return tuple(controls)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS of the process at one thread, and
-    give each back its caller's thread count afterwards, also on error.
+class _OneBlasThread:
+    """Context manager: OpenBLAS runs at one thread while any sweep of the
+    process runs, and gets the caller's thread count back when the last
+    one ends, also on error.
 
     Trials are the unit of parallelism: a threaded BLAS inside each pool
     worker would oversubscribe the cores, and threaded zgemm rounds
-    differently from the single-threaded one. Forked workers inherit the
-    setting. Without OpenBLAS this does nothing.
+    differently from the single-threaded one. The setting is process-wide,
+    so sweeps running at once in several threads share one save and
+    restore, and other threads' BLAS calls also run at one thread
+    meanwhile. Without OpenBLAS this does nothing.
     """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), threads in zip(controls, saved):
-            set_(threads)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._sweeps = 0
+        self._caller_threads = None
+
+    def __enter__(self):
+        controls = _openblas_threads()
+        if controls is not None:
+            get, set_ = controls
+            with self._lock:
+                if self._sweeps == 0:
+                    self._caller_threads = get()
+                    set_(1)
+                self._sweeps += 1
+        return self
+
+    def __exit__(self, *exc):
+        controls = _openblas_threads()
+        if controls is not None:
+            with self._lock:
+                self._sweeps -= 1
+                if self._sweeps == 0:
+                    controls[1](self._caller_threads)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+def _one_blas_thread_in_worker():
+    """Pool initializer: pin a worker's OpenBLAS to one thread.
+
+    A spawned or forkserver worker starts a fresh OpenBLAS at its default
+    thread count. A forked one inherits the parent's pin and is left
+    alone: setting the count in a forked child restarts OpenBLAS's thread
+    pool at full size, and its idle threads spin on the cores the other
+    workers need.
+    """
+    controls = _openblas_threads()
+    if controls is not None and controls[0]() != 1:
+        controls[1](1)
 
 
 def run_experiment(config, workers=1):
@@ -794,9 +822,13 @@ def run_experiment(config, workers=1):
     TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
     processes maps the chunks; ``workers`` below 1 runs serially, and a
     non-integer one is a ConfigError. OpenBLAS runs at one thread in every
-    process for the duration of the call and gets the caller's thread
-    count back afterwards, so the worker count is the only parallelism
-    and the raw bits do not depend on the BLAS thread count. Failed trial
+    process for the duration of the call (forked pool workers inherit the
+    pin, others set their own) and gets the caller's thread count back
+    afterwards, so the worker count is the only parallelism and the raw
+    bits do not depend on the BLAS thread count. The thread count is a
+    process-wide setting: while a sweep runs, the caller's other threads
+    also call BLAS at one thread, and concurrent sweeps restore the
+    caller's count when the last of them ends. Failed trial
     points are recorded in diagnostics["failures"], excluded from means,
     and reflected in n_ok.
     """
@@ -805,13 +837,15 @@ def run_experiment(config, workers=1):
     x_values = np.asarray(_x_grid(config), dtype=float)
     size = min(TRIAL_CHUNK, -(-config.trials // workers))
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
-    with _one_blas_thread():
+    with _one_blas_thread:
         projection, epsilon, lcssp_error = _resolve_lcssp(config)
         tasks = [(config, x_values, projection, lcssp_error, trials) for trials in chunks]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_one_blas_thread_in_worker
+            ) as pool:
                 outcomes = list(pool.map(_run_chunk, tasks))
         else:
             outcomes = [_run_chunk(task) for task in tasks]

@@ -1,10 +1,13 @@
 """Experiment configs, Monte Carlo driver, aggregation, CSV emission."""
 
 import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -188,9 +191,9 @@ def test_parallel_matches_serial():
 
 
 def _blas_controls():
-    controls = harness._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS in this process: the thread pin does nothing")
+    controls = harness._openblas_threads()
+    if controls is None:
+        pytest.skip("numpy links no OpenBLAS: the thread pin does nothing")
     return controls
 
 
@@ -226,36 +229,86 @@ def test_raw_bits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_blas_thread_pin_is_scoped(monkeypatch):
-    controls = _blas_controls()
-
-    def threads():
-        return [get() for get, _ in controls]
-
-    caller = threads()
+    get_threads, set_threads = _blas_controls()
+    caller = get_threads()
     seen = []
     run_chunk = harness._run_chunk
 
     def recording(task):
-        seen.append(threads())
+        seen.append(get_threads())
         return run_chunk(task)
 
     def failing(task):
         raise RuntimeError("chunk failed")
 
     try:
-        for _, set_threads in controls:
-            set_threads(2)
+        set_threads(2)
         monkeypatch.setattr(harness, "_run_chunk", recording)
         run_experiment(_small())
-        assert seen and all(reading == [1] * len(controls) for reading in seen)
-        assert threads() == [2] * len(controls)
+        assert seen and set(seen) == {1}
+        assert get_threads() == 2
         monkeypatch.setattr(harness, "_run_chunk", failing)
         with pytest.raises(RuntimeError, match="chunk failed"):
             run_experiment(_small())
-        assert threads() == [2] * len(controls)
+        assert get_threads() == 2
     finally:
-        for (_, set_threads), count in zip(controls, caller):
-            set_threads(count)
+        set_threads(caller)
+
+
+def test_concurrent_sweeps_share_one_pin(monkeypatch):
+    # Sweep A starts first and ends while sweep B still runs: B must stay
+    # at one thread, and the caller's count comes back when B ends.
+    get_threads, set_threads = _blas_controls()
+    caller = get_threads()
+    a_running, a_may_end = threading.Event(), threading.Event()
+    sweep_a = []
+    seen = []
+    run_chunk = harness._run_chunk
+
+    def gated(task):
+        if threading.current_thread() is not threading.main_thread():
+            a_running.set()
+            assert a_may_end.wait(60)
+        elif not seen:
+            a_may_end.set()
+            sweep_a[0].result()
+            seen.append(get_threads())
+        return run_chunk(task)
+
+    try:
+        set_threads(2)
+        monkeypatch.setattr(harness, "_run_chunk", gated)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            sweep_a.append(pool.submit(run_experiment, _small(trials=1)))
+            assert a_running.wait(60)
+            run_experiment(_small())
+        assert seen == [1]
+        assert get_threads() == 2
+    finally:
+        a_may_end.set()
+        set_threads(caller)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_pin_blas_under_any_start_method(monkeypatch, method):
+    # A spawned or forkserver worker starts a fresh OpenBLAS at
+    # OPENBLAS_NUM_THREADS threads instead of inheriting the parent's pin.
+    _blas_controls()
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(
+            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
+        ),
+    )
+    cfg = _small("sinr_vs_snapshots", k_grid=[50, 500])
+    serial = run_experiment(cfg, workers=1)
+    parallel = run_experiment(cfg, workers=2)
+    for meth in serial.methods:
+        np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
 
 
 def test_grid_power_mapping_exact_for_optimal():
@@ -364,8 +417,10 @@ class _RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer()
 
     def __enter__(self):
         return self
