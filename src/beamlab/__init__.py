@@ -32,16 +32,14 @@ from .covariance import (
     theoretical_covariance,
     true_ipnc,
 )
-from .harness import (
+from .config import (
     ConfigError,
     ExperimentConfig,
-    SweepResult,
     default_config,
-    emit_csv,
     load_config,
     normalize_config,
-    run_experiment,
 )
+from .harness import SweepResult, emit_csv, run_experiment
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,

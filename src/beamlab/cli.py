@@ -14,7 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, emit_csv, load_config, run_experiment
+from .config import ConfigError, _as_int, load_config
+from .harness import emit_csv, run_experiment
 
 PLOT_SCRIPT_NAME = "plot_results.py"
 
@@ -112,12 +113,12 @@ def build_parser():
     run = sub.add_parser("run", help="run one experiment and write CSVs")
     run.add_argument("--config", type=Path, default=None, help="JSON config file")
     run.add_argument("--experiment", default=None, help="experiment name")
-    run.add_argument("--seed", type=int, default=None, help="master seed")
-    run.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
+    run.add_argument("--seed", default=None, help="master seed")
+    run.add_argument("--trials", default=None, help="Monte Carlo trials")
     run.add_argument("--out", type=Path, default=Path.cwd(), help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    run.add_argument("--workers", default=1, help="parallel trial processes")
     dim = run.add_mutually_exclusive_group()
-    dim.add_argument("--fix-l", type=int, default=None, dest="fix_l",
+    dim.add_argument("--fix-l", default=None, dest="fix_l",
                      help="use this extended dimension")
     dim.add_argument("--auto-l", action="store_true", dest="auto_l",
                      help="select the extended dimension automatically")
@@ -149,18 +150,16 @@ def _overrides(args):
 def _run(args):
     try:
         config = load_config(args.config, _overrides(args))
+        workers = _as_int(args.workers, "--workers", minimum=1)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 1
-    if args.workers < 1:
-        print("config error: --workers must be at least 1", file=sys.stderr)
         return 1
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         print(f"config error: cannot create output directory {args.out}: {err}", file=sys.stderr)
         return 1
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config, workers=workers)
     try:
         csv_path, raw_path = emit_csv(result, args.out / f"{config.experiment}.csv")
     except OSError as err:

@@ -1,41 +1,25 @@
-"""Monte Carlo experiment harness: configs, sweeps, CSV emission.
+"""Monte Carlo driver: trial draws, batched sweeps, aggregation, CSV emission.
 
-Four experiments share one result schema:
+``run_experiment`` runs one experiment of ``config.EXPERIMENTS``. Its
+trials run in chunks, each across the whole x grid: a chunk draws every
+point's inputs, runs each method as one batched call over the stack,
+and reports per-point values and failures, which ``_aggregate`` folds
+into a ``SweepResult``. ``emit_csv`` writes that result as CSV.
 
-* ``beampattern``: normalized gain curves at fixed SNR/INR, x = angle.
-* ``sinr_vs_snr``: mean output SINR over an SNR grid.
-* ``sinr_vs_snapshots``: mean output SINR over a snapshot-count grid.
-* ``sinr_vs_inr``: mean output SINR over an INR grid.
-
-Mismatch protocol per trial: the look direction gets a uniform offset,
-the SNR and snapshot sweeps also perturb the interferer directions and
-sensor positions, while the INR sweep keeps interferer geometry nominal
-(perturbed interferer steering vectors bound the achievable null depth,
-which would couple the deviation to interference power). The beampattern
-experiment draws nothing by default.
-
-A quantity not swept by the selected experiment takes the first element
-of its grid field; the snapshot count for non-K sweeps is the scalar
-``k``. Trial t derives both its mismatch and snapshot RNG streams from
-the master seed by counter, so runs are reproducible and trials can
-execute in parallel in any order.
-
-Every sweep reduces a trial's draw to the Gram matrix of its normals,
-and no snapshot matrix is formed. The SNR and INR sweeps draw each trial
-once and scale it; the snapshot sweep draws each trial's stream once, at
-its largest k, and takes every k's draw from a prefix of it. The sample
-covariance of the physical array is the leading m x m block of the
-extended one. ``normalize_config`` rejects power grid entries above
-``MAX_POWER_DB``, where double precision no longer resolves the noise
-floor, next to its other up-front checks.
+Trial t derives both its mismatch and snapshot RNG streams from the
+master seed by counter, so runs are reproducible and trials can execute
+in parallel in any order. Every sweep reduces a trial's draw to the
+Gram matrix of its normals, and no snapshot matrix is formed. The SNR
+and INR sweeps draw each trial once and scale it; the snapshot sweep
+draws each trial's stream once, at its largest k, and takes every k's
+draw from a prefix of it. The sample covariance of the physical array is
+the leading m x m block of the extended one.
 """
 
 import ctypes
-import json
-import math
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice, product
 from pathlib import Path
@@ -44,7 +28,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .array_model import (
-    MAX_POSITION_ERROR_WL,
     ArrayGeometry,
     Scenario,
     _normal_blocks,
@@ -52,7 +35,6 @@ from .array_model import (
     steering_vector,
 )
 from .baselines import (
-    COND_LIMIT,
     SingularCovarianceError,
     _eigvalsh,
     capon_integral_weights,
@@ -60,6 +42,7 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
+from .config import EXPERIMENTS, ExperimentConfig, _as_int, _sector_complement, normalize_config
 from .covariance import hermitize, true_ipnc
 from .lcssp import (
     LcsspConfig,
@@ -76,8 +59,6 @@ from .metrics import (
     pattern_gains_db,
 )
 
-EXPERIMENTS = ("beampattern", "sinr_vs_snr", "sinr_vs_snapshots", "sinr_vs_inr")
-METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
 DOMINANCE_TOL_DB = 1e-6
 # Trials per task: each task stacks the points of this many trials and
 # runs every method over the stack in one batched call. Worker runs use
@@ -86,265 +67,14 @@ TRIAL_CHUNK = 16
 # Rows per CSV write: a block's text is all of the file held in memory,
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
-# Largest SNR or INR grid entry, in dB over the unit noise floor. One
-# interferer of power p gives a true IPNC of condition number p + 1, so
-# above COND_LIMIT the optimal weights need diagonal loading: the noise
-# floor is lost in rounding, and every SINR would be noise.
-MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
 
 _TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
-# Experiments whose trials draw interferer direction offsets.
-_PERTURBS_INTERFERERS = ("sinr_vs_snr", "sinr_vs_snapshots")
 # (getter, setter) symbol names of OpenBLAS's thread count: the
 # scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration or config file."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything one experiment run depends on; JSON-serializable fields."""
-
-    experiment: str
-    m: int
-    l: object  # extended dimension (int) or "auto"
-    k: int
-    trials: int
-    snr_grid_db: list
-    inr_grid_db: list
-    k_grid: list
-    presumed_soi_deg: float
-    interferers_deg: list
-    sector_halfwidth_deg: float
-    doa_mismatch_halfwidth_deg: float
-    position_error_halfwidth_wl: float
-    delta: float
-    seed: int
-    methods: list
-
-
-_COMMON_DEFAULTS = {
-    "m": 10,
-    "l": 20,
-    "k": 50,
-    "presumed_soi_deg": 0.0,
-    "interferers_deg": [-30.0, 30.0],
-    "sector_halfwidth_deg": 6.0,
-    "delta": 0.05,
-    "seed": 123,
-    "methods": list(METHOD_NAMES),
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "beampattern": {
-        "trials": 1,
-        "snr_grid_db": [10.0],
-        "inr_grid_db": [30.0],
-        "k_grid": [50],
-        "doa_mismatch_halfwidth_deg": 0.0,
-        "position_error_halfwidth_wl": 0.0,
-    },
-    "sinr_vs_snr": {
-        "trials": 100,
-        "snr_grid_db": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-        "inr_grid_db": [10.0],
-        "k_grid": [50],
-        "doa_mismatch_halfwidth_deg": 6.0,
-        "position_error_halfwidth_wl": 0.05,
-    },
-    "sinr_vs_snapshots": {
-        "trials": 100,
-        "snr_grid_db": [10.0],
-        "inr_grid_db": [10.0],
-        "k_grid": [10, 20, 30, 50, 100, 200, 500],
-        "doa_mismatch_halfwidth_deg": 6.0,
-        "position_error_halfwidth_wl": 0.05,
-    },
-    "sinr_vs_inr": {
-        "trials": 100,
-        "snr_grid_db": [10.0],
-        "inr_grid_db": [0.0, 10.0, 20.0, 30.0, 40.0, 50.0],
-        "k_grid": [50],
-        "doa_mismatch_halfwidth_deg": 6.0,
-        "position_error_halfwidth_wl": 0.0,
-    },
-}
-
-_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
-
-
-def default_config(experiment):
-    """Defaults for one experiment; each follows its own protocol."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_EXPERIMENT_DEFAULTS[experiment])
-    merged["interferers_deg"] = list(merged["interferers_deg"])
-    merged["methods"] = list(merged["methods"])
-    for key in ("snr_grid_db", "inr_grid_db", "k_grid"):
-        merged[key] = list(merged[key])
-    return ExperimentConfig(experiment=experiment, **merged)
-
-
-def _apply_fields(config, mapping, source):
-    for key, value in mapping.items():
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config field {key!r} in {source}")
-        setattr(config, key, value)
-
-
-def load_config(path=None, overrides=None):
-    """Build a validated config from defaults, a JSON file, CLI overrides.
-
-    Precedence, lowest to highest: per-experiment defaults, file fields,
-    overrides. The experiment name itself resolves overrides-first so its
-    defaults are the base.
-    """
-    overrides = dict(overrides or {})
-    file_fields = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                file_fields = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config file {path}: {err}") from err
-        if not isinstance(file_fields, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-    experiment = overrides.get("experiment", file_fields.get("experiment"))
-    if experiment is None:
-        raise ConfigError("no experiment selected; pass --experiment or a config file naming one")
-    config = default_config(experiment)
-    _apply_fields(config, file_fields, f"config file {path}")
-    _apply_fields(config, overrides, "command line overrides")
-    config.experiment = experiment
-    return normalize_config(config)
-
-
-def _not_bool(value):
-    """``value`` itself; TypeError for a bool, since JSON true and false are not numbers."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{value!r} is a boolean")
-    return value
-
-
-def _as_int(value, name, minimum=None):
-    try:
-        out = int(_not_bool(value))
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from err
-    if isinstance(value, float) and value != out:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {out}")
-    return out
-
-
-def _as_float(value, name):
-    try:
-        out = float(_not_bool(value))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from err
-    if not np.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
-
-
-def _as_list(value, name):
-    if not isinstance(value, (list, tuple, np.ndarray)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return list(value)
-
-
-def _as_float_list(value, name):
-    items = _as_list(value, name)
-    try:
-        out = [float(_not_bool(v)) for v in items]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
-    if not out:
-        raise ConfigError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"{name} entries must be finite, got {value!r}")
-    return out
-
-
-def normalize_config(config):
-    """Validate and canonicalize field types; raises ConfigError."""
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {config.experiment!r}; choose from {EXPERIMENTS}"
-        )
-    out = default_config(config.experiment)
-    out.m = _as_int(config.m, "m", minimum=2)
-    if config.l == "auto":
-        out.l = "auto"
-    else:
-        out.l = _as_int(config.l, "l", minimum=out.m)
-    out.k = _as_int(config.k, "k", minimum=1)
-    out.trials = _as_int(config.trials, "trials", minimum=1)
-    out.snr_grid_db = _as_float_list(config.snr_grid_db, "snr_grid_db")
-    out.inr_grid_db = _as_float_list(config.inr_grid_db, "inr_grid_db")
-    for name in ("snr_grid_db", "inr_grid_db"):
-        if max(getattr(out, name)) > MAX_POWER_DB:
-            raise ConfigError(
-                f"{name} entries must be at most {MAX_POWER_DB:g} dB over the unit noise "
-                "floor, where double precision still resolves the noise"
-            )
-        if 10.0 ** (min(getattr(out, name)) / 10.0) == 0.0:
-            raise ConfigError(f"{name} entries underflow to zero linear power")
-    out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
-    if not out.k_grid:
-        raise ConfigError("k_grid must be nonempty")
-    out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
-    out.interferers_deg = _as_float_list(config.interferers_deg, "interferers_deg")
-    out.sector_halfwidth_deg = _as_float(config.sector_halfwidth_deg, "sector_halfwidth_deg")
-    out.doa_mismatch_halfwidth_deg = _as_float(
-        config.doa_mismatch_halfwidth_deg, "doa_mismatch_halfwidth_deg"
-    )
-    out.position_error_halfwidth_wl = _as_float(
-        config.position_error_halfwidth_wl, "position_error_halfwidth_wl"
-    )
-    for name in ("sector_halfwidth_deg", "doa_mismatch_halfwidth_deg", "position_error_halfwidth_wl"):
-        if getattr(out, name) < 0:
-            raise ConfigError(f"{name} must be nonnegative")
-    if out.position_error_halfwidth_wl > MAX_POSITION_ERROR_WL:
-        raise ConfigError(
-            f"position_error_halfwidth_wl must be at most {MAX_POSITION_ERROR_WL} wavelengths"
-        )
-    out.delta = _as_float(config.delta, "delta")
-    if not 0 < out.delta <= 1:
-        raise ConfigError("delta must lie in (0, 1]")
-    out.seed = _as_int(config.seed, "seed", minimum=0)
-    methods = _as_list(config.methods, "methods")
-    if not methods:
-        raise ConfigError("methods must be nonempty")
-    seen = set()
-    for meth in methods:
-        if meth not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {meth!r}; choose from {METHOD_NAMES}")
-        if meth in seen:
-            raise ConfigError(f"duplicate method {meth!r}")
-        seen.add(meth)
-    out.methods = methods
-    angles = [out.presumed_soi_deg, *out.interferers_deg]
-    if any(abs(a) >= 90 for a in angles):
-        raise ConfigError("directions must lie strictly inside (-90, 90) degrees")
-    perturbed = angles if out.experiment in _PERTURBS_INTERFERERS else angles[:1]
-    if any(abs(a) + out.doa_mismatch_halfwidth_deg >= 90 for a in perturbed):
-        raise ConfigError(
-            "directions plus doa_mismatch_halfwidth_deg must stay strictly inside (-90, 90) degrees"
-        )
-    try:
-        _sector_complement(np.deg2rad(out.presumed_soi_deg), np.deg2rad(out.sector_halfwidth_deg))
-    except ValueError as err:
-        raise ConfigError(f"sector_halfwidth_deg too large: {err}") from err
-    return out
 
 
 @dataclass
@@ -356,7 +86,6 @@ class SweepResult:
     entries, so they stay consistent by construction.
     """
 
-    x_label: str
     x_values: np.ndarray
     methods: list
     raw: dict
@@ -367,9 +96,24 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def _aggregate(x_label, x_values, methods, raw, diagnostics, config):
+def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
+    """Fold the chunks' outcomes into one ``SweepResult``."""
+    raw = {meth: np.full((len(x_values), config.trials), np.nan) for meth in config.methods}
+    diagnostics = {
+        "dominance_violations": 0,
+        "failures": [],
+        "l_chosen": None if projection is None else projection.dim,
+        "epsilon_n": epsilon,
+        "lcssp_error": lcssp_error,
+    }
+    for trials, values, failures, violations in outcomes:
+        for meth in config.methods:
+            raw[meth][:, trials] = values[meth]
+        diagnostics["failures"].extend(failures)
+        diagnostics["dominance_violations"] += violations
+    diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
     mean, std, n_ok = {}, {}, {}
-    for meth in methods:
+    for meth in config.methods:
         a = raw[meth]
         mask = np.isfinite(a)
         counts = mask.sum(axis=1)
@@ -381,9 +125,8 @@ def _aggregate(x_label, x_values, methods, raw, diagnostics, config):
         std[meth] = np.where(counts > 0, np.sqrt(var), np.nan)
         n_ok[meth] = counts
     return SweepResult(
-        x_label=x_label,
         x_values=np.asarray(x_values, dtype=float),
-        methods=list(methods),
+        methods=list(config.methods),
         raw=raw,
         mean_sinr_db=mean,
         std_db=std,
@@ -391,18 +134,6 @@ def _aggregate(x_label, x_values, methods, raw, diagnostics, config):
         diagnostics=diagnostics,
         config=config,
     )
-
-
-def _sector_complement(center, halfwidth):
-    half = np.pi / 2
-    intervals = []
-    if center - halfwidth > -half:
-        intervals.append((-half, center - halfwidth))
-    if center + halfwidth < half:
-        intervals.append((center + halfwidth, half))
-    if not intervals:
-        raise ValueError("look sector covers the whole field of view")
-    return intervals
 
 
 def _resolve_lcssp(config):
@@ -420,7 +151,6 @@ def _resolve_lcssp(config):
         nominal_interferers=np.deg2rad(config.interferers_deg),
         delta=config.delta,
         l_initial=config.m,
-        l_max=max(8 * config.m, fixed or 0),
         fixed_l=fixed,
     )
     try:
@@ -434,8 +164,9 @@ def _draw_mismatch(config, trial):
     """Per-trial true directions, position errors, and snapshot seed.
 
     One RNG stream (seed, trial, 0) drives the mismatch draws in a fixed
-    order: look-direction offset, interferer offsets (SNR and snapshot
-    sweeps only), then M-1 position errors with element 0 anchored at 0.
+    order: look-direction offset, interferer offsets (experiments that
+    perturb interferers only), then M-1 position errors with element 0
+    anchored at 0.
     The snapshot seed comes from the separate stream (seed, trial, 1) and
     is shared by every x on the grid, so sweep points see common random
     numbers.
@@ -446,7 +177,7 @@ def _draw_mismatch(config, trial):
     hw_doa = np.deg2rad(config.doa_mismatch_halfwidth_deg)
     hw_pos = config.position_error_halfwidth_wl
     soi_true = soi_nominal + rng.uniform(-hw_doa, hw_doa) if hw_doa > 0 else soi_nominal
-    if config.experiment in _PERTURBS_INTERFERERS and hw_doa > 0:
+    if EXPERIMENTS[config.experiment].perturbs_interferers and hw_doa > 0:
         int_true = np.array([th + rng.uniform(-hw_doa, hw_doa) for th in int_nominal])
     else:
         int_true = int_nominal.copy()
@@ -460,12 +191,10 @@ def _draw_mismatch(config, trial):
     return soi_true, int_true, perr, snap_seed
 
 
-def _swept_sources(config):
-    """Mask over [SOI, *interferers] of the sources whose power the grid sets."""
+def _swept_sources(config, grid):
+    """Mask over [SOI, *interferers] of the sources whose power ``grid`` sets."""
     n_int = len(config.interferers_deg)
-    return np.array(
-        [config.experiment == "sinr_vs_snr"] + [config.experiment == "sinr_vs_inr"] * n_int
-    )
+    return np.array([grid == "snr_grid_db"] + [grid == "inr_grid_db"] * n_int)
 
 
 def _trial_scenario(config, trial, swept):
@@ -541,8 +270,9 @@ def _draw_points(config, x_values, trials, n_generate):
     grid length.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
-    swept = _swept_sources(config)
-    ks = [int(k) for k in x_values] if config.experiment == "sinr_vs_snapshots" else [config.k]
+    grid = EXPERIMENTS[config.experiment].grid
+    swept = _swept_sources(config, grid)
+    ks = [int(k) for k in x_values] if grid == "k_grid" else config.k_grid[:1]
     if swept.any():
         p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
     cov, ipnc, tsv = [], [], []
@@ -686,7 +416,7 @@ def _run_chunk(task):
         for meth in config.methods:
             if meth != "optimal":
                 violations += int(np.sum(values[meth] > best + DOMINANCE_TOL_DB))
-    if config.experiment == "beampattern":
+    if EXPERIMENTS[config.experiment].grid is None:
         steer = steering_matrix(default_beampattern_grid(), config.m)
         block = np.stack([weights[meth] for meth in config.methods], axis=1)
         gains = pattern_gains_db(block, steer)  # (trials, methods, angles)
@@ -696,42 +426,6 @@ def _run_chunk(task):
     else:
         values = {meth: v.T for meth, v in values.items()}
     return trials, values, failures, violations
-
-
-def _collect(config, n_x, outcomes, projection, epsilon, lcssp_error):
-    raw = {meth: np.full((n_x, config.trials), np.nan) for meth in config.methods}
-    diagnostics = {
-        "dominance_violations": 0,
-        "failures": [],
-        "l_chosen": None if projection is None else projection.dim,
-        "epsilon_n": epsilon,
-        "lcssp_error": lcssp_error,
-    }
-    for trials, values, failures, violations in outcomes:
-        for meth in config.methods:
-            raw[meth][:, trials] = values[meth]
-        diagnostics["failures"].extend(failures)
-        diagnostics["dominance_violations"] += violations
-    diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
-    return raw, diagnostics
-
-
-def _x_grid(config):
-    if config.experiment == "sinr_vs_snr":
-        return config.snr_grid_db
-    if config.experiment == "sinr_vs_snapshots":
-        return config.k_grid
-    if config.experiment == "sinr_vs_inr":
-        return config.inr_grid_db
-    return [0.0]  # beampattern: single operating point per trial
-
-
-_X_LABELS = {
-    "beampattern": "angle_deg",
-    "sinr_vs_snr": "snr_db",
-    "sinr_vs_snapshots": "k",
-    "sinr_vs_inr": "inr_db",
-}
 
 
 @cache
@@ -834,7 +528,9 @@ def run_experiment(config, workers=1):
     """
     config = normalize_config(config)
     workers = max(1, min(_as_int(workers, "workers"), config.trials, os.cpu_count() or 1))
-    x_values = np.asarray(_x_grid(config), dtype=float)
+    spec = EXPERIMENTS[config.experiment]
+    # The beampattern runs at one operating point; its x axis is the angle.
+    x_values = np.asarray([0.0] if spec.grid is None else getattr(config, spec.grid), dtype=float)
     size = min(TRIAL_CHUNK, -(-config.trials // workers))
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
     with _one_blas_thread:
@@ -849,12 +545,9 @@ def run_experiment(config, workers=1):
                 outcomes = list(pool.map(_run_chunk, tasks))
         else:
             outcomes = [_run_chunk(task) for task in tasks]
-    if config.experiment == "beampattern":
+    if spec.grid is None:
         x_values = beampattern_grid_deg()
-    raw, diagnostics = _collect(config, len(x_values), outcomes, projection, epsilon, lcssp_error)
-    return _aggregate(
-        _X_LABELS[config.experiment], x_values, config.methods, raw, diagnostics, config
-    )
+    return _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error)
 
 
 def _cells(values):

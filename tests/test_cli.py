@@ -103,6 +103,7 @@ def test_run_reports_failed_trials(tmp_path, capsys):
         ("k_grid", 5),
         ("snr_grid_db", [-4000]),
         ("inr_grid_db", [400]),
+        ("experiment", ["sinr_vs_snr"]),
     ],
 )
 def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
@@ -113,6 +114,23 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "abc", "trials must be an integer, got 'abc'"),
+        ("--seed", "abc", "seed must be an integer, got 'abc'"),
+        ("--fix-l", "abc", "l must be an integer, got 'abc'"),
+        ("--workers", "abc", "--workers must be an integer, got 'abc'"),
+        ("--workers", "0", "--workers must be at least 1, got 0"),
+    ],
+)
+def test_bad_numeric_flag_is_config_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert main(["run", "--experiment", "sinr_vs_snr", "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

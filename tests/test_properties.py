@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from beamlab import (
     ArrayGeometry,
+    ConfigError,
     LcsspConfig,
     Scenario,
     SingularCovarianceError,
@@ -34,7 +35,8 @@ from beamlab import (
 )
 from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
-from beamlab.harness import METHOD_NAMES, MAX_POWER_DB, SweepResult, _draw_mismatch
+from beamlab.config import EXPERIMENTS, MAX_POWER_DB, METHOD_NAMES
+from beamlab.harness import SweepResult, _draw_mismatch
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -181,11 +183,54 @@ def test_output_sinr_never_exceeds_optimal(soi, interferers, snr_db, inr_db, see
 
 
 # Swept grid field of each SINR experiment.
-_SWEPT_FIELD = {
-    "sinr_vs_snr": "snr_grid_db",
-    "sinr_vs_inr": "inr_grid_db",
-    "sinr_vs_snapshots": "k_grid",
-}
+_SWEPT_FIELD = {e: spec.grid for e, spec in EXPERIMENTS.items() if spec.grid is not None}
+
+
+# Power grids in range, and anything else a config file can hold: out of
+# range, empty, non-finite, boolean, not a list.
+_POWER_GRIDS = st.lists(st.floats(min_value=-60.0, max_value=MAX_POWER_DB), min_size=1, max_size=3)
+_ANY_GRIDS = st.one_of(
+    st.lists(st.floats(), max_size=3),
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.sampled_from([10.0, None, "10", True]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    experiment=st.sampled_from(sorted(EXPERIMENTS)),
+    trials=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=2, max_value=12),
+    methods=st.lists(st.sampled_from(METHOD_NAMES), max_size=5, unique=True),
+    snr_grid_db=_POWER_GRIDS,
+    inr_grid_db=_POWER_GRIDS,
+    any_grid=st.none() | st.sampled_from(["snr_grid_db", "inr_grid_db"]),
+)
+def test_every_accepted_config_runs_to_the_end(
+    data, experiment, trials, m, methods, snr_grid_db, inr_grid_db, any_grid
+):
+    # A config is rejected up front with ConfigError, or it runs, and then
+    # a value is nan exactly where a failure record names its point.
+    config = default_config(experiment)
+    config.trials, config.m, config.methods = trials, m, methods
+    config.snr_grid_db, config.inr_grid_db = snr_grid_db, inr_grid_db
+    if any_grid is not None:
+        setattr(config, any_grid, data.draw(_ANY_GRIDS))
+    try:
+        config = normalize_config(config)
+    except ConfigError:
+        return
+    result = run_experiment(config)
+    # A beampattern's failures name its one operating point, x = 0.
+    xs = result.x_values if EXPERIMENTS[experiment].grid else np.zeros(len(result.x_values))
+    failed = {(r["trial"], r["x"], r["method"]) for r in result.diagnostics["failures"]}
+    nan_points = set()
+    for meth in methods:
+        assert result.raw[meth].shape == (len(xs), trials)
+        for ix, t in zip(*np.nonzero(np.isnan(result.raw[meth]))):
+            nan_points.add((int(t), float(xs[ix]), meth))
+    assert nan_points == failed
 
 
 def _bits(a):
@@ -235,7 +280,7 @@ def _direct_points(config, x_values, trials, n_generate):
         soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
         geometry = ArrayGeometry(m, perr)
         for x in x_values:
-            snr_db, inr_db, k = config.snr_grid_db[0], config.inr_grid_db[0], config.k
+            snr_db, inr_db, k = config.snr_grid_db[0], config.inr_grid_db[0], config.k_grid[0]
             if config.experiment == "sinr_vs_snr":
                 snr_db = float(x)
             elif config.experiment == "sinr_vs_inr":
@@ -270,7 +315,6 @@ def _assert_close(got, expected, rtol=1e-12):
 def sweep_configs(draw, experiment):
     config = default_config(experiment)
     config.m = draw(st.integers(min_value=2, max_value=8))
-    config.k = draw(st.integers(min_value=1, max_value=60))
     config.seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     config.interferers_deg = draw(st.lists(degrees, min_size=1, max_size=3))
     config.doa_mismatch_halfwidth_deg = draw(st.floats(min_value=0.0, max_value=10.0))
@@ -389,7 +433,6 @@ def sweep_results(draw):
     config = default_config("sinr_vs_snr")
     config.trials, config.methods = trials, methods
     return SweepResult(
-        x_label="x",
         x_values=x_values,
         methods=methods,
         raw={meth: values((n_x, trials)) for meth in methods},

@@ -1,11 +1,14 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its tables match the code."""
 
 import contextlib
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+
+from beamlab import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +31,10 @@ def test_readme_reconstruction_loop_runs():
     assert abs(np.vdot(weights, presumed) - 1.0) < 1e-12
     assert np.isfinite(namespace["sinr_db"])
     assert out.getvalue().startswith(f"l = {l}, output SINR ")
+
+
+def test_readme_config_table_lists_exactly_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration file", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` ", section, re.M)
+    assert listed == [f.name for f in fields(ExperimentConfig)]
