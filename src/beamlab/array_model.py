@@ -47,55 +47,61 @@ class ArrayGeometry:
 
     def positions(self, n):
         """Element positions in wavelengths for an n-element (virtual) array."""
-        if n < 1:
-            raise ValueError("need at least one element")
-        pos = np.arange(n) * SPACING_WL
-        n_err = min(n, self.n_physical)
-        pos[:n_err] += self.position_errors[:n_err]
-        return pos
+        return _element_positions(n, self.position_errors)
 
 
-def _positions_for(n, geometry):
-    pos = np.arange(n) * SPACING_WL if geometry is None else geometry.positions(n)
-    return pos - pos[0]  # element 0 is the phase reference
+def _element_positions(n, position_errors):
+    """Positions in wavelengths of n elements at nominal spacing, plus the
+    placement error of each physical element.
 
-
-def _check_angle(angle):
-    angle = float(angle)
-    if not np.isfinite(angle) or abs(angle) > HALF_PI + _ENDPOINT_TOL:
-        raise ValueError("angle must lie in [-pi/2, pi/2]")
-    return min(max(angle, -HALF_PI), HALF_PI)
+    A (..., n_physical) stack of errors gives a (..., n) stack of
+    positions; elements past n_physical are virtual and stay nominal.
+    """
+    if n < 1:
+        raise ValueError("need at least one element")
+    errs = np.asarray(position_errors, dtype=float)
+    pos = np.tile(np.arange(n) * SPACING_WL, (*errs.shape[:-1], 1))
+    n_err = min(n, errs.shape[-1])
+    pos[..., :n_err] += errs[..., :n_err]
+    return pos
 
 
 def _steering_grid(positions, sines):
     """Unit-norm array response columns, exp(j (2 pi positions) sin_j) / sqrt(n).
 
-    The phase is formed as (2 pi positions) * sin_j, in that order: it
+    (..., n) positions and (..., J) sines give a (..., n, J) stack. The
+    phase is formed as (2 pi positions) * sin_j, in that order: it
     matches the documented snapshot draw protocol bit for bit, and
     2 pi (positions sin_j) does not.
     """
-    phases = np.outer(2.0 * np.pi * positions, sines)
-    return np.exp(1j * phases) / math.sqrt(positions.shape[0])
+    phases = (2.0 * np.pi * positions)[..., :, None] * np.asarray(sines)[..., None, :]
+    return np.exp(1j * phases) / math.sqrt(positions.shape[-1])
 
 
 def steering_matrix(angles, n, geometry=None):
-    """Stack unit-norm steering vectors as columns, one per angle."""
-    pos = _positions_for(n, geometry)
-    sines = np.sin(np.asarray(angles, dtype=float))
-    return _steering_grid(pos, np.atleast_1d(sines))
+    """Stack unit-norm steering vectors as columns, one per angle.
+
+    Angles are radians in [-pi/2, pi/2]; the closed interval admits the
+    arcsin(-1) endpoint produced by selection_zeros, and angles within
+    rounding of an endpoint are clamped to it. Phases are referenced to
+    element 0, so element 0 is exactly 1/sqrt(n) regardless of geometry
+    perturbations. Elements past ``geometry.n_physical`` are virtual.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if not np.all(np.abs(angles) <= HALF_PI + _ENDPOINT_TOL):  # nan fails too
+        raise ValueError("angles must lie in [-pi/2, pi/2]")
+    errs = [] if geometry is None else geometry.position_errors
+    pos = _element_positions(n, errs)
+    return _steering_grid(pos - pos[..., :1], np.sin(np.clip(angles, -HALF_PI, HALF_PI)))
 
 
 def steering_vector(angle, n, geometry=None):
     """Unit-norm ULA steering vector toward ``angle``.
 
-    Phases are referenced to element 0, so element 0 is exactly
-    1/sqrt(n) regardless of geometry perturbations.
-
     Parameters
     ----------
     angle : float
-        Direction in radians, |angle| <= pi/2 (the closed interval admits
-        the arcsin(-1) endpoint produced by selection_zeros).
+        Direction in radians, |angle| <= pi/2 (see ``steering_matrix``).
     n : int
         Element count; indices past ``geometry.n_physical`` are virtual.
     geometry : ArrayGeometry, optional
@@ -106,9 +112,7 @@ def steering_vector(angle, n, geometry=None):
     numpy.ndarray
         Complex vector of length n, the column of ``steering_matrix``.
     """
-    if n < 1:
-        raise ValueError("need at least one element")
-    return steering_matrix([_check_angle(angle)], n, geometry)[:, 0]
+    return steering_matrix([float(angle)], n, geometry)[:, 0]
 
 
 def selection_zeros(phi0, n):

@@ -16,9 +16,10 @@ vectors bound the achievable null depth, which would couple the
 deviation to interference power). The beampattern experiment draws
 nothing by default.
 
-``normalize_config`` checks every field before anything runs, and
+``normalize_config`` checks every field before anything runs. It
 rejects power grid entries above ``MAX_POWER_DB``, where double
-precision no longer resolves the noise floor.
+precision no longer resolves the noise floor, and snapshot counts above
+``MAX_SNAPSHOTS``, whose draw would not fit in memory.
 """
 
 import json
@@ -36,6 +37,10 @@ METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lc
 # above COND_LIMIT the optimal weights need diagonal loading: the noise
 # floor is lost in rounding, and every SINR would be noise.
 MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
+# Largest k_grid entry. A trial draws its stream of normals once, at its
+# largest k: 16 (1 + P + L) k bytes, 37 MB at this k and the default
+# dimensions, long after the sample covariance has converged.
+MAX_SNAPSHOTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -241,6 +246,8 @@ def normalize_config(config):
     out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
     if not out.k_grid:
         raise ConfigError("k_grid must be nonempty")
+    if max(out.k_grid) > MAX_SNAPSHOTS:
+        raise ConfigError(f"k_grid entries must be at most {MAX_SNAPSHOTS}, got {max(out.k_grid)}")
     out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
     out.interferers_deg = _as_float_list(config.interferers_deg, "interferers_deg")
     out.sector_halfwidth_deg = _as_float(config.sector_halfwidth_deg, "sector_halfwidth_deg")

@@ -24,11 +24,16 @@ def sample_covariance(snapshots):
     return hermitize(x @ x.conj().T / x.shape[1])
 
 
-def _source_covariance(scenario, n, directions, powers, use_true_geometry):
-    geometry = scenario.geometry if use_true_geometry else None
-    a = steering_matrix(directions, n, geometry)
-    r = (a * np.asarray(powers, dtype=float)) @ a.conj().T
-    r += scenario.noise_power * np.eye(n)
+def _source_covariance(steer, powers, noise_power):
+    """hermitize(A diag(powers) A^H + noise_power I) of the columns A of ``steer``.
+
+    A (..., n, P) steering stack with (..., P) powers gives a (..., n, n)
+    stack: the true IPNC of every trial of a sweep chunk comes from one
+    call.
+    """
+    powers = np.asarray(powers, dtype=float)
+    r = (steer * powers[..., None, :]) @ np.swapaxes(steer.conj(), -1, -2)
+    r += noise_power * np.eye(steer.shape[-2])
     return hermitize(r)
 
 
@@ -41,8 +46,9 @@ def theoretical_covariance(scenario, n, use_true_geometry=True):
     if use_true_geometry and n < scenario.geometry.n_physical:
         raise ValueError("dimension below physical count with true geometry")
     directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
+    steer = steering_matrix(directions, n, scenario.geometry if use_true_geometry else None)
     powers = [scenario.soi_power, *scenario.interferer_powers]
-    return _source_covariance(scenario, n, directions, powers, use_true_geometry)
+    return _source_covariance(steer, powers, scenario.noise_power)
 
 
 def true_ipnc(scenario, n):
@@ -52,10 +58,5 @@ def true_ipnc(scenario, n):
     """
     if n < scenario.geometry.n_physical:
         raise ValueError("dimension below physical count")
-    return _source_covariance(
-        scenario,
-        n,
-        scenario.interferer_directions_true,
-        scenario.interferer_powers,
-        use_true_geometry=True,
-    )
+    steer = steering_matrix(scenario.interferer_directions_true, n, scenario.geometry)
+    return _source_covariance(steer, scenario.interferer_powers, scenario.noise_power)

@@ -8,12 +8,14 @@ into a ``SweepResult``. ``emit_csv`` writes that result as CSV.
 
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
-in parallel in any order. Every sweep reduces a trial's draw to the
-Gram matrix of its normals, and no snapshot matrix is formed. The SNR
-and INR sweeps draw each trial once and scale it; the snapshot sweep
-draws each trial's stream once, at its largest k, and takes every k's
-draw from a prefix of it. The sample covariance of the physical array is
-the leading m x m block of the extended one.
+in parallel in any order. Past those per-trial draws, a chunk's set-up
+is array code over its trials, with no per-trial scenario objects
+(``normalize_config`` has bounded every draw). Every sweep reduces a
+trial's draw to the Gram matrix of its normals, and no snapshot matrix
+is formed. The SNR and INR sweeps draw each trial once and scale it;
+the snapshot sweep draws each trial's stream once, at its largest k,
+and takes every k's draw from a prefix of it. The sample covariance of
+the physical array is the leading m x m block of the extended one.
 """
 
 import ctypes
@@ -28,9 +30,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .array_model import (
-    ArrayGeometry,
-    Scenario,
+    _element_positions,
     _normal_blocks,
+    _steering_grid,
     steering_matrix,
     steering_vector,
 )
@@ -43,7 +45,7 @@ from .baselines import (
     scm_mvdr_weights,
 )
 from .config import EXPERIMENTS, ExperimentConfig, _as_int, _sector_complement, normalize_config
-from .covariance import hermitize, true_ipnc
+from .covariance import _source_covariance, hermitize
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -137,14 +139,21 @@ def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
 
 
 def _resolve_lcssp(config):
-    """Projector and its error are config-deterministic; build them once.
+    """Config-deterministic set-up, built once: (projection, epsilon_n,
+    error text, rows of every draw).
 
-    Returns (projection, epsilon_n, error text). The projection is None
-    when lcssp is not among the methods or its dimension search fails.
+    Snapshots come from the extended aperture whenever its dimension is
+    known, so the methods shared with lcssp see identical data whether or
+    not it runs: a fixed l, else the auto-selected one, else m when the
+    search fails. The projection, epsilon_n and error text are None when
+    lcssp is not among the methods, the projection also when its
+    dimension search fails.
     """
-    if "lcssp" not in config.methods:
-        return None, None, None
+    runs = "lcssp" in config.methods
     fixed = None if config.l == "auto" else config.l
+    n_generate = config.m if fixed is None else fixed
+    if not runs and fixed is not None:
+        return None, None, None, n_generate
     settings = LcsspConfig(
         presumed_soi=np.deg2rad(config.presumed_soi_deg),
         soi_sector_halfwidth=np.deg2rad(config.sector_halfwidth_deg),
@@ -155,9 +164,12 @@ def _resolve_lcssp(config):
     )
     try:
         _, projection = select_dimension(settings)
-        return projection, normalized_error(projection, settings.nominal_interferers), None
     except (NoConvergenceError, ValueError) as err:
-        return None, None, f"{type(err).__name__}: {err}"
+        return None, None, f"{type(err).__name__}: {err}" if runs else None, n_generate
+    if not runs:
+        return None, None, None, projection.dim
+    epsilon = normalized_error(projection, settings.nominal_interferers)
+    return projection, epsilon, None, projection.dim
 
 
 def _draw_mismatch(config, trial):
@@ -189,32 +201,6 @@ def _draw_mismatch(config, trial):
         np.random.SeedSequence([config.seed, trial, 1]).generate_state(1, np.uint64)[0]
     )
     return soi_true, int_true, perr, snap_seed
-
-
-def _swept_sources(config, grid):
-    """Mask over [SOI, *interferers] of the sources whose power ``grid`` sets."""
-    n_int = len(config.interferers_deg)
-    return np.array([grid == "snr_grid_db"] + [grid == "inr_grid_db"] * n_int)
-
-
-def _trial_scenario(config, trial, swept):
-    """Trial ``trial``'s ``Scenario`` and snapshot seed.
-
-    The ``swept`` sources get unit power, for the grid to scale; the
-    others take the first entry of their grid field.
-    """
-    soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
-    scenario = Scenario(
-        soi_direction_true=soi_true,
-        soi_direction_presumed=np.deg2rad(config.presumed_soi_deg),
-        interferer_directions_true=int_true,
-        interferer_directions_nominal=np.deg2rad(np.asarray(config.interferers_deg, dtype=float)),
-        soi_power=1.0 if swept[0] else 10.0 ** (config.snr_grid_db[0] / 10.0),
-        interferer_powers=np.where(swept[1:], 1.0, 10.0 ** (config.inr_grid_db[0] / 10.0)),
-        noise_power=1.0,
-        geometry=ArrayGeometry(config.m, perr),
-    )
-    return scenario, snap_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,53 +241,57 @@ class _Points:
 def _draw_points(config, x_values, trials, n_generate):
     """Draw every (trial, x) point of ``trials``, keeping only covariances.
 
-    Each trial builds its ``Scenario``, geometry, true steering vector
-    and true IPNC once. Its snapshots would be B Z, with Z the draw's
-    complex normals (source waveforms, then noise) and B = [A, I] diag(a)
-    for the sources' steering matrix A and the amplitudes
-    a = sqrt(power / 2), so each point's covariance is B G B^H with
-    G = Z Z^H / k, and no snapshot matrix is formed. In the SNR and INR
-    sweeps the x values of a trial share G and change only the power p
-    of the swept sources (the SOI, or every interferer), and the true
-    IPNC is linear in p in the INR sweep. The snapshot sweep draws each
-    trial's stream once, at its largest k, and takes every k's Z from a
-    prefix of it. In every sweep but the INR one, the x values of a
-    trial share its true IPNC and steering vector: ``shared`` is the
-    grid length.
+    Each trial draws its mismatch and snapshot seed from its own streams;
+    the rest is array code over the chunk. One power table holds the
+    powers of [SOI, *interferers] at each x: the swept grid's x values
+    for the sources it sets, the first entry of every other grid. One
+    steering stack over the extended aperture mixes the draws; one over
+    the physical aperture holds each trial's true steering vector
+    (column 0) and its interferers' columns of the true IPNC. A point's
+    snapshots would be B Z, with Z the draw's complex normals (source
+    waveforms, then noise) and B = [A, I] diag(a) for the steering
+    matrix A and the amplitudes a = sqrt(power / 2), so its covariance
+    is B G B^H with G = Z Z^H / k, formed per trial. In the SNR and INR
+    sweeps the x values of a trial share G; the snapshot sweep takes
+    every k's Z from a prefix of the trial's stream at its largest k. In
+    every sweep but the INR one, where the true IPNC is linear in the
+    interferer power, the x values of a trial share its true IPNC and
+    steering vector: ``shared`` is the grid length.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     grid = EXPERIMENTS[config.experiment].grid
-    swept = _swept_sources(config, grid)
     ks = [int(k) for k in x_values] if grid == "k_grid" else config.k_grid[:1]
-    if swept.any():
-        p = np.array([10.0 ** (float(x) / 10.0) for x in x_values])
-    cov, ipnc, tsv = [], [], []
-    for trial in trials:
-        scenario, snap_seed = _trial_scenario(config, trial, swept)
-        tsv.append(steering_vector(scenario.soi_direction_true, m, scenario.geometry))
-        ipnc.append(true_ipnc(scenario, m))
-        directions = [scenario.soi_direction_true, *scenario.interferer_directions_true]
-        mix = np.hstack((steering_matrix(directions, n, scenario.geometry), np.eye(n)))
-        # Powers of [SOI, *interferers], then the unit noise of each element.
-        powers = np.array([scenario.soi_power, *scenario.interferer_powers, *[1.0] * n])
-        if swept.any():
-            powers = np.where(np.pad(swept, (0, n)), p[:, None], powers)
-        b = mix * np.sqrt(np.atleast_2d(powers) / 2.0)[:, None, :]
-        blocks = _normal_blocks(mix.shape[1], ks, snap_seed)
+
+    def levels(field):
+        values = x_values if grid == field else getattr(config, field)[:1] * n_x
+        return [10.0 ** (float(x) / 10.0) for x in values]
+
+    n_int = len(config.interferers_deg)
+    powers = np.column_stack([levels("snr_grid_db")] + [levels("inr_grid_db")] * n_int)
+    draws = [_draw_mismatch(config, trial) for trial in trials]
+    sines = np.sin([[soi, *interferers] for soi, interferers, _, _ in draws])
+    # Element 0's position error is 0, so the positions need no re-referencing.
+    positions = _element_positions(n, np.stack([perr for _, _, perr, _ in draws]))
+    physical = _steering_grid(positions[:, :m], sines)
+    extended = _steering_grid(positions, sines)
+    amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
+    cov = []
+    for steer, (_, _, _, snap_seed) in zip(extended, draws):
+        b = np.hstack((steer, np.eye(n))) * amplitudes
+        blocks = _normal_blocks(b.shape[-1], ks, snap_seed)
         gram = np.stack([z @ z.conj().T / z.shape[1] for z in blocks])
         cov.append(hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj()))
     cov = np.concatenate(cov)
-    tsv = np.repeat(np.stack(tsv), n_x, axis=0)
-    ipnc = np.repeat(np.stack(ipnc), n_x, axis=0)
-    soi_power = np.full(len(tsv), scenario.soi_power)  # the same in every trial
-    if not swept.any():
-        return _Points(cov, ipnc, tsv, soi_power, shared=n_x)
-    p = np.tile(p, len(trials))
-    if swept[0]:
-        return _Points(cov, ipnc, tsv, p, shared=n_x)
-    noise = np.eye(m)  # unit noise power
-    ipnc = p[:, None, None] * (ipnc - noise) + noise
-    return _Points(cov, ipnc, tsv, soi_power)
+    tsv = np.repeat(physical[:, :, 0], n_x, axis=0)
+    soi_power = np.tile(powers[:, 0], len(trials))
+    if grid != "inr_grid_db":
+        ipnc = _source_covariance(physical[:, :, 1:], powers[0, 1:], 1.0)
+        return _Points(cov, np.repeat(ipnc, n_x, axis=0), tsv, soi_power, shared=n_x)
+    # Built at unit interferer power, then scaled to each x's; unit noise.
+    ipnc = _source_covariance(physical[:, :, 1:], np.ones(n_int), 1.0)
+    p = np.tile(powers[:, 1], len(trials))[:, None, None]
+    noise = np.eye(m)
+    return _Points(cov, p * (np.repeat(ipnc, n_x, axis=0) - noise) + noise, tsv, soi_power)
 
 
 def _shared_optimal_weights(points, failures):
@@ -381,19 +371,10 @@ def _run_chunk(task):
     instead, one row per beampattern angle. Top-level so process pools
     can pick it up.
     """
-    config, x_values, projection, lcssp_error, trials = task
+    config, x_values, projection, lcssp_error, n_generate, trials = task
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
     presumed = steering_vector(soi_nominal, config.m)
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
-    # Snapshots always come from the extended aperture when one is
-    # resolvable, so shared methods see identical data whether or not the
-    # subspace method runs alongside them.
-    if projection is not None:
-        n_generate = projection.dim
-    elif config.l != "auto":
-        n_generate = config.l
-    else:
-        n_generate = config.m
     points = _draw_points(config, x_values, trials, n_generate)
     shape = (len(trials), len(x_values))
     values, weights, failures = {}, {}, []
@@ -534,8 +515,10 @@ def run_experiment(config, workers=1):
     size = min(TRIAL_CHUNK, -(-config.trials // workers))
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
     with _one_blas_thread:
-        projection, epsilon, lcssp_error = _resolve_lcssp(config)
-        tasks = [(config, x_values, projection, lcssp_error, trials) for trials in chunks]
+        projection, epsilon, lcssp_error, n_generate = _resolve_lcssp(config)
+        tasks = [
+            (config, x_values, projection, lcssp_error, n_generate, trials) for trials in chunks
+        ]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
 

@@ -68,8 +68,17 @@ def test_geometry_validation():
 
 
 def test_steering_rejects_out_of_range_angles():
-    with pytest.raises(ValueError):
-        steering_vector(np.pi / 2 + 0.01, 8)
+    # pi - 0.3 has the sine of 0.3, but only [-pi/2, pi/2] names a
+    # direction; within rounding of an endpoint an angle is clamped to it.
+    for bad in (np.pi / 2 + 0.01, np.nan):
+        with pytest.raises(ValueError):
+            steering_vector(bad, 8)
+    for bad in ([np.pi - 0.3], [0.1, np.nan], [-np.pi / 2 - 1e-9], [[0.2, np.inf]]):
+        with pytest.raises(ValueError):
+            steering_matrix(bad, 6)
+    ends = steering_matrix([np.pi / 2 + 1e-13, -np.pi / 2 - 1e-13], 6)
+    np.testing.assert_array_equal(ends, steering_matrix([np.pi / 2, -np.pi / 2], 6))
+    np.testing.assert_array_equal(steering_vector(np.pi / 2 + 1e-13, 6), ends[:, 0])
     steering_vector(np.pi / 2, 8)
 
 

@@ -5,11 +5,16 @@ import csv
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from beamlab import cli
 from beamlab.cli import main
+from beamlab.config import EXPERIMENTS, MAX_POWER_DB, MAX_SNAPSHOTS, METHOD_NAMES
 
 
 def _run_args(tmp_path, *extra):
@@ -241,3 +246,104 @@ def test_plot_script_renders_png(tmp_path, small_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sinr_vs_snr.png").exists()
+
+
+# What a config file can hold in place of a valid value: nulls, booleans,
+# non-numeric text, non-finite numbers, nested lists and objects.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(alphabet="xyz ", max_size=3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2),
+    st.dictionaries(st.text(alphabet="xyz", max_size=2), st.integers(-2, 2), max_size=1),
+)
+
+
+_POWERS = st.lists(st.floats(-30.0, MAX_POWER_DB), min_size=1, max_size=2)
+_BAD_POWERS = [[], [MAX_POWER_DB + 1.0], [-4000.0], [1e308]]
+
+# Per field: small valid values, and out-of-range ones. Every valid value
+# keeps a run small.
+_FIELDS = {
+    "experiment": (st.sampled_from(sorted(EXPERIMENTS)), ["spectrogram", ""]),
+    "trials": (st.integers(1, 2), [0, -1, 1.5]),
+    "m": (st.integers(2, 6), [0, 1, -5, 2.5]),
+    "l": (st.just("auto") | st.integers(2, 14), [0, 1, "auto ", 2.5]),
+    "snr_grid_db": (_POWERS, _BAD_POWERS),
+    "inr_grid_db": (_POWERS, _BAD_POWERS),
+    "k_grid": (
+        st.lists(st.integers(1, 60), min_size=1, max_size=2),
+        [[], [0], [-1], [2.5], [MAX_SNAPSHOTS + 1], [10**15]],
+    ),
+    "presumed_soi_deg": (st.floats(-60.0, 60.0), [90.0, -95.0, 1e300]),
+    "interferers_deg": (
+        st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=2),
+        [[], [90.0], [-1e300]],
+    ),
+    "sector_halfwidth_deg": (st.floats(0.0, 30.0), [-1.0, 1e9]),
+    "doa_mismatch_halfwidth_deg": (st.floats(0.0, 10.0), [-1.0, 1e9]),
+    "position_error_halfwidth_wl": (st.floats(0.0, 0.25), [-0.1, 0.3]),
+    "delta": (st.floats(0.01, 1.0), [0.0, -1.0, 1.5]),
+    "seed": (st.integers(0, 2**32 - 1), [-1, 2.5]),
+    "methods": (
+        st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=5, unique=True),
+        [[], ["fft"], ["optimal", "optimal"], "optimal"],
+    ),
+}
+# Always present, since a missing count means 100 trials.
+_REQUIRED = ("experiment", "trials")
+
+
+def _config_files(value):
+    """Config objects whose fields take values from ``value(valid, out_of_range)``."""
+    fields = {name: value(*choices) for name, choices in _FIELDS.items()}
+    required = {name: fields.pop(name) for name in _REQUIRED}
+    return st.fixed_dictionaries(required, optional=fields)
+
+
+_VALID_FILES = _config_files(lambda valid, _: valid)
+
+
+@st.composite
+def _one_bad_field(draw):
+    """A valid config file with one field out of range or of the wrong type."""
+    document = draw(_VALID_FILES)
+    name = draw(st.sampled_from(sorted(_FIELDS)))
+    document[name] = draw(st.sampled_from(_FIELDS[name][1]) | _JUNK)
+    return document
+
+
+_CONFIG_FILES = st.one_of(
+    _VALID_FILES,
+    _one_bad_field(),
+    _VALID_FILES.map(lambda document: {**document, "unknown_field": 1}),
+    _config_files(lambda valid, bad: st.one_of(valid, st.sampled_from(bad), _JUNK)),
+    _JUNK,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(document=_CONFIG_FILES)
+# A snapshot count that used to pass the checks and then crash the run.
+@example({"experiment": "sinr_vs_snr", "trials": 1, "k_grid": [10**15]})
+# A dimension search that fails: every lcssp point fails, exit code 2.
+@example(
+    {
+        "experiment": "sinr_vs_snr",
+        "trials": 1,
+        "interferers_deg": [7.0, 30.0],
+        "delta": 0.01,
+        "l": "auto",
+        "methods": ["optimal", "lcssp"],
+    }
+)
+def test_every_config_file_exits_with_a_documented_code(document):
+    # Whatever a config file holds, ``beamlab run`` ends with exit code 0,
+    # 1 (config error) or 2 (failed trial points) and raises nothing.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    event(f"exit code {code}")
+    assert code in (0, 1, 2)

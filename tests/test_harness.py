@@ -22,7 +22,7 @@ from beamlab import (
     steering_vector,
 )
 from beamlab import harness
-from beamlab.config import METHOD_NAMES, _sector_complement, normalize_config
+from beamlab.config import MAX_SNAPSHOTS, METHOD_NAMES, _sector_complement, normalize_config
 from beamlab.harness import _draw_mismatch
 
 
@@ -94,6 +94,15 @@ def test_load_config_rejects_broken_json(tmp_path):
         load_config(path, {"experiment": "beampattern"})
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json", {"experiment": "beampattern"})
+
+
+def test_load_config_rejects_snapshot_counts_above_the_limit(tmp_path):
+    # A k past the limit used to pass here and then die allocating its draw.
+    path = tmp_path / "cfg.json"
+    for k in (MAX_SNAPSHOTS + 1, 10**15):
+        path.write_text(json.dumps({"experiment": "sinr_vs_snr", "trials": 1, "k_grid": [10, k]}))
+        with pytest.raises(ConfigError, match=f"k_grid entries must be at most {MAX_SNAPSHOTS}"):
+            load_config(path)
 
 
 def test_normalize_config_rejects_bad_values():
@@ -410,6 +419,21 @@ def test_failed_method_recorded_and_excluded():
     assert all("NoConvergenceError" in rec["error"] for rec in failures)
 
 
+def test_auto_dimension_draws_the_same_with_or_without_lcssp():
+    # At l="auto" every draw comes from the auto-selected aperture whether
+    # or not lcssp runs, so the methods it shares a run with see the same
+    # data; the lcssp diagnostics stay empty when it does not run.
+    cfg = _small(l="auto", snr_grid_db=[-10.0, 10.0])
+    with_lcssp = run_experiment(cfg)
+    cfg.methods = ["optimal", "scm_mvdr"]
+    without = run_experiment(cfg)
+    for meth in cfg.methods:
+        np.testing.assert_array_equal(_bits(without.raw[meth]), _bits(with_lcssp.raw[meth]))
+    assert with_lcssp.diagnostics["l_chosen"] > cfg.m
+    lcssp_keys = ("l_chosen", "epsilon_n", "lcssp_error")
+    assert [without.diagnostics[key] for key in lcssp_keys] == [None, None, None]
+
+
 def test_output_sinr_failure_is_recorded_per_point(negative_ipnc):
     negative_ipnc({(0, 1), (2, 0)})
     res = run_experiment(_small())
@@ -595,7 +619,7 @@ def test_snapshot_points_depend_only_on_their_k():
 def _chunk_points(n_trials=3):
     """A chunk's stacked points and method context, as the engine builds them."""
     cfg = normalize_config(_small(snr_grid_db=[0.0, 10.0, 20.0]))
-    projection, _, _ = harness._resolve_lcssp(cfg)
+    projection, *_ = harness._resolve_lcssp(cfg)
     x_values = np.asarray(cfg.snr_grid_db)
     points = harness._draw_points(cfg, x_values, range(n_trials), projection.dim)
     context = (
