@@ -18,8 +18,9 @@ nothing by default.
 
 ``normalize_config`` checks every field before anything runs. It
 rejects power grid entries above ``MAX_POWER_DB``, where double
-precision no longer resolves the noise floor, and snapshot counts above
-``MAX_SNAPSHOTS``, whose draw would not fit in memory.
+precision no longer resolves the noise floor, snapshot counts above
+``MAX_SNAPSHOTS``, whose draw would not fit in memory, and an array
+dimension that may exceed ``MAX_DIMENSION``.
 """
 
 import json
@@ -41,6 +42,12 @@ MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
 # largest k: 16 (1 + P + L) k bytes, 37 MB at this k and the default
 # dimensions, long after the sample covariance has converged.
 MAX_SNAPSHOTS = 100_000
+# Largest array dimension a run may reach: m, a fixed l, and at l "auto"
+# the search ceiling 8 m. At this bound a failing search takes about
+# 0.1 s, a default chunk's covariances (16 * 9 * L^2 * 16 B) 38 MB, and
+# one trial at MAX_SNAPSHOTS peaks near 440 MB; at 256 these are 1 s,
+# 151 MB and 830 MB.
+MAX_DIMENSION = 128
 
 
 class ConfigError(ValueError):
@@ -228,10 +235,19 @@ def normalize_config(config):
     """Validate and canonicalize field types; raises ConfigError."""
     out = default_config(config.experiment)
     out.m = _as_int(config.m, "m", minimum=2)
+    if out.m > MAX_DIMENSION:
+        raise ConfigError(f"m must be at most {MAX_DIMENSION}, got {out.m}")
     if config.l == "auto":
         out.l = "auto"
+        if 8 * out.m > MAX_DIMENSION:
+            raise ConfigError(
+                f'l "auto" searches dimensions up to 8 m, so m must be at most '
+                f"{MAX_DIMENSION // 8}, got {out.m}"
+            )
     else:
         out.l = _as_int(config.l, "l", minimum=out.m)
+        if out.l > MAX_DIMENSION:
+            raise ConfigError(f"l must be at most {MAX_DIMENSION}, got {out.l}")
     out.trials = _as_int(config.trials, "trials", minimum=1)
     out.snr_grid_db = _as_float_list(config.snr_grid_db, "snr_grid_db")
     out.inr_grid_db = _as_float_list(config.inr_grid_db, "inr_grid_db")

@@ -70,7 +70,7 @@ TRIAL_CHUNK = 16
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
 
-_TRIAL_ERRORS = (SingularCovarianceError, NoConvergenceError, np.linalg.LinAlgError)
+_TRIAL_ERRORS = (SingularCovarianceError, np.linalg.LinAlgError)
 # (getter, setter) symbol names of OpenBLAS's thread count: the
 # scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -142,34 +142,33 @@ def _resolve_lcssp(config):
     """Config-deterministic set-up, built once: (projection, epsilon_n,
     error text, rows of every draw).
 
-    Snapshots come from the extended aperture whenever its dimension is
-    known, so the methods shared with lcssp see identical data whether or
-    not it runs: a fixed l, else the auto-selected one, else m when the
-    search fails. The projection, epsilon_n and error text are None when
-    lcssp is not among the methods, the projection also when its
-    dimension search fails.
+    The projector is built whether or not lcssp runs, so the methods
+    shared with lcssp see identical data either way: every draw has the
+    projector's dimension, else m at "auto", else the fixed l. The
+    projection, epsilon_n and error text are None when lcssp is not among
+    the methods, the projection and epsilon_n also when no projector can
+    be built.
     """
-    runs = "lcssp" in config.methods
-    fixed = None if config.l == "auto" else config.l
-    n_generate = config.m if fixed is None else fixed
-    if not runs and fixed is not None:
-        return None, None, None, n_generate
     settings = LcsspConfig(
         presumed_soi=np.deg2rad(config.presumed_soi_deg),
         soi_sector_halfwidth=np.deg2rad(config.sector_halfwidth_deg),
         nominal_interferers=np.deg2rad(config.interferers_deg),
         delta=config.delta,
         l_initial=config.m,
-        fixed_l=fixed,
+        fixed_l=None if config.l == "auto" else config.l,
     )
+    projection = error = None
     try:
         _, projection = select_dimension(settings)
     except (NoConvergenceError, ValueError) as err:
-        return None, None, f"{type(err).__name__}: {err}" if runs else None, n_generate
-    if not runs:
-        return None, None, None, projection.dim
-    epsilon = normalized_error(projection, settings.nominal_interferers)
-    return projection, epsilon, None, projection.dim
+        error = f"{type(err).__name__}: {err}"
+    n_generate = projection.dim if projection is not None else settings.fixed_l or config.m
+    if "lcssp" not in config.methods:
+        return None, None, None, n_generate
+    epsilon = (
+        None if projection is None else normalized_error(projection, settings.nominal_interferers)
+    )
+    return projection, epsilon, error, n_generate
 
 
 def _draw_mismatch(config, trial):
@@ -247,16 +246,14 @@ def _draw_points(config, x_values, trials, n_generate):
     for the sources it sets, the first entry of every other grid. One
     steering stack over the extended aperture mixes the draws; one over
     the physical aperture holds each trial's true steering vector
-    (column 0) and its interferers' columns of the true IPNC. A point's
+    (column 0), and its interferer columns and the power table give every
+    point's true IPNC in one ``_source_covariance`` call. A point's
     snapshots would be B Z, with Z the draw's complex normals (source
     waveforms, then noise) and B = [A, I] diag(a) for the steering
     matrix A and the amplitudes a = sqrt(power / 2), so its covariance
     is B G B^H with G = Z Z^H / k, formed per trial. In the SNR and INR
     sweeps the x values of a trial share G; the snapshot sweep takes
-    every k's Z from a prefix of the trial's stream at its largest k. In
-    every sweep but the INR one, where the true IPNC is linear in the
-    interferer power, the x values of a trial share its true IPNC and
-    steering vector: ``shared`` is the grid length.
+    every k's Z from a prefix of the trial's stream at its largest k.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     grid = EXPERIMENTS[config.experiment].grid
@@ -282,16 +279,13 @@ def _draw_points(config, x_values, trials, n_generate):
         gram = np.stack([z @ z.conj().T / z.shape[1] for z in blocks])
         cov.append(hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj()))
     cov = np.concatenate(cov)
+    # A trial's points share its true IPNC unless an interferer power
+    # changes with x; the IPNC is formed once per run of shared points.
+    shared = n_x if np.all(powers[:, 1:] == powers[0, 1:]) else 1
+    ipnc = _source_covariance(physical[:, None, :, 1:], powers[::shared, 1:], 1.0)
+    ipnc = np.repeat(ipnc.reshape(-1, m, m), shared, axis=0)
     tsv = np.repeat(physical[:, :, 0], n_x, axis=0)
-    soi_power = np.tile(powers[:, 0], len(trials))
-    if grid != "inr_grid_db":
-        ipnc = _source_covariance(physical[:, :, 1:], powers[0, 1:], 1.0)
-        return _Points(cov, np.repeat(ipnc, n_x, axis=0), tsv, soi_power, shared=n_x)
-    # Built at unit interferer power, then scaled to each x's; unit noise.
-    ipnc = _source_covariance(physical[:, :, 1:], np.ones(n_int), 1.0)
-    p = np.tile(powers[:, 1], len(trials))[:, None, None]
-    noise = np.eye(m)
-    return _Points(cov, p * (np.repeat(ipnc, n_x, axis=0) - noise) + noise, tsv, soi_power)
+    return _Points(cov, ipnc, tsv, np.tile(powers[:, 0], len(trials)), shared)
 
 
 def _shared_optimal_weights(points, failures):

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from beamlab import cli
 from beamlab.cli import main
-from beamlab.config import EXPERIMENTS, MAX_POWER_DB, MAX_SNAPSHOTS, METHOD_NAMES
+from beamlab.config import (
+    EXPERIMENTS,
+    MAX_DIMENSION,
+    MAX_POWER_DB,
+    MAX_SNAPSHOTS,
+    METHOD_NAMES,
+)
 
 
 def _run_args(tmp_path, *extra):
@@ -268,8 +274,8 @@ _BAD_POWERS = [[], [MAX_POWER_DB + 1.0], [-4000.0], [1e308]]
 _FIELDS = {
     "experiment": (st.sampled_from(sorted(EXPERIMENTS)), ["spectrogram", ""]),
     "trials": (st.integers(1, 2), [0, -1, 1.5]),
-    "m": (st.integers(2, 6), [0, 1, -5, 2.5]),
-    "l": (st.just("auto") | st.integers(2, 14), [0, 1, "auto ", 2.5]),
+    "m": (st.integers(2, 6), [0, 1, -5, 2.5, MAX_DIMENSION + 1, 10**7]),
+    "l": (st.just("auto") | st.integers(2, 14), [0, 1, "auto ", 2.5, MAX_DIMENSION + 1, 10**9]),
     "snr_grid_db": (_POWERS, _BAD_POWERS),
     "inr_grid_db": (_POWERS, _BAD_POWERS),
     "k_grid": (

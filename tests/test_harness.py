@@ -22,7 +22,13 @@ from beamlab import (
     steering_vector,
 )
 from beamlab import harness
-from beamlab.config import MAX_SNAPSHOTS, METHOD_NAMES, _sector_complement, normalize_config
+from beamlab.config import (
+    MAX_DIMENSION,
+    MAX_SNAPSHOTS,
+    METHOD_NAMES,
+    _sector_complement,
+    normalize_config,
+)
 from beamlab.harness import _draw_mismatch
 
 
@@ -103,6 +109,27 @@ def test_load_config_rejects_snapshot_counts_above_the_limit(tmp_path):
         path.write_text(json.dumps({"experiment": "sinr_vs_snr", "trials": 1, "k_grid": [10, k]}))
         with pytest.raises(ConfigError, match=f"k_grid entries must be at most {MAX_SNAPSHOTS}"):
             load_config(path)
+
+
+def test_normalize_config_bounds_the_array_dimension():
+    # m, a fixed l and the "auto" search ceiling 8 m stop at MAX_DIMENSION;
+    # past it a run used to hang in the search or exhaust memory mid-run.
+    def normalized(m, l):
+        cfg = default_config("sinr_vs_snr")
+        cfg.m, cfg.l = m, l
+        return normalize_config(cfg)
+
+    assert normalized(MAX_DIMENSION, MAX_DIMENSION).l == MAX_DIMENSION
+    assert normalized(MAX_DIMENSION // 8, "auto").m == MAX_DIMENSION // 8
+    for m, l, message in (
+        (MAX_DIMENSION + 1, "auto", f"m must be at most {MAX_DIMENSION}"),
+        (10**7, 10**7, f"m must be at most {MAX_DIMENSION}"),
+        (2, MAX_DIMENSION + 1, f"l must be at most {MAX_DIMENSION}"),
+        (10, 10**9, f"l must be at most {MAX_DIMENSION}"),
+        (MAX_DIMENSION // 8 + 1, "auto", f"m must be at most {MAX_DIMENSION // 8}"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            normalized(m, l)
 
 
 def test_normalize_config_rejects_bad_values():
@@ -430,6 +457,26 @@ def test_auto_dimension_draws_the_same_with_or_without_lcssp():
     for meth in cfg.methods:
         np.testing.assert_array_equal(_bits(without.raw[meth]), _bits(with_lcssp.raw[meth]))
     assert with_lcssp.diagnostics["l_chosen"] > cfg.m
+    lcssp_keys = ("l_chosen", "epsilon_n", "lcssp_error")
+    assert [without.diagnostics[key] for key in lcssp_keys] == [None, None, None]
+
+
+def test_fixed_dimension_projector_failure_fails_only_lcssp():
+    # At a fixed l the look sector can swallow every basis angle: every
+    # lcssp point fails with that reason, and the other methods still
+    # draw at l and match a run without lcssp bit for bit.
+    cfg = _small(m=2, l=3, sector_halfwidth_deg=42.0, interferers_deg=[-60.0])
+    with_lcssp = run_experiment(cfg)
+    reason = "ValueError: look sector swallows every basis angle at dimension 3"
+    failures = with_lcssp.diagnostics["failures"]
+    assert len(failures) == len(with_lcssp.x_values) * cfg.trials
+    assert all(rec["method"] == "lcssp" and rec["error"].startswith(reason) for rec in failures)
+    assert np.all(np.isnan(with_lcssp.raw["lcssp"]))
+    assert with_lcssp.diagnostics["lcssp_error"].startswith(reason)
+    cfg.methods = [meth for meth in METHOD_NAMES if meth != "lcssp"]
+    without = run_experiment(cfg)
+    for meth in cfg.methods:
+        np.testing.assert_array_equal(_bits(without.raw[meth]), _bits(with_lcssp.raw[meth]))
     lcssp_keys = ("l_chosen", "epsilon_n", "lcssp_error")
     assert [without.diagnostics[key] for key in lcssp_keys] == [None, None, None]
 

@@ -337,9 +337,9 @@ def sweep_configs(draw, experiment):
 def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n_trials):
     # Every sweep forms each point's covariance from the Gram matrix of
     # its trial's normals; the covariances must still be the per-point
-    # draw up to rounding. The snapshot sweep takes its true IPNC,
-    # steering vector and SOI power from hoisted per-trial parts, and
-    # those must equal the per-point construction bit for bit.
+    # draw up to rounding. The true IPNC, steering vector and SOI power
+    # come from one array product per chunk, and those must equal the
+    # per-point construction (``true_ipnc`` of the point) bit for bit.
     config = data.draw(sweep_configs(experiment))
     x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
     trials = range(first, first + n_trials)
@@ -348,15 +348,11 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     direct = list(_direct_points(config, x_values, trials, n_generate))
     assert len(points) == len(direct)
     for b, (cov, scm, ipnc, tsv, soi_power) in enumerate(direct):
-        got = (points.cov[b], points.scm[b], points.ipnc[b], points.tsv[b], points.soi_power[b])
-        if experiment == "sinr_vs_snapshots":
-            for value, expected in zip(got[:2], (cov, scm)):
-                _assert_close(value, expected)
-            for value, expected in zip(got[2:], (ipnc, tsv, soi_power)):
-                np.testing.assert_array_equal(value, expected)
-        else:
-            for value, expected in zip(got, (cov, scm, ipnc, tsv, soi_power)):
-                _assert_close(value, expected)
+        _assert_close(points.cov[b], cov)
+        _assert_close(points.scm[b], scm)
+        got = (points.ipnc[b], points.tsv[b], points.soi_power[b])
+        for value, expected in zip(got, (ipnc, tsv, soi_power)):
+            np.testing.assert_array_equal(value, expected)
 
 
 def _oracle_csv(result, path):
