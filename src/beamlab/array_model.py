@@ -184,16 +184,19 @@ class Scenario:
             raise ValueError("noise power must be positive")
 
 
-def _normal_blocks(n_rows, ks, seed):
+def _normal_blocks(n_rows, ks, seed, out=None):
     """Complex standard normals of seed's stream, an (n_rows, k) block per k.
 
-    The stream is drawn once, for the largest k; each block, in the order
-    of ``ks``, is a view of its first 2 n_rows k numbers read as complex
-    pairs. For n_rows = P + 1 + n that is the k draw of
+    The stream is drawn once, for the largest k, into a new array or into
+    the leading entries of the float buffer ``out``; each block, in the
+    order of ``ks``, is a view of its first 2 n_rows k numbers read as
+    complex pairs. For n_rows = P + 1 + n that is the k draw of
     ``generate_snapshots``: the waveform rows of [SOI, *interferers],
     then the noise rows.
     """
-    flat = np.random.default_rng(seed).standard_normal(2 * n_rows * max(ks))
+    size = 2 * n_rows * max(ks)
+    flat = np.empty(size) if out is None else out[:size]
+    np.random.default_rng(seed).standard_normal(out=flat)
     for k in ks:
         yield flat[: 2 * n_rows * k].view(complex).reshape(n_rows, k)
 

@@ -19,8 +19,9 @@ nothing by default.
 ``normalize_config`` checks every field before anything runs. It
 rejects power grid entries above ``MAX_POWER_DB``, where double
 precision no longer resolves the noise floor, snapshot counts above
-``MAX_SNAPSHOTS``, whose draw would not fit in memory, and an array
-dimension that may exceed ``MAX_DIMENSION``.
+``MAX_SNAPSHOTS``, whose draw would not fit in memory, an array
+dimension that may exceed ``MAX_DIMENSION``, and grids or interferer
+lists longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``.
 """
 
 import json
@@ -48,6 +49,14 @@ MAX_SNAPSHOTS = 100_000
 # one trial at MAX_SNAPSHOTS peaks near 440 MB; at 256 these are 1 s,
 # 151 MB and 830 MB.
 MAX_DIMENSION = 128
+# Most entries of snr_grid_db, inr_grid_db or k_grid. A chunk stacks the
+# covariances of all its points: 16 trials * 64 * L^2 * 16 B, 268 MB at
+# MAX_DIMENSION.
+MAX_GRID_POINTS = 64
+# Most interferers. A trial's stream holds one row per source: at this
+# count, MAX_DIMENSION and MAX_SNAPSHOTS it is 16 (1 + 32 + 128) k bytes,
+# 258 MB against 210 MB at the default two.
+MAX_INTERFERERS = 32
 
 
 class ConfigError(ValueError):
@@ -264,8 +273,17 @@ def normalize_config(config):
         raise ConfigError("k_grid must be nonempty")
     if max(out.k_grid) > MAX_SNAPSHOTS:
         raise ConfigError(f"k_grid entries must be at most {MAX_SNAPSHOTS}, got {max(out.k_grid)}")
+    for name in ("snr_grid_db", "inr_grid_db", "k_grid"):
+        count = len(getattr(out, name))
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"{name} must have at most {MAX_GRID_POINTS} entries, got {count}")
     out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
     out.interferers_deg = _as_float_list(config.interferers_deg, "interferers_deg")
+    if len(out.interferers_deg) > MAX_INTERFERERS:
+        raise ConfigError(
+            f"interferers_deg must have at most {MAX_INTERFERERS} entries, "
+            f"got {len(out.interferers_deg)}"
+        )
     out.sector_halfwidth_deg = _as_float(config.sector_halfwidth_deg, "sector_halfwidth_deg")
     out.doa_mismatch_halfwidth_deg = _as_float(
         config.doa_mismatch_halfwidth_deg, "doa_mismatch_halfwidth_deg"

@@ -272,12 +272,20 @@ def _draw_points(config, x_values, trials, n_generate):
     physical = _steering_grid(positions[:, :m], sines)
     extended = _steering_grid(positions, sines)
     amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
+    n_rows = amplitudes.shape[-1]
+    # Every trial of the chunk draws into one stream buffer and conjugates
+    # into one more, so the trials allocate no multi-MB arrays whose
+    # allocation speed would depend on the allocator's state.
+    stream = np.empty(2 * n_rows * max(ks))
+    conjugate = np.empty(n_rows * max(ks), dtype=complex)
     cov = []
     for steer, (_, _, _, snap_seed) in zip(extended, draws):
         b = np.hstack((steer, np.eye(n))) * amplitudes
-        blocks = _normal_blocks(b.shape[-1], ks, snap_seed)
-        gram = np.stack([z @ z.conj().T / z.shape[1] for z in blocks])
-        cov.append(hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj()))
+        gram = []
+        for z in _normal_blocks(n_rows, ks, snap_seed, stream):
+            z_conj = np.conjugate(z, out=conjugate[: z.size].reshape(z.shape))
+            gram.append(z @ z_conj.T / z.shape[1])
+        cov.append(hermitize(b @ np.stack(gram) @ np.swapaxes(b, -1, -2).conj()))
     cov = np.concatenate(cov)
     # A trial's points share its true IPNC unless an interferer power
     # changes with x; the IPNC is formed once per run of shared points.

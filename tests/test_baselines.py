@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamlab import (
     ArrayGeometry,
@@ -16,11 +18,11 @@ from beamlab import (
     sample_covariance,
     scm_mvdr_weights,
     optimal_weights,
+    steering_matrix,
     steering_vector,
     theoretical_covariance,
 )
-from beamlab.array_model import _steering_grid
-from beamlab.baselines import _capon_accumulate, _eigvalsh
+from beamlab.baselines import _eigvalsh
 
 # Total angular measure of [-90, -6] and [6, 90] degrees in radians;
 # quadrature weights must sum to it for any sample budget.
@@ -45,23 +47,51 @@ def _scenario(m=10, inr_db=10.0):
     )
 
 
-def test_capon_accumulate_matches_direct_sum():
-    rng = np.random.default_rng(1)
-    n, g = 10, 64
-    positions = np.arange(n) * 0.5 + rng.uniform(-0.05, 0.05, n)
-    sines = np.sort(rng.uniform(-1.0, 1.0, g))
-    x = rng.standard_normal((n, 3 * n)) + 1j * rng.standard_normal((n, 3 * n))
-    rinv = np.linalg.inv(x @ x.conj().T / (3 * n) + np.eye(n))
-    rinv = (rinv + rinv.conj().T) / 2
-    deltas = rng.uniform(0.01, 0.1, g)
-    steer = _steering_grid(positions, sines)
-    got = _capon_accumulate(steer, rinv, deltas)
+def _random_covariances(rng, n, count):
+    """``count`` random Hermitian positive definite n x n matrices."""
+    k = 2 * n
+    x = rng.standard_normal((count, n, k)) + 1j * rng.standard_normal((count, n, k))
+    return x @ np.swapaxes(x, -1, -2).conj() / k + 0.1 * np.eye(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.tuples(st.floats(-80.0, 80.0), st.floats(0.5, 9.0)),
+    sides=st.sampled_from(["both", "left", "right"]),
+    n_samples=st.integers(2, 300),
+)
+def test_capon_integral_matches_direct_sum(n, seed, edges, sides, n_samples):
+    # The Toeplitz kernel against sum_j delta_j a_j a_j^H / (a_j^H R^-1 a_j),
+    # formed angle by angle from nominal steering vectors, over the same
+    # midpoint grid: one or two intervals around a look sector.
+    center, halfwidth = np.deg2rad(edges)
+    left = (-np.pi / 2, center - halfwidth)
+    right = (center + halfwidth, np.pi / 2)
+    complement = {"both": (left, right), "left": (left,), "right": (right,)}[sides]
+    r = _random_covariances(np.random.default_rng(seed), n, 1)[0]
+    got = capon_integral_ipnc(r, complement, n_samples)
+    rinv = np.linalg.inv(r)
+    total = sum(hi - lo for lo, hi in complement)
     expected = np.zeros((n, n), dtype=complex)
-    for j in range(g):
-        a = steer[:, j]
-        q = (a.conj() @ rinv @ a).real
-        expected += deltas[j] * np.outer(a, a.conj()) / q
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    for lo, hi in complement:
+        count = max(1, round(n_samples * (hi - lo) / total))
+        step = (hi - lo) / count
+        for theta in lo + (np.arange(count) + 0.5) * step:
+            a = steering_matrix([theta], n)[:, 0]
+            expected += step * np.outer(a, a.conj()) / (a.conj() @ rinv @ a).real
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 144])
+def test_capon_integral_item_bits_do_not_depend_on_the_batch(batch):
+    stack = _random_covariances(np.random.default_rng(batch), 10, batch)
+    together = capon_integral_ipnc(stack, COMPLEMENT)
+    for b in range(batch):
+        np.testing.assert_array_equal(together[b], capon_integral_ipnc(stack[b], COMPLEMENT))
 
 
 def test_distortionless_solve_matches_direct_inverse():

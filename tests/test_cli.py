@@ -17,6 +17,8 @@ from beamlab.cli import main
 from beamlab.config import (
     EXPERIMENTS,
     MAX_DIMENSION,
+    MAX_GRID_POINTS,
+    MAX_INTERFERERS,
     MAX_POWER_DB,
     MAX_SNAPSHOTS,
     METHOD_NAMES,
@@ -267,7 +269,14 @@ _JUNK = st.one_of(
 
 
 _POWERS = st.lists(st.floats(-30.0, MAX_POWER_DB), min_size=1, max_size=2)
-_BAD_POWERS = [[], [MAX_POWER_DB + 1.0], [-4000.0], [1e308]]
+_BAD_POWERS = [
+    [],
+    [MAX_POWER_DB + 1.0],
+    [-4000.0],
+    [1e308],
+    [0.0] * (MAX_GRID_POINTS + 1),
+    [0.0] * 100_000,
+]
 
 # Per field: small valid values, and out-of-range ones. Every valid value
 # keeps a run small.
@@ -280,12 +289,21 @@ _FIELDS = {
     "inr_grid_db": (_POWERS, _BAD_POWERS),
     "k_grid": (
         st.lists(st.integers(1, 60), min_size=1, max_size=2),
-        [[], [0], [-1], [2.5], [MAX_SNAPSHOTS + 1], [10**15]],
+        [
+            [],
+            [0],
+            [-1],
+            [2.5],
+            [MAX_SNAPSHOTS + 1],
+            [10**15],
+            [10] * (MAX_GRID_POINTS + 1),
+            [10] * 100_000,
+        ],
     ),
     "presumed_soi_deg": (st.floats(-60.0, 60.0), [90.0, -95.0, 1e300]),
     "interferers_deg": (
         st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=2),
-        [[], [90.0], [-1e300]],
+        [[], [90.0], [-1e300], [40.0] * (MAX_INTERFERERS + 1), [40.0] * 100_000],
     ),
     "sector_halfwidth_deg": (st.floats(0.0, 30.0), [-1.0, 1e9]),
     "doa_mismatch_halfwidth_deg": (st.floats(0.0, 10.0), [-1.0, 1e9]),

@@ -24,6 +24,8 @@ from beamlab import (
 from beamlab import harness
 from beamlab.config import (
     MAX_DIMENSION,
+    MAX_GRID_POINTS,
+    MAX_INTERFERERS,
     MAX_SNAPSHOTS,
     METHOD_NAMES,
     _sector_complement,
@@ -164,6 +166,11 @@ def test_normalize_config_rejects_bad_values():
         ("snr_grid_db", [10.0, 120.5]),
         ("snr_grid_db", [10.0, -4000.0]),
         ("inr_grid_db", [-4000.0]),
+        ("snr_grid_db", [10.0] * 100_000),
+        ("inr_grid_db", [10.0] * (MAX_GRID_POINTS + 1)),
+        ("k_grid", [50] * (MAX_GRID_POINTS + 1)),
+        ("interferers_deg", [40.0] * 100_000),
+        ("interferers_deg", [40.0] * (MAX_INTERFERERS + 1)),
         ("doa_mismatch_halfwidth_deg", 85.0),
         ("trials", float("inf")),
         # JSON booleans are not numbers.
@@ -717,14 +724,14 @@ def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
     points.ipnc[:3] *= 2.0
     clean = harness._point_values("optimal", points, *context)
     poison = points.ipnc[0, 0, 0]
-    real_inv = np.linalg.inv
+    real_solve = np.linalg.solve
 
-    def flaky_inv(a):
+    def flaky_solve(a, b):
         if np.any(a[..., 0, 0] == poison):
             raise np.linalg.LinAlgError("simulated LAPACK failure")
-        return real_inv(a)
+        return real_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "inv", flaky_inv)
+    monkeypatch.setattr(np.linalg, "solve", flaky_solve)
     w, sinr, errors = harness._point_values("optimal", points, *context)
     assert errors == dict.fromkeys(range(3), "LinAlgError: simulated LAPACK failure")
     assert np.isnan(sinr[:3]).all()
