@@ -147,6 +147,16 @@ def _overrides(args):
     return out
 
 
+def _make_out_dir(out):
+    """Create ``out``; False, with the config error printed, if that fails."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot create output directory {out}: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def _run(args):
     try:
         config = load_config(args.config, _overrides(args))
@@ -154,10 +164,7 @@ def _run(args):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    try:
-        args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"config error: cannot create output directory {args.out}: {err}", file=sys.stderr)
+    if not _make_out_dir(args.out):
         return 1
     result = run_experiment(config, workers=workers)
     try:
@@ -187,7 +194,8 @@ def _run(args):
 
 
 def _plot_script(args):
-    args.out.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(args.out):
+        return 1
     target = args.out / PLOT_SCRIPT_NAME
     target.write_text(PLOT_SCRIPT, encoding="utf-8")
     print(f"wrote {target}")

@@ -20,8 +20,9 @@ nothing by default.
 rejects power grid entries above ``MAX_POWER_DB``, where double
 precision no longer resolves the noise floor, snapshot counts above
 ``MAX_SNAPSHOTS``, whose draw would not fit in memory, an array
-dimension that may exceed ``MAX_DIMENSION``, and grids or interferer
-lists longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``.
+dimension that may exceed ``MAX_DIMENSION``, grids or interferer lists
+longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``, and trial counts
+whose raw table would hold more than ``MAX_RAW_VALUES`` values.
 """
 
 import json
@@ -32,6 +33,7 @@ import numpy as np
 
 from .array_model import MAX_POSITION_ERROR_WL
 from .baselines import COND_LIMIT
+from .metrics import beampattern_grid_deg
 
 METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
 # Largest SNR or INR grid entry, in dB over the unit noise floor. One
@@ -57,6 +59,11 @@ MAX_GRID_POINTS = 64
 # count, MAX_DIMENSION and MAX_SNAPSHOTS it is 16 (1 + 32 + 128) k bytes,
 # 258 MB against 210 MB at the default two.
 MAX_INTERFERERS = 32
+# Most values of a run's raw (x, method, trial) table: x rows (the 1801
+# angles of the beampattern) times methods times trials. The table takes
+# 268 MB at this bound; its statistics and emit_csv each hold one more
+# array of its size while they run.
+MAX_RAW_VALUES = 2**25
 
 
 class ConfigError(ValueError):
@@ -178,7 +185,9 @@ def load_config(path=None, overrides=None):
         try:
             with open(path, encoding="utf-8") as fh:
                 file_fields = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # json raises RecursionError for nesting too deep to decode.
+        except (OSError, ValueError, RecursionError) as err:
             raise ConfigError(f"cannot read config file {path}: {err}") from err
         if not isinstance(file_fields, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -313,6 +322,14 @@ def normalize_config(config):
             raise ConfigError(f"duplicate method {meth!r}")
         seen.add(meth)
     out.methods = methods
+    grid = EXPERIMENTS[out.experiment].grid
+    rows = len(beampattern_grid_deg()) if grid is None else len(getattr(out, grid))
+    max_trials = MAX_RAW_VALUES // (rows * len(methods))
+    if out.trials > max_trials:
+        raise ConfigError(
+            f"trials must be at most {max_trials} for {rows} x values and {len(methods)} "
+            f"methods ({MAX_RAW_VALUES} raw values), got {out.trials}"
+        )
     angles = [out.presumed_soi_deg, *out.interferers_deg]
     if any(abs(a) >= 90 for a in angles):
         raise ConfigError("directions must lie strictly inside (-90, 90) degrees")

@@ -3,8 +3,10 @@
 ``run_experiment`` runs one experiment of ``config.EXPERIMENTS``. Its
 trials run in chunks, each across the whole x grid: a chunk draws every
 point's inputs, runs each method as one batched call over the stack,
-and reports per-point values and failures, which ``_aggregate`` folds
-into a ``SweepResult``. ``emit_csv`` writes that result as CSV.
+and returns one (x, method, trial) block of values with its failures.
+``_aggregate`` folds the blocks into one (x, method, trial) table and
+its statistics, of which the ``SweepResult`` dicts are per-method views,
+and ``emit_csv`` writes the tables in their C order, the CSV row order.
 
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
@@ -83,8 +85,10 @@ _OPENBLAS_THREAD_SYMBOLS = (
 class SweepResult:
     """Aggregated Monte Carlo output for one experiment.
 
-    ``raw[method]`` is an (n_x, trials) array of per-trial values with nan
-    marking failures; means and stds are computed from it over the finite
+    The per-trial values form one (x, method, trial) table with nan
+    marking failures, and ``raw[method]`` is that method's (n_x, trials)
+    view of it. ``mean_sinr_db``, ``std_db`` and ``n_ok`` are per-method
+    (n_x,) views of (x, method) tables computed from it over the finite
     entries, so they stay consistent by construction.
     """
 
@@ -99,8 +103,10 @@ class SweepResult:
 
 
 def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
-    """Fold the chunks' outcomes into one ``SweepResult``."""
-    raw = {meth: np.full((len(x_values), config.trials), np.nan) for meth in config.methods}
+    """Fold the chunks' (x, method, trial) blocks into one raw table, take
+    its statistics over the finite trials, and return a ``SweepResult``
+    whose dicts are per-method views of these tables."""
+    raw = np.full((len(x_values), len(config.methods), config.trials), np.nan)
     diagnostics = {
         "dominance_violations": 0,
         "failures": [],
@@ -109,30 +115,30 @@ def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
         "lcssp_error": lcssp_error,
     }
     for trials, values, failures, violations in outcomes:
-        for meth in config.methods:
-            raw[meth][:, trials] = values[meth]
+        raw[..., trials] = values
         diagnostics["failures"].extend(failures)
         diagnostics["dominance_violations"] += violations
     diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
-    mean, std, n_ok = {}, {}, {}
-    for meth in config.methods:
-        a = raw[meth]
-        mask = np.isfinite(a)
-        counts = mask.sum(axis=1)
-        safe = np.where(mask, a, 0.0)
-        denom = np.maximum(counts, 1)
-        mu = safe.sum(axis=1) / denom
-        var = np.where(mask, (a - mu[:, None]) ** 2, 0.0).sum(axis=1) / denom
-        mean[meth] = np.where(counts > 0, mu, np.nan)
-        std[meth] = np.where(counts > 0, np.sqrt(var), np.nan)
-        n_ok[meth] = counts
+    mask = np.isfinite(raw)
+    n_ok = mask.sum(axis=-1)
+    denom = np.maximum(n_ok, 1)
+    # The deviations reuse the zero-filled copy, so the statistics hold
+    # one temporary of the table's size.
+    dev = np.where(mask, raw, 0.0)
+    mu = dev.sum(axis=-1) / denom
+    np.subtract(dev, mu[..., None], out=dev, where=mask)
+    var = np.square(dev, out=dev).sum(axis=-1) / denom
+
+    def per_method(table):
+        return {meth: table[:, j] for j, meth in enumerate(config.methods)}
+
     return SweepResult(
         x_values=np.asarray(x_values, dtype=float),
         methods=list(config.methods),
-        raw=raw,
-        mean_sinr_db=mean,
-        std_db=std,
-        n_ok=n_ok,
+        raw=per_method(raw),
+        mean_sinr_db=per_method(np.where(n_ok > 0, mu, np.nan)),
+        std_db=per_method(np.where(n_ok > 0, np.sqrt(var), np.nan)),
+        n_ok=per_method(n_ok),
         diagnostics=diagnostics,
         config=config,
     )
@@ -367,48 +373,45 @@ def _failure(trial, x, method, error):
 def _run_chunk(task):
     """Monte Carlo trials ``trials`` across the whole x grid, batched.
 
-    Returns (trials, values per method, failures, dominance violations).
-    Values are (n_x, len(trials)) output SINRs; for the beampattern
-    experiment they are the gain curves of the single operating point
-    instead, one row per beampattern angle. Top-level so process pools
-    can pick it up.
+    Returns (trials, values, failures, dominance violations). ``values``
+    is an (n_x, methods, len(trials)) block of output SINRs; for the
+    beampattern experiment it holds the gain curves of the single
+    operating point instead, one row per beampattern angle. A violation
+    is a point where a method's SINR beats ``optimal``'s by more than
+    DOMINANCE_TOL_DB. Top-level so process pools can pick it up.
     """
     config, x_values, projection, lcssp_error, n_generate, trials = task
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
     presumed = steering_vector(soi_nominal, config.m)
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
     points = _draw_points(config, x_values, trials, n_generate)
-    shape = (len(trials), len(x_values))
-    values, weights, failures = {}, {}, []
-    for meth in config.methods:
+    methods = config.methods
+    # Row b is the stack's point (trial b // n_x, x b % n_x); column j is methods[j].
+    weights = np.zeros((len(points), len(methods), config.m), dtype=complex)
+    sinr = np.full((len(points), len(methods)), np.nan)
+    failures = []
+    for j, meth in enumerate(methods):
         if meth == "lcssp" and projection is None:
             errors = dict.fromkeys(range(len(points)), lcssp_error)
-            weights[meth] = np.zeros((len(points), config.m), dtype=complex)
-            sinr = np.full(len(points), np.nan)
         else:
-            weights[meth], sinr, errors = _point_values(
+            weights[:, j], sinr[:, j], errors = _point_values(
                 meth, points, presumed, complement, projection
             )
-        values[meth] = sinr.reshape(shape)
         for b, error in errors.items():
             t, ix = divmod(b, len(x_values))
             failures.append(_failure(trials[t], x_values[ix], meth, error))
     violations = 0
-    if "optimal" in config.methods:
-        best = values["optimal"]
-        for meth in config.methods:
-            if meth != "optimal":
-                violations += int(np.sum(values[meth] > best + DOMINANCE_TOL_DB))
+    if "optimal" in methods:
+        # Strictly greater, so the optimal column never counts against itself.
+        best = sinr[:, methods.index("optimal"), None]
+        violations = int(np.sum(sinr > best + DOMINANCE_TOL_DB))
     if EXPERIMENTS[config.experiment].grid is None:
         steer = steering_matrix(default_beampattern_grid(), config.m)
-        block = np.stack([weights[meth] for meth in config.methods], axis=1)
-        gains = pattern_gains_db(block, steer)  # (trials, methods, angles)
-        for j, meth in enumerate(config.methods):
-            gains[np.isnan(values[meth][:, 0]), j] = np.nan
-        values = {meth: gains[:, j].T for j, meth in enumerate(config.methods)}
-    else:
-        values = {meth: v.T for meth, v in values.items()}
-    return trials, values, failures, violations
+        gains = pattern_gains_db(weights, steer)  # (trials, methods, angles)
+        gains[np.isnan(sinr)] = np.nan
+        return trials, gains.transpose(2, 1, 0), failures, violations
+    values = sinr.reshape(len(trials), len(x_values), len(methods))
+    return trials, values.transpose(1, 2, 0), failures, violations
 
 
 @cache
@@ -540,14 +543,6 @@ def _cells(values):
     return [f"{v:.12g}" for v in np.where(np.isfinite(values), values, np.nan).ravel().tolist()]
 
 
-def _flat_rows(table, methods, per_x, start, stop):
-    """Rows ``start:stop`` of ``table``'s values in CSV order: x, then method,
-    then trial, with ``per_x`` rows per x. Copies only the x values they span."""
-    first, last = start // per_x, -(-stop // per_x)
-    block = np.stack([table[meth][first:last] for meth in methods], axis=1).ravel()
-    return block[start - first * per_x : stop - first * per_x]
-
-
 def _write_blocks(path, header, n_rows, block_text):
     """Write ``header``, then ``block_text(start, stop)`` for each block of rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -570,27 +565,27 @@ def emit_csv(result, path):
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
     methods, trials = result.methods, result.config.trials
+    # Each table in CSV row order: the C order of its (x, method[, trial]) stack.
+    mean, std, n_ok, raw = (
+        np.stack([table[meth] for meth in methods], axis=1).ravel()
+        for table in (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
+    )
     x_cells = _cells(result.x_values)
-    n_agg, n_raw = len(x_cells) * len(methods), len(x_cells) * len(methods) * trials
     agg_keys = product(x_cells, methods)
     raw_keys = product(x_cells, methods, range(trials))
 
     def aggregate_block(start, stop):
-        mean, std, n_ok = (
-            _flat_rows(table, methods, len(methods), start, stop)
-            for table in (result.mean_sinr_db, result.std_db, result.n_ok)
-        )
-        rows = zip(islice(agg_keys, stop - start), _cells(mean), _cells(std), n_ok.tolist())
+        cells = _cells(mean[start:stop]), _cells(std[start:stop]), n_ok[start:stop].tolist()
+        rows = zip(islice(agg_keys, stop - start), *cells)
         return "".join([f"{x},{meth},{mu},{sd},{n}\n" for (x, meth), mu, sd, n in rows])
 
     def raw_block(start, stop):
-        values = _cells(_flat_rows(result.raw, methods, len(methods) * trials, start, stop))
-        rows = zip(islice(raw_keys, stop - start), values)
+        rows = zip(islice(raw_keys, stop - start), _cells(raw[start:stop]))
         return "".join([f"{x},{meth},{t},{v}\n" for (x, meth, t), v in rows])
 
     try:
-        _write_blocks(path, "x,method,mean_sinr_db,std_db,n_ok\n", n_agg, aggregate_block)
-        _write_blocks(raw_path, "x,method,trial,sinr_db\n", n_raw, raw_block)
+        _write_blocks(path, "x,method,mean_sinr_db,std_db,n_ok\n", len(mean), aggregate_block)
+        _write_blocks(raw_path, "x,method,trial,sinr_db\n", len(raw), raw_block)
     except OSError as err:
         raise OSError(f"writing results to {path}: {err}") from err
     return path, raw_path

@@ -147,8 +147,16 @@ def test_bad_numeric_flag_is_config_error(tmp_path, capsys, flag, value, message
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sub", [None, "sub"])
-def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, sub):
+@pytest.mark.parametrize(
+    "command, sub",
+    [
+        pytest.param("run", None, id="None"),
+        pytest.param("run", "sub", id="sub"),
+        pytest.param("plot-script", None, id="plot-script-None"),
+        pytest.param("plot-script", "sub", id="plot-script-sub"),
+    ],
+)
+def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, command, sub):
     def never(*args, **kwargs):
         raise AssertionError("run_experiment must not start")
 
@@ -156,7 +164,8 @@ def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, sub):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker if sub is None else blocker / sub
-    assert main(_run_args(out)) == 1
+    args = _run_args(out) if command == "run" else ["plot-script", "--out", str(out)]
+    assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create output directory {out}:")
     assert "Traceback" not in err
@@ -282,7 +291,7 @@ _BAD_POWERS = [
 # keeps a run small.
 _FIELDS = {
     "experiment": (st.sampled_from(sorted(EXPERIMENTS)), ["spectrogram", ""]),
-    "trials": (st.integers(1, 2), [0, -1, 1.5]),
+    "trials": (st.integers(1, 2), [0, -1, 1.5, 10**12]),
     "m": (st.integers(2, 6), [0, 1, -5, 2.5, MAX_DIMENSION + 1, 10**7]),
     "l": (st.just("auto") | st.integers(2, 14), [0, 1, "auto ", 2.5, MAX_DIMENSION + 1, 10**9]),
     "snr_grid_db": (_POWERS, _BAD_POWERS),

@@ -26,6 +26,7 @@ from beamlab.config import (
     MAX_DIMENSION,
     MAX_GRID_POINTS,
     MAX_INTERFERERS,
+    MAX_RAW_VALUES,
     MAX_SNAPSHOTS,
     METHOD_NAMES,
     _sector_complement,
@@ -102,6 +103,11 @@ def test_load_config_rejects_broken_json(tmp_path):
         load_config(path, {"experiment": "beampattern"})
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json", {"experiment": "beampattern"})
+    # Bytes that are not UTF-8, and nesting too deep for the JSON decoder.
+    for content in (b"\xff\xfe{}", b"[" * 100_000):
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"cannot read config file {path}: "):
+            load_config(path, {"experiment": "beampattern"})
 
 
 def test_load_config_rejects_snapshot_counts_above_the_limit(tmp_path):
@@ -132,6 +138,22 @@ def test_normalize_config_bounds_the_array_dimension():
     ):
         with pytest.raises(ConfigError, match=message):
             normalized(m, l)
+
+
+def test_normalize_config_bounds_the_raw_table():
+    # The raw table holds x rows x methods x trials values; past
+    # MAX_RAW_VALUES a run would exhaust memory mid-run.
+    for experiment, rows in (("beampattern", 1801), ("sinr_vs_snr", 9)):
+        cfg = default_config(experiment)
+        limit = MAX_RAW_VALUES // (rows * len(METHOD_NAMES))
+        cfg.trials = limit
+        assert normalize_config(cfg).trials == limit
+        for trials in (limit + 1, 10**12):
+            cfg.trials = trials
+            with pytest.raises(ConfigError, match=f"trials must be at most {limit} for {rows} "):
+                normalize_config(cfg)
+        cfg.trials, cfg.methods = limit + 1, ["optimal"]
+        assert normalize_config(cfg).trials == limit + 1
 
 
 def test_normalize_config_rejects_bad_values():
@@ -433,6 +455,28 @@ def test_dominance_accounting_on_clean_run():
     assert res.diagnostics["failures"] == []
     assert res.diagnostics["l_chosen"] == 20
     assert res.diagnostics["epsilon_n"] < 1e-12
+
+
+def test_dominance_violations_count_the_points_that_beat_optimal(monkeypatch):
+    # SINRs of 1000 dB planted at points b = trial * 2 + x index of the one
+    # chunk: scm_mvdr beats optimal at points 1 and 4, lcssp at point 3. At
+    # point 5 scm_mvdr ties with optimal, which is no violation, and optimal
+    # never counts against itself.
+    planted = {"optimal": [5], "scm_mvdr": [1, 4, 5], "lcssp": [3]}
+    point_values = harness._point_values
+
+    def planting(method, *args):
+        w, sinr, errors = point_values(method, *args)
+        sinr[planted.get(method, [])] = 1e3
+        return w, sinr, errors
+
+    monkeypatch.setattr(harness, "_point_values", planting)
+    cfg = _small(methods=["optimal", "scm_mvdr", "lcssp"])
+    res = run_experiment(cfg)
+    assert res.diagnostics["dominance_violations"] == 3
+    assert res.raw["scm_mvdr"][1, 0] == res.raw["scm_mvdr"][0, 2] == 1e3
+    cfg.methods = ["optimal"]
+    assert run_experiment(cfg).diagnostics["dominance_violations"] == 0
 
 
 def test_failed_method_recorded_and_excluded():
