@@ -5,9 +5,9 @@ output directory. ``beamlab plot-script`` drops a standalone matplotlib
 script next to the CSVs so plotting needs nothing from this package.
 
 Exit codes: 0 on full success, 1 on configuration errors (an unusable
-output directory among them) and CSV write errors, 2 when any trial
-point failed (results are still written; means cover the successful
-trials only).
+output directory among them) and on errors writing the CSVs or the plot
+script, 2 when any trial point failed (results are still written; means
+cover the successful trials only).
 """
 
 import argparse
@@ -197,7 +197,11 @@ def _plot_script(args):
     if not _make_out_dir(args.out):
         return 1
     target = args.out / PLOT_SCRIPT_NAME
-    target.write_text(PLOT_SCRIPT, encoding="utf-8")
+    try:
+        target.write_text(PLOT_SCRIPT, encoding="utf-8")
+    except OSError as err:
+        print(f"writing plot script to {target}: {err}", file=sys.stderr)
+        return 1
     print(f"wrote {target}")
     return 0
 

@@ -62,7 +62,7 @@ MAX_INTERFERERS = 32
 # Most values of a run's raw (x, method, trial) table: x rows (the 1801
 # angles of the beampattern) times methods times trials. The table takes
 # 268 MB at this bound; its statistics and emit_csv each hold one more
-# array of its size while they run.
+# array of its size while they run, emit_csv also one block of rows.
 MAX_RAW_VALUES = 2**25
 
 

@@ -6,7 +6,9 @@ point's inputs, runs each method as one batched call over the stack,
 and returns one (x, method, trial) block of values with its failures.
 ``_aggregate`` folds the blocks into one (x, method, trial) table and
 its statistics, of which the ``SweepResult`` dicts are per-method views,
-and ``emit_csv`` writes the tables in their C order, the CSV row order.
+and ``emit_csv`` writes the tables in their C order, the CSV row order:
+each block of rows is one printf-style format of a row template per
+(method[, trial]) over the block's x cells and values.
 
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
@@ -25,7 +27,6 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -543,12 +544,26 @@ def _cells(values):
     return [f"{v:.12g}" for v in np.where(np.isfinite(values), values, np.nan).ravel().tolist()]
 
 
-def _write_blocks(path, header, n_rows, block_text):
-    """Write ``header``, then ``block_text(start, stop)`` for each block of rows."""
+def _write_blocks(path, header, period, x_cells, columns):
+    """Write ``header``, then the rows of ``columns`` in blocks of CSV_BLOCK_ROWS.
+
+    Row r fills the template ``period[r % len(period)]`` with the x cell
+    ``x_cells[r // len(period)]`` and the r-th value of each column.
+    """
+    n_rows, p, width = len(columns[0]), len(period), len(columns) + 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            fh.write(block_text(start, min(start + CSV_BLOCK_ROWS, n_rows)))
+            n = min(CSV_BLOCK_ROWS, n_rows - start)
+            args = [None] * (width * n)
+            args[::width] = x_cells[np.arange(start, start + n) // p].tolist()
+            for k, column in enumerate(columns, 1):
+                v = column[start : start + n]
+                if v.dtype.kind == "f":
+                    v = np.where(np.isfinite(v), v, np.nan)
+                args[k::width] = v.tolist()
+            templates = period[start % p :] + period * (n // p + 1)
+            fh.write("".join(templates[:n]) % tuple(args))
 
 
 def emit_csv(result, path):
@@ -558,34 +573,30 @@ def emit_csv(result, path):
     ``*_raw.csv`` with ``x,method,trial,sinr_db`` (nan rows keep failed
     trials visible). UTF-8, LF line endings, ``.`` decimal separator,
     numbers to 12 significant digits with every non-finite value as
-    ``nan``; byte-identical for identical runs. Rows are formatted and
-    written in blocks of CSV_BLOCK_ROWS, so the text held in memory does
-    not grow with the file.
+    ``nan``; byte-identical for identical runs. A file's rows repeat a
+    period of printf-style row templates, one per method (aggregate) or
+    per (method, trial) (raw). Each block of CSV_BLOCK_ROWS rows is one
+    ``%`` format over its x cells and values and one write, so the text
+    held in memory does not grow with the file.
     """
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
-    methods, trials = result.methods, result.config.trials
+    trials = result.config.trials
     # Each table in CSV row order: the C order of its (x, method[, trial]) stack.
     mean, std, n_ok, raw = (
-        np.stack([table[meth] for meth in methods], axis=1).ravel()
+        np.stack([table[meth] for meth in result.methods], axis=1).ravel()
         for table in (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
     )
-    x_cells = _cells(result.x_values)
-    agg_keys = product(x_cells, methods)
-    raw_keys = product(x_cells, methods, range(trials))
-
-    def aggregate_block(start, stop):
-        cells = _cells(mean[start:stop]), _cells(std[start:stop]), n_ok[start:stop].tolist()
-        rows = zip(islice(agg_keys, stop - start), *cells)
-        return "".join([f"{x},{meth},{mu},{sd},{n}\n" for (x, meth), mu, sd, n in rows])
-
-    def raw_block(start, stop):
-        rows = zip(islice(raw_keys, stop - start), _cells(raw[start:stop]))
-        return "".join([f"{x},{meth},{t},{v}\n" for (x, meth, t), v in rows])
-
+    # One period of each file's row templates; a % in a method name is escaped.
+    methods = [meth.replace("%", "%%") for meth in result.methods]
+    agg_period = [f"%s,{meth},%.12g,%.12g,%d\n" for meth in methods]
+    raw_period = [f"%s,{meth},{t},%.12g\n" for meth in methods for t in range(trials)]
+    x_cells = np.array(_cells(result.x_values), dtype=object)
     try:
-        _write_blocks(path, "x,method,mean_sinr_db,std_db,n_ok\n", len(mean), aggregate_block)
-        _write_blocks(raw_path, "x,method,trial,sinr_db\n", len(raw), raw_block)
+        _write_blocks(
+            path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, (mean, std, n_ok)
+        )
+        _write_blocks(raw_path, "x,method,trial,sinr_db\n", raw_period, x_cells, (raw,))
     except OSError as err:
         raise OSError(f"writing results to {path}: {err}") from err
     return path, raw_path

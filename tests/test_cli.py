@@ -181,6 +181,17 @@ def test_csv_write_error_exits_one_without_traceback(tmp_path, capsys, monkeypat
     assert err == f"writing results to {tmp_path / 'sinr_vs_snr.csv'}: disk full\n"
 
 
+def test_plot_script_write_error_exits_one_without_traceback(tmp_path, capsys):
+    target = tmp_path / "plot_results.py"
+    target.mkdir()
+    assert main(["plot-script", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"writing plot script to {target}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_run_survives_output_sinr_failure(tmp_path, capsys, negative_ipnc):
     negative_ipnc({(1, 0)})
     cfg = tmp_path / "cfg.json"

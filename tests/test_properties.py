@@ -5,10 +5,12 @@ writer against a row-at-a-time one."""
 
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 from beamlab.config import EXPERIMENTS, MAX_POWER_DB, METHOD_NAMES
 from beamlab.harness import SweepResult, _draw_mismatch
+from beamlab.metrics import beampattern_grid_deg
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -456,3 +459,50 @@ def test_beampattern_csv_matches_row_at_a_time_writer():
     result = run_experiment(config)
     assert len(result.x_values) * len(result.methods) * 2 > 2 * harness.CSV_BLOCK_ROWS
     _assert_csv_matches_oracle(result)
+
+
+def _synthetic_result(x_values, methods, trials, seed=0):
+    """A ``SweepResult`` whose per-method dicts are views of random tables."""
+    rng = np.random.default_rng(seed)
+    n_x = len(x_values)
+    raw = rng.normal(size=(n_x, len(methods), trials))
+    config = default_config("sinr_vs_snr")
+    config.trials = trials
+
+    def per_method(table):
+        return {meth: table[:, j] for j, meth in enumerate(methods)}
+
+    return SweepResult(
+        x_values=np.asarray(x_values, dtype=float),
+        methods=list(methods),
+        raw=per_method(raw),
+        mean_sinr_db=per_method(raw.mean(axis=-1)),
+        std_db=per_method(raw.std(axis=-1)),
+        n_ok=per_method(np.full((n_x, len(methods)), trials)),
+        diagnostics={},
+        config=config,
+    )
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, harness.CSV_BLOCK_ROWS])
+def test_csv_escapes_percent_in_method_names(block_rows):
+    # Method labels are baked into printf-style row templates, so a % in
+    # one must come out literally; sweep_results only draws METHOD_NAMES.
+    result = _synthetic_result(np.arange(5.0), ["a%d", "100%", "%%s"], trials=3)
+    with mock.patch.object(harness, "CSV_BLOCK_ROWS", block_rows):
+        _assert_csv_matches_oracle(result)
+
+
+def test_emit_csv_memory_is_one_table_plus_a_block(tmp_path):
+    # 1801 beampattern angles x 5 methods x 60 trials. The writer holds
+    # one stacked copy of the raw table and one block of rows; a list of
+    # the whole table's Python floats would take several times the table.
+    result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=60)
+    table_bytes = sum(view.nbytes for view in result.raw.values())
+    tracemalloc.start()
+    try:
+        emit_csv(result, tmp_path / "out.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + 4 * 2**20
