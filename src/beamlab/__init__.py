@@ -8,14 +8,7 @@ covariance. Classical baselines and a Monte Carlo harness round it out.
 Library functions take and return plain numpy arrays.
 """
 
-from .array_model import (
-    ArrayGeometry,
-    Scenario,
-    generate_snapshots,
-    selection_zeros,
-    steering_matrix,
-    steering_vector,
-)
+from .array_model import selection_zeros, steering_matrix, steering_vector
 from .baselines import (
     SingularCovarianceError,
     capon_integral_ipnc,
@@ -26,12 +19,7 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
-from .covariance import (
-    hermitize,
-    sample_covariance,
-    theoretical_covariance,
-    true_ipnc,
-)
+from .covariance import hermitize
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -58,13 +46,11 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry",
     "ConfigError",
     "ExperimentConfig",
     "LcsspConfig",
     "NoConvergenceError",
     "ProjectionMatrix",
-    "Scenario",
     "SingularCovarianceError",
     "SweepResult",
     "build_projection",
@@ -76,7 +62,6 @@ __all__ = [
     "diagonal_loading_weights",
     "distortionless_solve",
     "emit_csv",
-    "generate_snapshots",
     "hermitize",
     "lcssp_weights",
     "load_config",
@@ -86,13 +71,10 @@ __all__ = [
     "output_sinr",
     "reconstruct_ipnc",
     "run_experiment",
-    "sample_covariance",
     "scm_mvdr_weights",
     "select_dimension",
     "selection_zeros",
     "steering_matrix",
     "steering_vector",
-    "theoretical_covariance",
-    "true_ipnc",
     "__version__",
 ]

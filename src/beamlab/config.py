@@ -21,8 +21,9 @@ rejects power grid entries above ``MAX_POWER_DB``, where double
 precision no longer resolves the noise floor, snapshot counts above
 ``MAX_SNAPSHOTS``, whose draw would not fit in memory, an array
 dimension that may exceed ``MAX_DIMENSION``, grids or interferer lists
-longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``, and trial counts
-whose raw table would hold more than ``MAX_RAW_VALUES`` values.
+longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``, trial counts
+whose raw table would hold more than ``MAX_RAW_VALUES`` values, and a
+sensor-position error halfwidth above ``MAX_POSITION_ERROR_WL``.
 """
 
 import json
@@ -31,7 +32,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .array_model import MAX_POSITION_ERROR_WL
 from .baselines import COND_LIMIT
 from .metrics import beampattern_grid_deg
 
@@ -64,6 +64,9 @@ MAX_INTERFERERS = 32
 # 268 MB at this bound; its statistics and emit_csv each hold one more
 # array of its size while they run, emit_csv also one block of rows.
 MAX_RAW_VALUES = 2**25
+# Largest position_error_halfwidth_wl, in wavelengths. At half-wavelength
+# spacing, two neighbours each this far off can meet.
+MAX_POSITION_ERROR_WL = 0.25
 
 
 class ConfigError(ValueError):

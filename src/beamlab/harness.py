@@ -13,10 +13,10 @@ each block of rows is one printf-style format of a row template per
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
 in parallel in any order. Past those per-trial draws, a chunk's set-up
-is array code over its trials, with no per-trial scenario objects
-(``normalize_config`` has bounded every draw). Every sweep reduces a
-trial's draw to the Gram matrix of its normals, and no snapshot matrix
-is formed. The SNR and INR sweeps draw each trial once and scale it;
+is array code over its trials (``normalize_config`` has bounded every
+draw); it is the package's only simulation code. Every sweep reduces
+a trial's draw to the Gram matrix of its normals, and no snapshot
+matrix is formed. The SNR and INR sweeps draw each trial once and scale it;
 the snapshot sweep draws each trial's stream once, at its largest k,
 and takes every k's draw from a prefix of it. The sample covariance of
 the physical array is the leading m x m block of the extended one.

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from beamlab import (
-    ArrayGeometry,
     LcsspConfig,
-    Scenario,
     build_projection,
     default_config,
     emit_csv,
@@ -27,8 +26,6 @@ from beamlab import (
     selection_zeros,
     steering_matrix,
     steering_vector,
-    theoretical_covariance,
-    true_ipnc,
 )
 
 INTERFERERS = np.deg2rad([-30.0, 30.0])
@@ -44,19 +41,6 @@ def _lcssp_config(**overrides):
     )
     base.update(overrides)
     return LcsspConfig(**base)
-
-
-def _nominal_scenario(snr_db, inr_db, m=10):
-    return Scenario(
-        soi_direction_true=0.0,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=INTERFERERS,
-        interferer_directions_nominal=INTERFERERS,
-        soi_power=10.0 ** (snr_db / 10.0),
-        interferer_powers=np.full(2, 10.0 ** (inr_db / 10.0)),
-        noise_power=1.0,
-        geometry=ArrayGeometry(m),
-    )
 
 
 def test_criterion_1_projector_properties():
@@ -97,14 +81,15 @@ def test_criterion_3_infinite_sample_optimality_without_mismatch():
     m, l = 10, 20
     proj = build_projection(_lcssp_config(), l)
     presumed = steering_vector(0.0, m)
+    inr = 1000.0  # 30 dB
+    ipnc = oracle.covariance(INTERFERERS, [inr, inr], oracle.positions(m))
+    tsv = steering_vector(0.0, m)
     for snr_db in (-10.0, 0.0, 10.0, 20.0, 30.0):
-        sc = _nominal_scenario(snr_db, inr_db=30.0)
-        reconstructed = reconstruct_ipnc(proj, theoretical_covariance(sc, l), m)
-        w = lcssp_weights(reconstructed, presumed)
-        ipnc = true_ipnc(sc, m)
-        tsv = steering_vector(0.0, m)
-        attained = output_sinr(w, sc.soi_power, tsv, ipnc)
-        best = output_sinr(optimal_weights(ipnc, tsv), sc.soi_power, tsv, ipnc)
+        soi_power = 10.0 ** (snr_db / 10.0)
+        full = oracle.covariance([0.0, *INTERFERERS], [soi_power, inr, inr], oracle.positions(l))
+        w = lcssp_weights(reconstruct_ipnc(proj, full, m), presumed)
+        attained = output_sinr(w, soi_power, tsv, ipnc)
+        best = output_sinr(optimal_weights(ipnc, tsv), soi_power, tsv, ipnc)
         assert best - attained <= 0.5
     assert time.monotonic() - start < 5.0
 

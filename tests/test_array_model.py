@@ -1,17 +1,21 @@
-"""Array geometry, steering vectors, selection zeros, snapshot generation."""
+"""Element positions, steering vectors, selection zeros, the snapshot draw."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from beamlab import (
-    ArrayGeometry,
-    Scenario,
-    generate_snapshots,
+    default_config,
+    normalize_config,
     selection_zeros,
     steering_matrix,
     steering_vector,
 )
-from beamlab.array_model import _normal_blocks, _steering_grid
+from beamlab import harness
+from beamlab.array_model import _element_positions, _normal_blocks, _steering_grid
+from beamlab.config import MAX_DIMENSION
 
 
 def test_steering_vector_first_element_and_norm():
@@ -43,28 +47,20 @@ def test_steering_vector_broadside_is_uniform():
 
 
 def test_position_errors_perturb_only_physical_elements():
-    errors = np.array([0.0, 0.04, -0.03, 0.02])
-    geom = ArrayGeometry(4, errors)
-    pos = geom.positions(7)
-    np.testing.assert_allclose(pos[:4], np.arange(4) * 0.5 + errors, atol=0)
-    np.testing.assert_allclose(pos[4:], np.arange(4, 7) * 0.5, atol=0)
+    errors = np.array([[0.0, 0.04, -0.03, 0.02], [0.0, -0.01, 0.05, 0.0]])
+    pos = _element_positions(7, errors)
+    np.testing.assert_array_equal(pos[:, :4], np.arange(4) * 0.5 + errors)
+    np.testing.assert_array_equal(pos[:, 4:], np.tile(np.arange(4, 7) * 0.5, (2, 1)))
 
 
 def test_first_element_stays_reference_under_position_errors():
-    # A global array shift is unobservable; phases are referenced to
-    # element 0 so element 0 keeps its nominal value.
-    geom = ArrayGeometry(6, np.full(6, 0.1))
-    sv = steering_vector(0.4, 6, geom)
-    assert sv[0] == pytest.approx(1 / np.sqrt(6), abs=0)
-
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        ArrayGeometry(0)
-    with pytest.raises(ValueError):
-        ArrayGeometry(4, np.array([0.3, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        ArrayGeometry(4, np.zeros(3))
+    # A global array shift is unobservable; element 0 is the phase
+    # reference, so it keeps its nominal value under drawn position errors.
+    config = default_config("sinr_vs_snr")
+    config.position_error_halfwidth_wl = 0.2
+    config = normalize_config(config)
+    points = harness._draw_points(config, np.array([0.0, 10.0]), range(4), config.l)
+    np.testing.assert_array_equal(points.tsv[:, 0], 1 / np.sqrt(config.m))
 
 
 def test_steering_rejects_out_of_range_angles():
@@ -90,22 +86,19 @@ def test_selection_zeros_closed_form():
     assert zeros[0] == pytest.approx(-np.pi / 2, abs=1e-14)
 
 
-def test_selection_zeros_count_and_sorting():
-    for n in (2, 7, 10, 20, 40):
-        for phi0 in (0.0, 0.17, -0.35):
-            zeros = selection_zeros(phi0, n)
-            assert len(zeros) == n - 1
-            assert np.all(np.diff(zeros) > 0)
-            assert np.all(np.abs(zeros) <= np.pi / 2)
-
-
-def test_selection_zeros_with_center_form_orthonormal_basis():
-    for n in (2, 10, 20):
-        for phi0 in (0.0, np.deg2rad(10.0), np.deg2rad(-20.0)):
-            angles = np.concatenate(([phi0], selection_zeros(phi0, n)))
-            basis = steering_matrix(angles, n)
-            gram = basis.conj().T @ basis
-            np.testing.assert_allclose(gram, np.eye(n), atol=1e-10)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=MAX_DIMENSION),
+    phi0_deg=st.floats(min_value=-89.9, max_value=89.9),
+)
+def test_selection_zeros_with_center_form_orthonormal_basis(n, phi0_deg):
+    phi0 = np.deg2rad(phi0_deg)
+    zeros = selection_zeros(phi0, n)
+    assert len(zeros) == n - 1
+    assert np.all(np.diff(zeros) > 0)
+    assert np.all(np.abs(zeros) <= np.pi / 2)
+    basis = steering_matrix(np.concatenate(([phi0], zeros)), n)
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(n), atol=1e-10)
 
 
 def test_steering_matrix_columns_match_vectors():
@@ -115,91 +108,25 @@ def test_steering_matrix_columns_match_vectors():
         np.testing.assert_allclose(mat[:, j], steering_vector(ang, 6), atol=1e-14)
 
 
-def _scenario(n_interferers=2, geometry=None):
-    return Scenario(
-        soi_direction_true=0.05,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=np.deg2rad([-30.0, 30.0][:n_interferers]),
-        interferer_directions_nominal=np.deg2rad([-30.0, 30.0][:n_interferers]),
-        soi_power=10.0,
-        interferer_powers=np.full(n_interferers, 100.0),
-        noise_power=1.0,
-        geometry=geometry or ArrayGeometry(10),
-    )
-
-
-def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(
-            soi_direction_true=0.0,
-            soi_direction_presumed=0.0,
-            interferer_directions_true=np.array([0.5]),
-            interferer_directions_nominal=np.array([0.5, 0.6]),
-            soi_power=1.0,
-            interferer_powers=np.array([1.0]),
-            noise_power=1.0,
-            geometry=ArrayGeometry(4),
-        )
-    with pytest.raises(ValueError):
-        Scenario(
-            soi_direction_true=np.pi / 2,
-            soi_direction_presumed=0.0,
-            interferer_directions_true=np.array([0.5]),
-            interferer_directions_nominal=np.array([0.5]),
-            soi_power=1.0,
-            interferer_powers=np.array([1.0]),
-            noise_power=1.0,
-            geometry=ArrayGeometry(4),
-        )
-    with pytest.raises(ValueError):
-        sc = _scenario()
-        Scenario(
-            soi_direction_true=sc.soi_direction_true,
-            soi_direction_presumed=sc.soi_direction_presumed,
-            interferer_directions_true=sc.interferer_directions_true,
-            interferer_directions_nominal=sc.interferer_directions_nominal,
-            soi_power=1.0,
-            interferer_powers=np.array([1.0, 1.0]),
-            noise_power=0.0,
-            geometry=sc.geometry,
-        )
-
-
-def test_snapshots_shape_and_input_checks():
-    sc = _scenario()
-    x = generate_snapshots(sc, 12, 5, seed=7)
-    assert x.shape == (12, 5)
-    assert x.dtype == np.complex128
-    with pytest.raises(ValueError):
-        generate_snapshots(sc, 9, 5, seed=7)
-    with pytest.raises(ValueError):
-        generate_snapshots(sc, 12, 0, seed=7)
+# SOI, then interferers at -30 and +30 degrees.
+DIRECTIONS = [0.05, *np.deg2rad([-30.0, 30.0])]
+POWERS = [10.0, 100.0, 100.0]
 
 
 def test_snapshots_match_reference_draw_protocol():
-    # Independent reimplementation of the documented draw order: one
-    # standard-normal (k, 2) block per source (SOI first, interferers in
-    # listed order), then an (n, k, 2) block for noise.
-    sc = _scenario()
-    n, k, seed = 13, 6, 99
-    rng = np.random.default_rng(seed)
-    pos = sc.geometry.positions(n)
-    pos = pos - pos[0]
-
-    def sv(angle):
-        return np.exp(2j * np.pi * pos * np.sin(angle)) / np.sqrt(n)
-
-    expected = np.zeros((n, k), dtype=complex)
-    dirs = [sc.soi_direction_true, *sc.interferer_directions_true]
-    powers = [sc.soi_power, *sc.interferer_powers]
-    for ang, p in zip(dirs, powers):
-        d = rng.standard_normal((k, 2))
-        wave = np.sqrt(p / 2) * (d[:, 0] + 1j * d[:, 1])
-        expected += np.outer(sv(ang), wave)
-    d = rng.standard_normal((n, k, 2))
-    expected += np.sqrt(sc.noise_power / 2) * (d[..., 0] + 1j * d[..., 1])
-    got = generate_snapshots(sc, n, k, seed=seed)
-    np.testing.assert_array_equal(got, expected)
+    # The engine forms no snapshots: a point's draw is B Z, with Z the
+    # normals of _normal_blocks (waveforms, then noise) and B = [A, I]
+    # diag(sqrt(power / 2)) for the steering stack A of _steering_grid.
+    # A is the reference steering bit for bit, and B Z the reference draw.
+    m, n, k, seed = 10, 13, 6, 99
+    perr = np.concatenate(([0.0], np.linspace(-0.04, 0.04, m - 1)))
+    pos = oracle.positions(n, perr)
+    steer = _steering_grid(_element_positions(n, perr), np.sin(DIRECTIONS))
+    np.testing.assert_array_equal(steer, oracle.steering(DIRECTIONS, pos))
+    (z,) = _normal_blocks(len(POWERS) + n, [k], seed)
+    b = np.hstack((steer, np.eye(n))) * np.sqrt(np.r_[POWERS, np.ones(n)] / 2)
+    expected = oracle.snapshots(DIRECTIONS, POWERS, pos, k, seed)
+    np.testing.assert_allclose(b @ z, expected, rtol=0, atol=1e-12)
 
 
 def test_normal_blocks_are_each_k_draw():
@@ -220,28 +147,14 @@ def test_normal_blocks_are_each_k_draw():
         np.testing.assert_array_equal(block.imag, d[..., 1])
 
 
-def _silent_scenario():
-    sc = _scenario()
-    return Scenario(
-        soi_direction_true=sc.soi_direction_true,
-        soi_direction_presumed=sc.soi_direction_presumed,
-        interferer_directions_true=sc.interferer_directions_true,
-        interferer_directions_nominal=sc.interferer_directions_nominal,
-        soi_power=0.0,
-        interferer_powers=np.zeros(2),
-        noise_power=sc.noise_power,
-        geometry=sc.geometry,
-    )
-
-
 def test_snapshot_stream_prefix_property():
     # Extending the array must not reshuffle the random draws: sources
     # consume the same stream regardless of dimension, and the noise
     # block fills row-major, so with silent sources the physical rows of
     # an extended draw equal the physical-only draw bit for bit.
-    sc = _silent_scenario()
-    wide = generate_snapshots(sc, 20, 16, seed=5)
-    narrow = generate_snapshots(sc, 10, 16, seed=5)
+    silent = [0.0] * len(POWERS)
+    wide = oracle.snapshots(DIRECTIONS, silent, oracle.positions(20), 16, seed=5)
+    narrow = oracle.snapshots(DIRECTIONS, silent, oracle.positions(10), 16, seed=5)
     np.testing.assert_array_equal(wide[:10], narrow)
 
 
@@ -249,17 +162,19 @@ def test_snapshot_source_scale_under_extension():
     # Unit-norm steering ties per-element source amplitude to the
     # generation dimension: the physical rows of an extended draw carry
     # the same source waveforms scaled by sqrt(m / l).
-    sc = _scenario()
-    silent = _silent_scenario()
-    wide_src = generate_snapshots(sc, 20, 16, seed=5) - generate_snapshots(silent, 20, 16, seed=5)
-    narrow_src = generate_snapshots(sc, 10, 16, seed=5) - generate_snapshots(silent, 10, 16, seed=5)
-    np.testing.assert_allclose(wide_src[:10], np.sqrt(10 / 20) * narrow_src, atol=1e-12)
+    def sources(n):
+        pos = oracle.positions(n)
+        draw = oracle.snapshots(DIRECTIONS, POWERS, pos, 16, seed=5)
+        return draw - oracle.snapshots(DIRECTIONS, [0.0] * len(POWERS), pos, 16, seed=5)
+
+    np.testing.assert_allclose(sources(20)[:10], np.sqrt(10 / 20) * sources(10), atol=1e-12)
 
 
 def test_snapshots_deterministic_per_seed():
-    sc = _scenario()
-    a = generate_snapshots(sc, 10, 8, seed=3)
-    b = generate_snapshots(sc, 10, 8, seed=3)
-    c = generate_snapshots(sc, 10, 8, seed=4)
+    config = normalize_config(default_config("sinr_vs_snr"))
+    x_values = np.array([0.0, 10.0])
+    a, b = (harness._draw_points(config, x_values, range(2), config.l).cov for _ in range(2))
+    config.seed += 1
+    c = harness._draw_points(config, x_values, range(2), config.l).cov
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)

@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from beamlab import (
-    ArrayGeometry,
-    Scenario,
     SingularCovarianceError,
     capon_integral_ipnc,
     capon_integral_weights,
     conditioned_matrix,
     diagonal_loading_weights,
     distortionless_solve,
-    generate_snapshots,
-    sample_covariance,
     scm_mvdr_weights,
     optimal_weights,
     steering_matrix,
     steering_vector,
-    theoretical_covariance,
 )
 from beamlab.baselines import _eigvalsh
 
@@ -32,19 +28,15 @@ COMPLEMENT = (
     (-np.pi / 2, np.deg2rad(-6.0)),
     (np.deg2rad(6.0), np.pi / 2),
 )
+# SOI at broadside, interferers at -30 and +30 degrees, all at 10 dB.
+DIRECTIONS = np.deg2rad([0.0, -30.0, 30.0])
+POWERS = [10.0, 10.0, 10.0]
 
 
-def _scenario(m=10, inr_db=10.0):
-    return Scenario(
-        soi_direction_true=0.0,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=np.deg2rad([-30.0, 30.0]),
-        interferer_directions_nominal=np.deg2rad([-30.0, 30.0]),
-        soi_power=10.0,
-        interferer_powers=np.full(2, 10.0 ** (inr_db / 10.0)),
-        noise_power=1.0,
-        geometry=ArrayGeometry(m),
-    )
+def _scm(k, seed):
+    """Sample covariance of k snapshots of the sources at ten elements."""
+    x = oracle.snapshots(DIRECTIONS, POWERS, oracle.positions(10), k, seed)
+    return oracle.sample_covariance(x)
 
 
 def _random_covariances(rng, n, count):
@@ -106,8 +98,7 @@ def test_distortionless_solve_matches_direct_inverse():
 
 
 def test_distortionless_constraint_is_exact():
-    sc = _scenario()
-    scm = sample_covariance(generate_snapshots(sc, 10, 50, seed=1))
+    scm = _scm(50, seed=1)
     a = steering_vector(0.0, 10)
     for w in (
         scm_mvdr_weights(scm, a),
@@ -158,16 +149,14 @@ def test_conditioning_failure_is_per_item():
 
 
 def test_single_snapshot_scm_survives_conditioning():
-    sc = _scenario()
-    scm = sample_covariance(generate_snapshots(sc, 10, 1, seed=2))
+    scm = _scm(1, seed=2)
     a = steering_vector(0.0, 10)
     w = scm_mvdr_weights(scm, a)
     assert w @ a.conj() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_loading_default_level():
-    sc = _scenario()
-    scm = sample_covariance(generate_snapshots(sc, 10, 50, seed=4))
+    scm = _scm(50, seed=4)
     a = steering_vector(0.0, 10)
     level = 10.0 * max(np.linalg.eigvalsh(scm)[0], 0.0)
     np.testing.assert_allclose(
@@ -191,11 +180,10 @@ def test_passed_eigenvalues_change_nothing(weights):
     # A well-conditioned SCM, a rank-3 one (K < n) and one that fails.
     # With a fixed loading and no eigenvalues, the check of R + loading I
     # runs its own eigvalsh, which the shifted SCM eigenvalues must match.
-    sc = _scenario()
     stack = np.stack(
         [
-            sample_covariance(generate_snapshots(sc, 10, 50, seed=5)),
-            sample_covariance(generate_snapshots(sc, 10, 3, seed=6)),
+            _scm(50, seed=5),
+            _scm(3, seed=6),
             np.zeros((10, 10), dtype=complex),
         ]
     )
@@ -210,7 +198,7 @@ def test_passed_eigenvalues_change_nothing(weights):
 def test_capon_integral_weight_normalization():
     # With an identity covariance the integrand traces to one at every
     # angle, so the reconstruction trace equals the total measure.
-    ident = sample_covariance(np.eye(10, dtype=complex) * np.sqrt(10))
+    ident = np.eye(10, dtype=complex)
     est = capon_integral_ipnc(ident, COMPLEMENT, n_samples=200)
     assert np.trace(est).real == pytest.approx(SECTOR_COMPLEMENT_MEASURE, rel=1e-12)
     est2 = capon_integral_ipnc(ident, COMPLEMENT, n_samples=400)
@@ -218,8 +206,7 @@ def test_capon_integral_weight_normalization():
 
 
 def test_capon_integral_quadrature_refinement_is_stable():
-    sc = _scenario(inr_db=10.0)
-    theo = theoretical_covariance(sc, 10)
+    theo = oracle.covariance(DIRECTIONS, POWERS, oracle.positions(10))
     base = capon_integral_ipnc(theo, COMPLEMENT, n_samples=200)
     fine = capon_integral_ipnc(theo, COMPLEMENT, n_samples=400)
     rel = np.linalg.norm(fine - base) / np.linalg.norm(base)
@@ -227,7 +214,7 @@ def test_capon_integral_quadrature_refinement_is_stable():
 
 
 def test_capon_integral_rejects_bad_intervals():
-    ident = sample_covariance(np.eye(4, dtype=complex))
+    ident = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
         capon_integral_ipnc(ident, ((0.5, 0.1),))
     with pytest.raises(ValueError):

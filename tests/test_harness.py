@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamlab
 from beamlab import (
     ConfigError,
     default_config,
@@ -45,6 +47,18 @@ def test_benchmark_tracer_targets_resolve_in_harness():
     assert names
     for name in names:
         assert callable(getattr(harness, name, None)), name
+
+
+def test_all_lists_exactly_the_public_names():
+    # A stale __all__ entry breaks ``from beamlab import *``, and a public
+    # name missing from __all__ is left out of it.
+    exec("from beamlab import *", {})
+    public = {
+        name
+        for name, value in vars(beamlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(beamlab.__all__) - {"__version__"} == public
 
 
 def test_default_config_tables():

@@ -3,21 +3,17 @@
 import numpy as np
 import pytest
 
+import oracle
 from beamlab import (
-    ArrayGeometry,
     LcsspConfig,
     NoConvergenceError,
-    Scenario,
     build_projection,
-    generate_snapshots,
     lcssp_weights,
     normalized_error,
     reconstruct_ipnc,
-    sample_covariance,
     select_dimension,
     steering_matrix,
     steering_vector,
-    theoretical_covariance,
 )
 
 INTERFERERS = np.deg2rad([-30.0, 30.0])
@@ -123,17 +119,8 @@ def test_select_dimension_no_convergence_reports_best():
 def test_reconstruct_ipnc_takes_physical_block():
     cfg = _config()
     proj = build_projection(cfg, 20)
-    sc = Scenario(
-        soi_direction_true=0.0,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=INTERFERERS,
-        interferer_directions_nominal=INTERFERERS,
-        soi_power=10.0,
-        interferer_powers=np.array([1000.0, 1000.0]),
-        noise_power=1.0,
-        geometry=ArrayGeometry(10),
-    )
-    r20 = theoretical_covariance(sc, 20)
+    directions, powers = [0.0, *INTERFERERS], [10.0, 1000.0, 1000.0]
+    r20 = oracle.covariance(directions, powers, oracle.positions(20))
     rec = reconstruct_ipnc(proj, r20, 10)
     assert rec.shape == (10, 10)
     full = proj.matrix @ r20 @ proj.matrix.conj().T
@@ -142,23 +129,14 @@ def test_reconstruct_ipnc_takes_physical_block():
         with pytest.raises(ValueError):
             reconstruct_ipnc(proj, r20, m)
     with pytest.raises(ValueError):
-        reconstruct_ipnc(proj, theoretical_covariance(sc, 10), 10)
+        reconstruct_ipnc(proj, oracle.covariance(directions, powers, oracle.positions(10)), 10)
 
 
 def test_lcssp_weights_satisfy_constraint():
     cfg = _config()
     proj = build_projection(cfg, 20)
-    sc = Scenario(
-        soi_direction_true=0.0,
-        soi_direction_presumed=0.0,
-        interferer_directions_true=INTERFERERS,
-        interferer_directions_nominal=INTERFERERS,
-        soi_power=10.0,
-        interferer_powers=np.array([100.0, 100.0]),
-        noise_power=1.0,
-        geometry=ArrayGeometry(10),
-    )
-    scm = sample_covariance(generate_snapshots(sc, 20, 50, seed=8))
+    x = oracle.snapshots([0.0, *INTERFERERS], [10.0, 100.0, 100.0], oracle.positions(20), 50, 8)
+    scm = oracle.sample_covariance(x)
     rec = reconstruct_ipnc(proj, scm, 10)
     a = steering_vector(0.0, 10)
     w = lcssp_weights(rec, a)

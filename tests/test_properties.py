@@ -14,26 +14,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from beamlab import (
-    ArrayGeometry,
     ConfigError,
     LcsspConfig,
-    Scenario,
     SingularCovarianceError,
     build_projection,
     conditioned_matrix,
     default_config,
     distortionless_solve,
     emit_csv,
-    generate_snapshots,
     normalize_config,
     optimal_weights,
     output_sinr,
     run_experiment,
-    sample_covariance,
     select_dimension,
     steering_vector,
-    true_ipnc,
 )
 from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
@@ -167,22 +163,14 @@ def test_eigenvalue_condition_check_matches_svd(data, n):
 def test_output_sinr_never_exceeds_optimal(soi, interferers, snr_db, inr_db, seed):
     rng = np.random.default_rng(seed)
     m = 10
-    perr = np.concatenate(([0.0], rng.uniform(-0.05, 0.05, m - 1)))
-    scenario = Scenario(
-        soi_direction_true=np.deg2rad(soi),
-        soi_direction_presumed=0.0,
-        interferer_directions_true=np.deg2rad(interferers),
-        interferer_directions_nominal=np.deg2rad(interferers),
-        soi_power=10.0 ** (snr_db / 10.0),
-        interferer_powers=np.full(len(interferers), 10.0 ** (inr_db / 10.0)),
-        noise_power=1.0,
-        geometry=ArrayGeometry(m, perr),
-    )
-    ipnc = true_ipnc(scenario, m)
-    tsv = steering_vector(scenario.soi_direction_true, m, scenario.geometry)
-    best = output_sinr(optimal_weights(ipnc, tsv), scenario.soi_power, tsv, ipnc)
+    pos = oracle.positions(m, np.concatenate(([0.0], rng.uniform(-0.05, 0.05, m - 1))))
+    soi_power = 10.0 ** (snr_db / 10.0)
+    inr_powers = [10.0 ** (inr_db / 10.0)] * len(interferers)
+    ipnc = oracle.covariance(np.deg2rad(interferers), inr_powers, pos)
+    tsv = oracle.steering([np.deg2rad(soi)], pos)[:, 0]
+    best = output_sinr(optimal_weights(ipnc, tsv), soi_power, tsv, ipnc)
     weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    assert output_sinr(weights, scenario.soi_power, tsv, ipnc) <= best + 1e-9
+    assert output_sinr(weights, soi_power, tsv, ipnc) <= best + 1e-9
 
 
 # Swept grid field of each SINR experiment.
@@ -272,8 +260,8 @@ def test_trial_prefix_and_worker_split_invariance(data, experiment, seed, trials
 
 
 def _direct_points(config, x_values, trials, n_generate):
-    """Per-point construction of a chunk's inputs: one Scenario, draw and
-    covariance per (trial, x), as the harness built them point by point.
+    """Per-point construction of a chunk's inputs: one oracle draw and
+    covariance per (trial, x).
 
     Yields (covariance, SCM, true IPNC, true steering vector, SOI power);
     the SCM is the leading block of the covariance.
@@ -281,7 +269,7 @@ def _direct_points(config, x_values, trials, n_generate):
     m = config.m
     for trial in trials:
         soi_true, int_true, perr, snap_seed = _draw_mismatch(config, trial)
-        geometry = ArrayGeometry(m, perr)
+        pos = oracle.positions(n_generate, perr)
         for x in x_values:
             snr_db, inr_db, k = config.snr_grid_db[0], config.inr_grid_db[0], config.k_grid[0]
             if config.experiment == "sinr_vs_snr":
@@ -290,23 +278,15 @@ def _direct_points(config, x_values, trials, n_generate):
                 inr_db = float(x)
             else:
                 k = int(x)
-            scenario = Scenario(
-                soi_direction_true=soi_true,
-                soi_direction_presumed=np.deg2rad(config.presumed_soi_deg),
-                interferer_directions_true=int_true,
-                interferer_directions_nominal=np.deg2rad(config.interferers_deg),
-                soi_power=10.0 ** (snr_db / 10.0),
-                interferer_powers=np.full(len(int_true), 10.0 ** (inr_db / 10.0)),
-                noise_power=1.0,
-                geometry=geometry,
-            )
-            cov = sample_covariance(generate_snapshots(scenario, n_generate, k, snap_seed))
+            powers = [10.0 ** (snr_db / 10.0)] + [10.0 ** (inr_db / 10.0)] * len(int_true)
+            snapshots = oracle.snapshots([soi_true, *int_true], powers, pos, k, snap_seed)
+            cov = oracle.sample_covariance(snapshots)
             yield (
                 cov,
                 cov[:m, :m],
-                true_ipnc(scenario, m),
-                steering_vector(soi_true, m, geometry),
-                scenario.soi_power,
+                oracle.covariance(int_true, powers[1:], pos[:m]),
+                oracle.steering([soi_true], pos[:m])[:, 0],
+                powers[0],
             )
 
 
@@ -342,7 +322,7 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     # its trial's normals; the covariances must still be the per-point
     # draw up to rounding. The true IPNC, steering vector and SOI power
     # come from one array product per chunk, and those must equal the
-    # per-point construction (``true_ipnc`` of the point) bit for bit.
+    # per-point construction (the oracle's covariance) bit for bit.
     config = data.draw(sweep_configs(experiment))
     x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
     trials = range(first, first + n_trials)
