@@ -86,6 +86,15 @@ def test_selection_zeros_closed_form():
     assert zeros[0] == pytest.approx(-np.pi / 2, abs=1e-14)
 
 
+def test_selection_zeros_count_and_sorting():
+    for n in (2, 7, 10, 20, 40):
+        for phi0 in (0.0, 0.17, -0.35):
+            zeros = selection_zeros(phi0, n)
+            assert len(zeros) == n - 1
+            assert np.all(np.diff(zeros) > 0)
+            assert np.all(np.abs(zeros) <= np.pi / 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=MAX_DIMENSION),
