@@ -5,11 +5,7 @@ Each weight function returns the complex vector w, with w^H a = 1 exactly.
 Every function here also takes a (B, n, n) stack of covariances, with a
 (B, n) stack of steering vectors or one shared (n,) vector, and returns
 (B, n) weights from one batched LAPACK call per step; a single matrix is
-the batch of one. A failing item raises, unless the caller passes a
-``failures`` dict: then the item's exception is stored under its batch
-index (the first one per item wins), its matrix is replaced by the
-identity so later batched calls stay well posed, and its result must be
-ignored.
+the batch of one. A failing item raises for the whole stack.
 """
 
 import numpy as np
@@ -26,13 +22,6 @@ def _as_stack(matrix):
     """(B, n, n) view of a matrix or a stack, and whether it was one matrix."""
     matrix = np.asarray(matrix)
     return (matrix[None], True) if matrix.ndim == 2 else (matrix, False)
-
-
-def record_failure(failures, index, error):
-    """Store ``error`` for batch item ``index``, or raise it without a record."""
-    if failures is None:
-        raise error
-    failures.setdefault(int(index), error)
 
 
 def _eigvalsh(stack):
@@ -61,7 +50,7 @@ def _condition_numbers(eigenvalues):
         return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest)
 
 
-def conditioned_matrix(matrix, failures=None, *, eigenvalues=None):
+def conditioned_matrix(matrix, *, eigenvalues=None):
     """Return a solvable Hermitian matrix, loading the diagonal once if needed.
 
     Condition number above COND_LIMIT triggers a single retry with
@@ -81,13 +70,13 @@ def conditioned_matrix(matrix, failures=None, *, eigenvalues=None):
     trace = np.trace(stack[idx], axis1=-2, axis2=-1).real
     loaded = stack[idx] + (LOADING_FLOOR * trace / n)[:, None, None] * np.eye(n)
     cond = _condition_numbers(_eigvalsh(loaded))
+    failing = cond[~(cond <= COND_LIMIT)]
+    if failing.size:
+        raise SingularCovarianceError(
+            f"covariance condition number {failing[0]:.3e} exceeds {COND_LIMIT:.0e} after loading"
+        )
     out = stack.copy()
     out[idx] = loaded
-    for i, c in zip(idx, cond):
-        if not c <= COND_LIMIT:
-            message = f"covariance condition number {c:.3e} exceeds {COND_LIMIT:.0e} after loading"
-            record_failure(failures, i, SingularCovarianceError(message))
-            out[i] = np.eye(n)
     return out[0] if single else out
 
 
@@ -96,7 +85,7 @@ def inner(u, v):
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def distortionless_solve(matrix, sv_values, failures=None, *, eigenvalues=None):
+def distortionless_solve(matrix, sv_values, *, eigenvalues=None):
     """w = R^-1 a / (a^H R^-1 a), with R^-1 a from one batched solve.
 
     The solve runs one LAPACK call per item and forms no inverse. The
@@ -105,32 +94,29 @@ def distortionless_solve(matrix, sv_values, failures=None, *, eigenvalues=None):
     """
     stack, single = _as_stack(matrix)
     svs = np.broadcast_to(sv_values, stack.shape[:-1])
-    solvable = conditioned_matrix(stack, failures, eigenvalues=eigenvalues)
+    solvable = conditioned_matrix(stack, eigenvalues=eigenvalues)
     u = np.linalg.solve(solvable, svs[..., None])[..., 0]
     den = inner(svs, u)
-    for i in np.flatnonzero(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
-        record_failure(
-            failures, i, SingularCovarianceError("steering vector lies in the solve nullspace")
-        )
-        den[i] = 1.0
+    if np.any(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
+        raise SingularCovarianceError("steering vector lies in the solve nullspace")
     w = u / den[:, None]
     return w[0] if single else w
 
 
-def optimal_weights(ipnc, true_sv, failures=None):
+def optimal_weights(ipnc, true_sv):
     """MVDR weights from the true IPNC and true steering vector.
 
     The evaluation ceiling: maximizes output SINR over all weight vectors.
     """
-    return distortionless_solve(ipnc, true_sv, failures)
+    return distortionless_solve(ipnc, true_sv)
 
 
-def scm_mvdr_weights(scm, presumed_sv, failures=None, *, eigenvalues=None):
+def scm_mvdr_weights(scm, presumed_sv, *, eigenvalues=None):
     """Plain sample-matrix-inversion MVDR against the presumed direction."""
-    return distortionless_solve(scm, presumed_sv, failures, eigenvalues=eigenvalues)
+    return distortionless_solve(scm, presumed_sv, eigenvalues=eigenvalues)
 
 
-def diagonal_loading_weights(scm, presumed_sv, loading=None, failures=None, *, eigenvalues=None):
+def diagonal_loading_weights(scm, presumed_sv, loading=None, *, eigenvalues=None):
     """MVDR on R + loading I; default loading is 10x the smallest eigenvalue.
 
     The smallest SCM eigenvalue estimates the noise floor; it is clipped
@@ -149,7 +135,7 @@ def diagonal_loading_weights(scm, presumed_sv, loading=None, failures=None, *, e
     n = stack.shape[-1]
     shifted = None if eigenvalues is None else eigenvalues + loading[:, None]
     loaded = stack + loading[:, None, None] * np.eye(n)
-    w = distortionless_solve(loaded, presumed_sv, failures, eigenvalues=shifted)
+    w = distortionless_solve(loaded, presumed_sv, eigenvalues=shifted)
     return w[0] if single else w
 
 
@@ -177,7 +163,7 @@ def _diagonal_sums(stack):
     return padded.reshape(b, -1)[:, : n * (2 * n - 1)].reshape(b, n, 2 * n - 1).sum(axis=1)
 
 
-def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None, *, eigenvalues=None):
+def capon_integral_ipnc(scm, sector_complement, n_samples=200, *, eigenvalues=None):
     """Reconstruct the IPNC by integrating a(theta) a^H(theta) / capon(theta).
 
     Midpoint quadrature over the union of ``sector_complement`` intervals
@@ -203,7 +189,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None, *,
     total = sum(hi - lo for lo, hi in intervals)
     stack, single = _as_stack(scm)
     n = stack.shape[-1]
-    rinv = np.linalg.inv(conditioned_matrix(stack, failures, eigenvalues=eigenvalues))
+    rinv = np.linalg.inv(conditioned_matrix(stack, eigenvalues=eigenvalues))
     midpoints = []
     deltas = []
     for lo, hi in intervals:
@@ -224,9 +210,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200, failures=None, *,
     return ipnc[0] if single else ipnc
 
 
-def capon_integral_weights(
-    scm, presumed_sv, sector_complement, n_samples=200, failures=None, *, eigenvalues=None
-):
+def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200, *, eigenvalues=None):
     """MVDR weights against the Capon-integral reconstructed IPNC."""
-    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples, failures, eigenvalues=eigenvalues)
-    return distortionless_solve(ipnc, presumed_sv, failures)
+    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples, eigenvalues=eigenvalues)
+    return distortionless_solve(ipnc, presumed_sv)

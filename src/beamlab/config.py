@@ -226,7 +226,7 @@ def _as_int(value, name, minimum=None):
 def _as_float(value, name):
     try:
         out = float(_not_bool(value))
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be a number, got {value!r}") from err
     if not np.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -243,7 +243,7 @@ def _as_float_list(value, name):
     items = _as_list(value, name)
     try:
         out = [float(_not_bool(v)) for v in items]
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from err
     if not out:
         raise ConfigError(f"{name} must be nonempty")

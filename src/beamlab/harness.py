@@ -73,7 +73,8 @@ TRIAL_CHUNK = 16
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
 
-_TRIAL_ERRORS = (SingularCovarianceError, np.linalg.LinAlgError)
+# A nonpositive output power raises ValueError.
+_TRIAL_ERRORS = (SingularCovarianceError, np.linalg.LinAlgError, ValueError)
 # (getter, setter) symbol names of OpenBLAS's thread count: the
 # scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -303,59 +304,46 @@ def _draw_points(config, x_values, trials, n_generate):
     return _Points(cov, ipnc, tsv, np.tile(powers[:, 0], len(trials)), shared)
 
 
-def _shared_optimal_weights(points, failures):
-    """Optimal weights of a stack, solved once per run of ``points.shared``
-    points; a failed solve is recorded at every point of its run."""
-    r = points.shared
-    per_run = None if failures is None else {}
-    w = optimal_weights(points.ipnc[::r], points.tsv[::r], per_run)
-    for run, error in (per_run or {}).items():
-        for b in range(run * r, run * r + r):
-            failures.setdefault(b, error)
-    return np.repeat(w, r, axis=0)
-
-
-def _method_sinr(method, points, presumed, complement, projection, failures):
+def _method_sinr(method, points, presumed, complement, projection):
     """Weights and output SINRs of one method at every point of the stack."""
     if method == "optimal":
-        w = _shared_optimal_weights(points, failures)
+        r = points.shared
+        w = np.repeat(optimal_weights(points.ipnc[::r], points.tsv[::r]), r, axis=0)
     elif method == "scm_mvdr":
-        w = scm_mvdr_weights(points.scm, presumed, failures, eigenvalues=points.scm_eigenvalues)
+        w = scm_mvdr_weights(points.scm, presumed, eigenvalues=points.scm_eigenvalues)
     elif method == "diagonal_loading":
-        w = diagonal_loading_weights(
-            points.scm, presumed, failures=failures, eigenvalues=points.scm_eigenvalues
-        )
+        w = diagonal_loading_weights(points.scm, presumed, eigenvalues=points.scm_eigenvalues)
     elif method == "capon_integral":
         w = capon_integral_weights(
-            points.scm, presumed, complement, failures=failures, eigenvalues=points.scm_eigenvalues
+            points.scm, presumed, complement, eigenvalues=points.scm_eigenvalues
         )
     else:
         m = points.scm.shape[-1]
-        w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed, failures)
-    return w, output_sinr(w, points.soi_power, points.tsv, points.ipnc, failures)
+        w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed)
+    return w, output_sinr(w, points.soi_power, points.tsv, points.ipnc)
 
 
 def _point_values(method, points, presumed, complement, projection):
     """(weights, SINRs, {point index: error text}) of one method over a stack.
 
-    A point that fails gets nan, and so does a non-finite SINR, so a nan
-    value always has a failure record. If LAPACK rejects a whole batch in
-    a way the per-point checks did not foresee, the stack is redone one
-    point at a time; batch-of-one results equal the batched ones bit for
-    bit, so only the offending point is lost.
+    The only place where an exception becomes a point's failure. The
+    library raises for a whole stack if any item fails; the stack is then
+    redone one point at a time, and batch-of-one results equal the
+    batched ones bit for bit, so only the failing points are lost. A
+    failed point gets nan, and so does a non-finite SINR, so a nan value
+    always has a failure record.
     """
     args = (presumed, complement, projection)
     failures = {}
     try:
-        w, sinr = _method_sinr(method, points, *args, failures)
+        w, sinr = _method_sinr(method, points, *args)
     except _TRIAL_ERRORS:
         w = np.zeros(points.tsv.shape, dtype=complex)
         sinr = np.full(len(points), np.nan)
-        failures = {}
         for b in range(len(points)):
             try:
-                w_b, sinr_b = _method_sinr(method, points[b : b + 1], *args, None)
-            except _TRIAL_ERRORS + (ValueError,) as err:
+                w_b, sinr_b = _method_sinr(method, points[b : b + 1], *args)
+            except _TRIAL_ERRORS as err:
                 failures[b] = err
                 continue
             w[b], sinr[b] = w_b[0], sinr_b[0]

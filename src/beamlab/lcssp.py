@@ -163,9 +163,9 @@ def reconstruct_ipnc(projection, cov_l, m):
     return hermitize((c[:m] @ cov_l @ c.conj().T)[..., :m])
 
 
-def lcssp_weights(ipnc, presumed_sv, failures=None):
+def lcssp_weights(ipnc, presumed_sv):
     """MVDR weights against the reconstructed IPNC; w^H a = 1 exactly.
 
     Takes a stack like ``baselines.distortionless_solve``.
     """
-    return distortionless_solve(ipnc, presumed_sv, failures)
+    return distortionless_solve(ipnc, presumed_sv)

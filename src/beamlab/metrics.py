@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from .baselines import inner, record_failure
+from .baselines import inner
 
 
-def output_sinr(weights, soi_power, true_sv, ipnc, failures=None):
+def output_sinr(weights, soi_power, true_sv, ipnc):
     """Output SINR in dB against the true steering vector and true IPNC.
 
     10 log10( soi_power |w^H a|^2 / (w^H R w) ); the denominator uses the
@@ -14,19 +14,15 @@ def output_sinr(weights, soi_power, true_sv, ipnc, failures=None):
 
     Also takes (B, n) weights with (B,) powers, (B, n) steering vectors
     and (B, n, n) IPNCs and returns (B,) values; a nonpositive
-    denominator raises ValueError, or with a ``failures`` dict is stored
-    under the item's index (see ``baselines``) and gives nan.
+    denominator at any item raises ValueError for the whole stack.
     """
     w = np.asarray(weights)
     num = soi_power * np.abs(inner(w, true_sv)) ** 2
     den = inner(w, (ipnc @ w[..., None])[..., 0]).real
-    bad = den <= 0
-    for i in np.flatnonzero(np.atleast_1d(bad)):
-        record_failure(
-            failures, i, ValueError("nonpositive interference-plus-noise power; weights invalid")
-        )
+    if np.any(den <= 0):
+        raise ValueError("nonpositive interference-plus-noise power; weights invalid")
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(bad, np.nan, 10.0 * np.log10(num / den))
+        sinr = 10.0 * np.log10(num / den)
     return float(sinr) if w.ndim == 1 else sinr
 
 

@@ -24,6 +24,7 @@ from beamlab import (
     steering_vector,
 )
 from beamlab import harness
+from beamlab.baselines import LOADING_FLOOR
 from beamlab.config import (
     MAX_DIMENSION,
     MAX_GRID_POINTS,
@@ -209,6 +210,9 @@ def test_normalize_config_rejects_bad_values():
         ("interferers_deg", [40.0] * (MAX_INTERFERERS + 1)),
         ("doa_mismatch_halfwidth_deg", 85.0),
         ("trials", float("inf")),
+        # Integers too large for a float, as a JSON config can hold them.
+        ("delta", 10**400),
+        ("snr_grid_db", [10**400]),
         # JSON booleans are not numbers.
         ("trials", True),
         ("seed", False),
@@ -772,6 +776,39 @@ def test_failing_points_do_not_touch_the_rest_of_the_stack():
             assert errors[b].startswith(prefix), (method, errors[b])
         assert np.isfinite(sinr).sum() == len(points) - len(expected)
         _assert_batch_of_one(method, points, context, w, sinr, errors)
+
+
+def test_single_snapshot_points_fail_on_their_own_at_a_large_aperture():
+    # No patching: at m = l = 128 a one-snapshot SCM, and the IPNC LCSSP
+    # reconstructs from it, stay singular after loading. Only those points
+    # fail, and the k = 50 points of the same stacks keep their bits.
+    cfg = _small(
+        "sinr_vs_snapshots",
+        m=128,
+        l=128,
+        k_grid=[1, 50],
+        trials=2,
+        methods=["optimal", "scm_mvdr", "lcssp"],
+    )
+    res = run_experiment(cfg)
+    failures = res.diagnostics["failures"]
+    expected = {(meth, t, 1.0) for meth in ("scm_mvdr", "lcssp") for t in range(2)}
+    assert {(rec["method"], rec["trial"], rec["x"]) for rec in failures} == expected
+    assert len(failures) == len(expected)
+    prefix = "SingularCovarianceError: covariance condition number "
+    for rec in failures:
+        assert rec["error"].startswith(prefix), rec["error"]
+        assert rec["error"].endswith(" exceeds 1e+12 after loading"), rec["error"]
+        # A rank-one covariance loaded by LOADING_FLOOR * trace / m has a
+        # condition number of about m / LOADING_FLOOR (here 1.281e+12);
+        # its last digits follow the rounding of the zero eigenvalues.
+        cond = float(rec["error"][len(prefix) :].split()[0])
+        assert cond == pytest.approx(cfg.m / LOADING_FLOOR, rel=1e-2)
+    assert res.n_ok["optimal"].tolist() == [2, 2]
+    cfg.k_grid = [50]
+    alone = run_experiment(cfg)
+    for meth in res.methods:
+        np.testing.assert_array_equal(_bits(res.raw[meth][1:]), _bits(alone.raw[meth]))
 
 
 def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
