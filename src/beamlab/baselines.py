@@ -50,30 +50,37 @@ def _condition_numbers(eigenvalues):
         return np.where(smallest == 0, np.inf, mags.max(axis=-1) / smallest)
 
 
-def conditioned_matrix(matrix, *, eigenvalues=None):
+def conditioned_matrix(matrix):
     """Return a solvable Hermitian matrix, loading the diagonal once if needed.
 
     Condition number above COND_LIMIT triggers a single retry with
     LOADING_FLOOR * trace/n added to the diagonal; still singular raises.
-    One batched eigvalsh checks a whole stack, or the caller passes the
-    stack's ascending ``eigenvalues``, and only the items that fail are
-    loaded. Returns ``matrix`` itself when nothing was loaded.
+    A finite stack with positive traces passes whole if one batched
+    Cholesky of R - tau I, tau = 2 trace / COND_LIMIT, succeeds: every
+    eigenvalue then exceeds tau and none exceeds the trace, so the
+    condition number is below COND_LIMIT / 2. Otherwise one batched
+    eigvalsh checks the stack, and only the items that fail are loaded.
+    Returns ``matrix`` itself when nothing was loaded.
     """
     stack, single = _as_stack(matrix)
-    if eigenvalues is None:
-        eigenvalues = _eigvalsh(stack)
-    need = ~(_condition_numbers(np.atleast_2d(eigenvalues)) <= COND_LIMIT)
+    n = stack.shape[-1]
+    trace = np.trace(stack, axis1=-2, axis2=-1).real
+    if np.isfinite(stack).all() and np.all(trace > 0):
+        try:
+            np.linalg.cholesky(stack - (2 * trace / COND_LIMIT)[:, None, None] * np.eye(n))
+            return matrix
+        except np.linalg.LinAlgError:
+            pass
+    need = ~(_condition_numbers(_eigvalsh(stack)) <= COND_LIMIT)
     if not need.any():
         return matrix
-    n = stack.shape[-1]
     idx = np.flatnonzero(need)
-    trace = np.trace(stack[idx], axis1=-2, axis2=-1).real
-    loaded = stack[idx] + (LOADING_FLOOR * trace / n)[:, None, None] * np.eye(n)
+    loaded = stack[idx] + (LOADING_FLOOR * trace[idx] / n)[:, None, None] * np.eye(n)
     cond = _condition_numbers(_eigvalsh(loaded))
     failing = cond[~(cond <= COND_LIMIT)]
     if failing.size:
         raise SingularCovarianceError(
-            f"covariance condition number {failing[0]:.3e} exceeds {COND_LIMIT:.0e} after loading"
+            f"covariance condition number {failing[0]:.6e} exceeds {COND_LIMIT:.0e} after loading"
         )
     out = stack.copy()
     out[idx] = loaded
@@ -85,16 +92,15 @@ def inner(u, v):
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def distortionless_solve(matrix, sv_values, *, eigenvalues=None):
+def distortionless_solve(matrix, sv_values):
     """w = R^-1 a / (a^H R^-1 a), with R^-1 a from one batched solve.
 
     The solve runs one LAPACK call per item and forms no inverse. The
-    normalization makes w^H a = 1 exact in floating point. Given the
-    matrix's ascending ``eigenvalues``, the condition check reuses them.
+    normalization makes w^H a = 1 exact in floating point.
     """
     stack, single = _as_stack(matrix)
     svs = np.broadcast_to(sv_values, stack.shape[:-1])
-    solvable = conditioned_matrix(stack, eigenvalues=eigenvalues)
+    solvable = conditioned_matrix(stack)
     u = np.linalg.solve(solvable, svs[..., None])[..., 0]
     den = inner(svs, u)
     if np.any(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
@@ -111,31 +117,20 @@ def optimal_weights(ipnc, true_sv):
     return distortionless_solve(ipnc, true_sv)
 
 
-def scm_mvdr_weights(scm, presumed_sv, *, eigenvalues=None):
+def scm_mvdr_weights(scm, presumed_sv):
     """Plain sample-matrix-inversion MVDR against the presumed direction."""
-    return distortionless_solve(scm, presumed_sv, eigenvalues=eigenvalues)
+    return distortionless_solve(scm, presumed_sv)
 
 
-def diagonal_loading_weights(scm, presumed_sv, loading=None, *, eigenvalues=None):
-    """MVDR on R + loading I; default loading is 10x the smallest eigenvalue.
+def diagonal_loading_weights(scm, presumed_sv):
+    """MVDR on R + loading I, the loading 10x the smallest eigenvalue.
 
     The smallest SCM eigenvalue estimates the noise floor; it is clipped
     at zero so a rank-deficient SCM cannot produce negative loading.
-    R + loading I has the SCM's ascending ``eigenvalues`` (passed, or
-    computed for the default level) plus the loading; its check reuses them.
     """
     stack, single = _as_stack(scm)
-    if eigenvalues is None and loading is None:
-        eigenvalues = _eigvalsh(stack)
-    if loading is None:
-        loading = 10.0 * np.maximum(eigenvalues[..., 0], 0.0)
-    loading = np.broadcast_to(np.asarray(loading, dtype=float), stack.shape[:1])
-    if np.any(loading < 0):
-        raise ValueError("loading must be nonnegative")
-    n = stack.shape[-1]
-    shifted = None if eigenvalues is None else eigenvalues + loading[:, None]
-    loaded = stack + loading[:, None, None] * np.eye(n)
-    w = distortionless_solve(loaded, presumed_sv, eigenvalues=shifted)
+    loading = 10.0 * np.maximum(_eigvalsh(stack)[:, 0], 0.0)
+    w = distortionless_solve(stack + loading[:, None, None] * np.eye(stack.shape[-1]), presumed_sv)
     return w[0] if single else w
 
 
@@ -163,14 +158,13 @@ def _diagonal_sums(stack):
     return padded.reshape(b, -1)[:, : n * (2 * n - 1)].reshape(b, n, 2 * n - 1).sum(axis=1)
 
 
-def capon_integral_ipnc(scm, sector_complement, n_samples=200, *, eigenvalues=None):
+def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     """Reconstruct the IPNC by integrating a(theta) a^H(theta) / capon(theta).
 
     Midpoint quadrature over the union of ``sector_complement`` intervals
     (radians), with points allocated to intervals proportionally to their
     length. capon(theta) is the Capon spectrum a^H R^-1 a of the supplied
-    covariance, whose ascending ``eigenvalues`` the condition check
-    reuses if given.
+    covariance.
 
     The array is the nominal half-wavelength ULA, a(theta)_p =
     e^{i pi p sin theta} / sqrt(n), so a a^H is Toeplitz: entry (p, q) is
@@ -189,7 +183,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200, *, eigenvalues=No
     total = sum(hi - lo for lo, hi in intervals)
     stack, single = _as_stack(scm)
     n = stack.shape[-1]
-    rinv = np.linalg.inv(conditioned_matrix(stack, eigenvalues=eigenvalues))
+    rinv = np.linalg.inv(conditioned_matrix(stack))
     midpoints = []
     deltas = []
     for lo, hi in intervals:
@@ -210,7 +204,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200, *, eigenvalues=No
     return ipnc[0] if single else ipnc
 
 
-def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200, *, eigenvalues=None):
+def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200):
     """MVDR weights against the Capon-integral reconstructed IPNC."""
-    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples, eigenvalues=eigenvalues)
+    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples)
     return distortionless_solve(ipnc, presumed_sv)

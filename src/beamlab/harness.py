@@ -26,7 +26,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .array_model import (
 )
 from .baselines import (
     SingularCovarianceError,
-    _eigvalsh,
     capon_integral_weights,
     diagonal_loading_weights,
     optimal_weights,
@@ -232,11 +231,6 @@ class _Points:
         m = self.tsv.shape[-1]
         return self.cov[:, :m, :m]
 
-    @cached_property
-    def scm_eigenvalues(self):
-        """Ascending SCM eigenvalues: one eigvalsh shared by the SCM methods."""
-        return _eigvalsh(self.scm)
-
     def __getitem__(self, index):
         """The points at ``index``, each with its own optimal-weight solve."""
         return _Points(self.cov[index], self.ipnc[index], self.tsv[index], self.soi_power[index])
@@ -310,13 +304,11 @@ def _method_sinr(method, points, presumed, complement, projection):
         r = points.shared
         w = np.repeat(optimal_weights(points.ipnc[::r], points.tsv[::r]), r, axis=0)
     elif method == "scm_mvdr":
-        w = scm_mvdr_weights(points.scm, presumed, eigenvalues=points.scm_eigenvalues)
+        w = scm_mvdr_weights(points.scm, presumed)
     elif method == "diagonal_loading":
-        w = diagonal_loading_weights(points.scm, presumed, eigenvalues=points.scm_eigenvalues)
+        w = diagonal_loading_weights(points.scm, presumed)
     elif method == "capon_integral":
-        w = capon_integral_weights(
-            points.scm, presumed, complement, eigenvalues=points.scm_eigenvalues
-        )
+        w = capon_integral_weights(points.scm, presumed, complement)
     else:
         m = points.scm.shape[-1]
         w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed)

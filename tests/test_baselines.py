@@ -1,8 +1,10 @@
 """Baseline beamformers, conditioning policy, sector-integral reconstruction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -18,7 +20,7 @@ from beamlab import (
     steering_matrix,
     steering_vector,
 )
-from beamlab.baselines import _eigvalsh
+from beamlab.baselines import COND_LIMIT
 
 # Total angular measure of [-90, -6] and [6, 90] degrees in radians;
 # quadrature weights must sum to it for any sample budget.
@@ -164,46 +166,103 @@ def test_diagonal_loading_default_level():
     level = 10.0 * max(np.linalg.eigvalsh(scm)[0], 0.0)
     np.testing.assert_allclose(
         diagonal_loading_weights(scm, a),
-        diagonal_loading_weights(scm, a, loading=level),
+        distortionless_solve(scm + level * np.eye(10), a),
         atol=1e-14,
     )
 
 
-def _outcome(weights, stack, a, **kw):
-    """The weights of a stack, or the text of the error it raises."""
+def _conditioned(matrix):
+    """``conditioned_matrix``'s result, or the text of the error it raises."""
     try:
-        return weights(stack, a, **kw)
+        return conditioned_matrix(matrix)
     except SingularCovarianceError as err:
         return str(err)
 
 
-@pytest.mark.parametrize(
-    "weights",
-    [
-        scm_mvdr_weights,
-        diagonal_loading_weights,
-        lambda scm, a, **kw: diagonal_loading_weights(scm, a, loading=1.0, **kw),
-        lambda scm, a, **kw: capon_integral_weights(scm, a, COMPLEMENT, **kw),
-    ],
-    ids=["scm_mvdr", "diagonal_loading", "diagonal_loading_fixed", "capon_integral"],
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    log_cond=st.floats(10.5, 13.0),
+    log_scale=st.floats(-6.0, 6.0),
+    indefinite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_passed_eigenvalues_change_nothing(weights):
-    # A well-conditioned SCM and a rank-3 one (K < n), then a zero one that
-    # fails. With a fixed loading and no eigenvalues, the check of
-    # R + loading I runs its own eigvalsh, which the shifted SCM
-    # eigenvalues must match.
-    stack = np.stack([_scm(50, seed=5), _scm(3, seed=6)])
-    a = steering_vector(0.0, 10)
-    w_plain = weights(stack, a)
-    w_shared = weights(stack, a, eigenvalues=_eigvalsh(stack))
-    np.testing.assert_array_equal(w_shared, w_plain)
-    stack = np.concatenate((stack, np.zeros((1, 10, 10), dtype=complex)))
-    plain = _outcome(weights, stack, a)
-    shared = _outcome(weights, stack, a, eigenvalues=_eigvalsh(stack))
-    if isinstance(plain, str):
-        assert shared == plain
+@example(n=10, log_cond=13.0, log_scale=0.0, indefinite=False, seed=0)  # loads
+@example(n=2, log_cond=10.5, log_scale=0.0, indefinite=False, seed=0)  # screen passes
+def test_cholesky_screen_decides_like_the_eigenvalue_check(
+    n, log_cond, log_scale, indefinite, seed
+):
+    # R = Q diag(lambda) Q^H with eigenvalue magnitudes from 1 down to
+    # 1 / cond, times a scale; the smallest is negated for an indefinite R.
+    # With the Cholesky screen forced to fail, conditioned_matrix runs its
+    # eigvalsh check alone; the screen must not change a single bit, an
+    # error text or whether R itself comes back. A stack that holds R
+    # beside a well-conditioned matrix mixes passing and loading items
+    # whenever R loads.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = 10.0 ** np.concatenate(([0.0, -log_cond], rng.uniform(-log_cond, 0.0, n - 2)))
+    if indefinite:
+        lam[1] = -lam[1]
+
+    def hermitian(eigenvalues):
+        r = 10.0**log_scale * (q * eigenvalues) @ q.conj().T
+        return (r + r.conj().T) / 2
+
+    real_cholesky = np.linalg.cholesky
+    passes = []
+
+    def screen(a):
+        factor = real_cholesky(a)
+        passes.append(len(a))
+        return factor
+
+    r = hermitian(lam)
+    for matrix in (r, np.stack([hermitian(np.linspace(1.0, 2.0, n)), r])):
+        with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
+            reference = _conditioned(matrix)
+        passes.clear()
+        with mock.patch.object(np.linalg, "cholesky", screen):
+            got = _conditioned(matrix)
+        if isinstance(reference, str):
+            assert got == reference
+            continue
+        assert got.shape == reference.shape and got.tobytes() == reference.tobytes()
+        assert (got is matrix) == (reference is matrix)
+        if passes:
+            assert got is matrix
+            assert np.all(np.linalg.cond(matrix) <= COND_LIMIT)
+
+
+def _with_entry(row, col, value):
+    r = np.eye(3, dtype=complex)
+    r[row, col] = value
+    return r
+
+
+@pytest.mark.parametrize(
+    ("matrix", "expected"),
+    [
+        (_with_entry(2, 0, np.nan), "covariance condition number nan exceeds"),
+        (_with_entry(2, 0, np.inf), "covariance condition number nan exceeds"),
+        (-np.eye(3, dtype=complex), "pass"),
+        (np.stack([np.eye(3), np.zeros((3, 3))]) + 0j, "covariance condition number inf"),
+    ],
+    ids=["nan", "inf", "negative_definite", "zero_item"],
+)
+def test_screen_leaves_nonfinite_and_nonpositive_trace_to_eigvalsh(matrix, expected):
+    # The screen runs only on finite stacks whose traces are all positive;
+    # the rest decide by eigenvalue magnitudes as without it. LAPACK's
+    # Cholesky factors a nan below the diagonal without complaint, so only
+    # the finiteness check makes such an item raise; -I passes as itself,
+    # since its condition number is 1.
+    got = _conditioned(matrix)
+    with mock.patch.object(np.linalg, "cholesky", side_effect=np.linalg.LinAlgError):
+        reference = _conditioned(matrix)
+    if expected == "pass":
+        assert got is matrix and reference is matrix
     else:
-        np.testing.assert_array_equal(shared, plain)
+        assert got == reference and got.startswith(expected), got
 
 
 def test_capon_integral_weight_normalization():

@@ -23,8 +23,8 @@ from beamlab import (
     run_experiment,
     steering_vector,
 )
-from beamlab import harness
-from beamlab.baselines import LOADING_FLOOR
+from beamlab import baselines, harness
+from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 from beamlab.config import (
     MAX_DIMENSION,
     MAX_GRID_POINTS,
@@ -39,15 +39,20 @@ from beamlab.harness import _draw_mismatch
 
 
 def test_benchmark_tracer_targets_resolve_in_harness():
-    # perfbench traces run_experiment and emit_csv as ("harness", name);
-    # if either leaves this module, its spans silently read zero.
+    # perfbench traces run_experiment and emit_csv as ("harness", name),
+    # and the conditioning, solve and weight functions as ("baselines",
+    # name); the conditioned_matrix, loads and per-method incl_s metrics
+    # rest on the latter. If one leaves its module, its spans silently
+    # read zero.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     tracer = {}  # run from its source text, so no bytecode is written there
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
-    names = [func for module, func in tracer["TARGETS"] if module == "harness"]
-    assert names
-    for name in names:
-        assert callable(getattr(harness, name, None)), name
+    for module in (harness, baselines):
+        short = module.__name__.rpartition(".")[2]
+        names = [func for mod, func in tracer["TARGETS"] if mod == short]
+        assert names, short
+        for name in names:
+            assert callable(getattr(module, name, None)), (short, name)
 
 
 def test_all_lists_exactly_the_public_names():
@@ -778,15 +783,18 @@ def test_failing_points_do_not_touch_the_rest_of_the_stack():
         _assert_batch_of_one(method, points, context, w, sinr, errors)
 
 
-def test_single_snapshot_points_fail_on_their_own_at_a_large_aperture():
-    # No patching: at m = l = 128 a one-snapshot SCM, and the IPNC LCSSP
-    # reconstructs from it, stay singular after loading. Only those points
-    # fail, and the k = 50 points of the same stacks keep their bits.
+@pytest.mark.parametrize(
+    ("m", "l", "k_grid"), [(128, 128, [1, 50]), (100, 110, [1, 5])], ids=["m128", "m100"]
+)
+def test_single_snapshot_points_fail_on_their_own_at_a_large_aperture(m, l, k_grid):
+    # No patching: at these apertures a one-snapshot SCM, and the IPNC
+    # LCSSP reconstructs from it, stay singular after loading. Only those
+    # points fail, and the other points of the same stacks keep their bits.
     cfg = _small(
         "sinr_vs_snapshots",
-        m=128,
-        l=128,
-        k_grid=[1, 50],
+        m=m,
+        l=l,
+        k_grid=k_grid,
         trials=2,
         methods=["optimal", "scm_mvdr", "lcssp"],
     )
@@ -800,12 +808,15 @@ def test_single_snapshot_points_fail_on_their_own_at_a_large_aperture():
         assert rec["error"].startswith(prefix), rec["error"]
         assert rec["error"].endswith(" exceeds 1e+12 after loading"), rec["error"]
         # A rank-one covariance loaded by LOADING_FLOOR * trace / m has a
-        # condition number of about m / LOADING_FLOOR (here 1.281e+12);
-        # its last digits follow the rounding of the zero eigenvalues.
+        # condition number of about m / LOADING_FLOOR (1.281e+12 at m 128,
+        # just above the limit at m 100); its last digits follow the
+        # rounding of the zero eigenvalues. The text shows enough of them
+        # to read as above the limit.
         cond = float(rec["error"][len(prefix) :].split()[0])
         assert cond == pytest.approx(cfg.m / LOADING_FLOOR, rel=1e-2)
+        assert cond > COND_LIMIT, rec["error"]
     assert res.n_ok["optimal"].tolist() == [2, 2]
-    cfg.k_grid = [50]
+    cfg.k_grid = k_grid[1:]
     alone = run_experiment(cfg)
     for meth in res.methods:
         np.testing.assert_array_equal(_bits(res.raw[meth][1:]), _bits(alone.raw[meth]))
