@@ -116,7 +116,7 @@ def build_parser():
     run.add_argument("--seed", default=None, help="master seed")
     run.add_argument("--trials", default=None, help="Monte Carlo trials")
     run.add_argument("--out", type=Path, default=Path.cwd(), help="output directory")
-    run.add_argument("--workers", default=1, help="parallel trial processes")
+    run.add_argument("--workers", default=1, help="parallel trial threads")
     dim = run.add_mutually_exclusive_group()
     dim.add_argument("--fix-l", default=None, dest="fix_l",
                      help="use this extended dimension")

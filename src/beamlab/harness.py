@@ -26,7 +26,7 @@ import ctypes
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,7 @@ from .metrics import (
 DOMINANCE_TOL_DB = 1e-6
 # Trials per task: each task stacks the points of this many trials and
 # runs every method over the stack in one batched call. Worker runs use
-# smaller chunks so that every worker gets one.
+# smaller chunks so that every worker thread gets one.
 TRIAL_CHUNK = 16
 # Rows per CSV write: a block's text is all of the file held in memory,
 # and one block amortizes the interpreter's cost per write.
@@ -351,7 +351,7 @@ def _failure(trial, x, method, error):
     return {"trial": trial, "x": float(x), "method": method, "error": error}
 
 
-def _run_chunk(task):
+def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
     """Monte Carlo trials ``trials`` across the whole x grid, batched.
 
     Returns (trials, values, failures, dominance violations). ``values``
@@ -359,9 +359,8 @@ def _run_chunk(task):
     beampattern experiment it holds the gain curves of the single
     operating point instead, one row per beampattern angle. A violation
     is a point where a method's SINR beats ``optimal``'s by more than
-    DOMINANCE_TOL_DB. Top-level so process pools can pick it up.
+    DOMINANCE_TOL_DB.
     """
-    config, x_values, projection, lcssp_error, n_generate, trials = task
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
     presumed = steering_vector(soi_nominal, config.m)
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
@@ -423,8 +422,8 @@ class _OneBlasThread:
     process runs, and gets the caller's thread count back when the last
     one ends, also on error.
 
-    Trials are the unit of parallelism: a threaded BLAS inside each pool
-    worker would oversubscribe the cores, and threaded zgemm rounds
+    Trials are the unit of parallelism: a threaded BLAS under each pool
+    thread would oversubscribe the cores, and threaded zgemm rounds
     differently from the single-threaded one. The setting is process-wide,
     so sweeps running at once in several threads share one save and
     restore, and other threads' BLAS calls also run at one thread
@@ -460,20 +459,6 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _one_blas_thread_in_worker():
-    """Pool initializer: pin a worker's OpenBLAS to one thread.
-
-    A spawned or forkserver worker starts a fresh OpenBLAS at its default
-    thread count. A forked one inherits the parent's pin and is left
-    alone: setting the count in a forked child restarts OpenBLAS's thread
-    pool at full size, and its idle threads spin on the cores the other
-    workers need.
-    """
-    controls = _openblas_threads()
-    if controls is not None and controls[0]() != 1:
-        controls[1](1)
-
-
 def run_experiment(config, workers=1):
     """Run the configured experiment and aggregate per-method results.
 
@@ -481,10 +466,13 @@ def run_experiment(config, workers=1):
     (seed, t) alone, and aggregation is order-insensitive, so any worker
     count yields identical results. Trials run in chunks of at most
     TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
-    processes maps the chunks; ``workers`` below 1 runs serially, and a
-    non-integer one is a ConfigError. OpenBLAS runs at one thread in every
-    process for the duration of the call (forked pool workers inherit the
-    pin, others set their own) and gets the caller's thread count back
+    threads maps the chunks; ``workers`` below 1 runs serially, and a
+    non-integer one is a ConfigError. Threads run the chunks in parallel
+    because a chunk's heavy work releases the GIL: the RNG fill of the
+    normals, BLAS products and numpy's batched LAPACK calls. If a chunk
+    raises, or the caller is interrupted, the queued chunks are cancelled
+    and the error propagates. OpenBLAS runs at one thread for the
+    duration of the call and gets the caller's thread count back
     afterwards, so the worker count is the only parallelism and the raw
     bits do not depend on the BLAS thread count. The thread count is a
     process-wide setting: while a sweep runs, the caller's other threads
@@ -502,18 +490,18 @@ def run_experiment(config, workers=1):
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
     with _one_blas_thread:
         projection, epsilon, lcssp_error, n_generate = _resolve_lcssp(config)
-        tasks = [
-            (config, x_values, projection, lcssp_error, n_generate, trials) for trials in chunks
-        ]
+        run_chunk = partial(_run_chunk, config, x_values, projection, lcssp_error, n_generate)
         if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # serial runs never pay its import
+            from concurrent.futures import ThreadPoolExecutor  # serial runs never pay its import
 
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_one_blas_thread_in_worker
-            ) as pool:
-                outcomes = list(pool.map(_run_chunk, tasks))
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
+                outcomes = list(pool.map(run_chunk, chunks))
+            finally:
+                # After an error or an interrupt, the queued chunks never run.
+                pool.shutdown(cancel_futures=True)
         else:
-            outcomes = [_run_chunk(task) for task in tasks]
+            outcomes = [run_chunk(trials) for trials in chunks]
     if spec.grid is None:
         x_values = beampattern_grid_deg()
     return _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error)

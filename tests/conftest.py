@@ -14,8 +14,7 @@ def negative_ipnc(monkeypatch):
     so each of them fails in ``output_sinr`` whatever the order of the
     arithmetic, and no other point fails. Where a trial's points share
     their IPNC, the optimal weights of the whole trial come from its
-    first point. Call the fixture with the set of points; the patch lives
-    in this process only.
+    first point. Call the fixture with the set of points.
     """
 
     def poison(points_to_fail):

@@ -1,9 +1,7 @@
 """Experiment configs, Monte Carlo driver, aggregation, CSV emission."""
 
 import concurrent.futures
-import functools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -335,11 +333,11 @@ def test_blas_thread_pin_is_scoped(monkeypatch):
     seen = []
     run_chunk = harness._run_chunk
 
-    def recording(task):
+    def recording(*args):
         seen.append(get_threads())
-        return run_chunk(task)
+        return run_chunk(*args)
 
-    def failing(task):
+    def failing(*args):
         raise RuntimeError("chunk failed")
 
     try:
@@ -366,7 +364,7 @@ def test_concurrent_sweeps_share_one_pin(monkeypatch):
     seen = []
     run_chunk = harness._run_chunk
 
-    def gated(task):
+    def gated(*args):
         if threading.current_thread() is not threading.main_thread():
             a_running.set()
             assert a_may_end.wait(60)
@@ -374,7 +372,7 @@ def test_concurrent_sweeps_share_one_pin(monkeypatch):
             a_may_end.set()
             sweep_a[0].result()
             seen.append(get_threads())
-        return run_chunk(task)
+        return run_chunk(*args)
 
     try:
         set_threads(2)
@@ -390,26 +388,87 @@ def test_concurrent_sweeps_share_one_pin(monkeypatch):
         set_threads(caller)
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_workers_pin_blas_under_any_start_method(monkeypatch, method):
-    # A spawned or forkserver worker starts a fresh OpenBLAS at
-    # OPENBLAS_NUM_THREADS threads instead of inheriting the parent's pin.
-    _blas_controls()
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method on this platform")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        functools.partial(
-            concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)
-        ),
-    )
+def test_worker_threads_run_at_one_blas_thread(monkeypatch):
+    # Pool threads share the process's OpenBLAS, so the sweep's pin holds
+    # for them and a parallel sweep keeps the serial sweep's bits.
+    get_threads, set_threads = _blas_controls()
+    caller = get_threads()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    seen = []
+    run_chunk = harness._run_chunk
+
+    def recording(*args):
+        seen.append((threading.current_thread() is threading.main_thread(), get_threads()))
+        return run_chunk(*args)
+
     cfg = _small("sinr_vs_snapshots", k_grid=[50, 500])
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=2)
+    try:
+        set_threads(2)
+        serial = run_experiment(cfg, workers=1)
+        monkeypatch.setattr(harness, "_run_chunk", recording)
+        parallel = run_experiment(cfg, workers=2)
+        assert get_threads() == 2
+    finally:
+        set_threads(caller)
+    assert len(seen) == 2 and set(seen) == {(False, 1)}
     for meth in serial.methods:
         np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
+
+
+def test_more_worker_threads_than_cores_match_serial(monkeypatch):
+    # Six threads on one-trial chunks, switched every few microseconds: a
+    # buffer or cache shared between chunks would show in the bits.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
+    cfg = _small("sinr_vs_snapshots", trials=6, k_grid=[5, 50, 500])
+    serial = run_experiment(cfg, workers=1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        parallel = run_experiment(cfg, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    for meth in serial.methods:
+        np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
+    assert parallel.diagnostics == serial.diagnostics
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failing_chunk_cancels_queued_chunks(monkeypatch, error):
+    # Chunk 0 raises while the other chunks hold both pool threads until
+    # the sweep shuts the pool down: the chunks still queued by then must
+    # never run. A worker's KeyboardInterrupt reaches the caller through
+    # the same wait as an interrupt of the caller itself.
+    controls = harness._openblas_threads()
+    caller = controls[0]() if controls else None
+    release = threading.Event()
+    started = []
+    run_chunk = harness._run_chunk
+
+    class ReleasingPool(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def blocking(*args):
+        trials = args[-1]
+        started.append(trials[0])
+        if trials[0] == 0:
+            raise error("chunk 0 failed")
+        assert release.wait(60)
+        return run_chunk(*args)
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
+    monkeypatch.setattr(harness, "_run_chunk", blocking)
+    with pytest.raises(error, match="chunk 0 failed"):
+        run_experiment(_small(trials=6), workers=2)
+    # Chunk 0, then at most one blocked chunk per thread; 6 were scheduled.
+    assert 0 in started and len(started) <= 3
+    if controls:
+        assert controls[0]() == caller
 
 
 def test_grid_power_mapping_exact_for_optimal():
@@ -571,23 +630,18 @@ def test_output_sinr_failure_is_recorded_per_point(negative_ipnc):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
 
     sizes = []
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         self.sizes.append(max_workers)
-        if initializer is not None:
-            initializer()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, tasks):
         return map(fn, tasks)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 @pytest.mark.parametrize(
@@ -608,7 +662,7 @@ class _RecordingPool:
     ],
 )
 def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, expected):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     cfg = _small(trials=trials, methods=["optimal", "scm_mvdr"])
@@ -674,8 +728,9 @@ def _bits(a):
 
 
 def _check_chunking(tmp_path, monkeypatch, cfg):
-    """Run ``cfg`` in default chunks, on two workers and in chunks of 1 and
-    2 trials: raw bits, diagnostics and CSV bytes must all agree."""
+    """Run ``cfg`` in default chunks, on two worker threads and in chunks of
+    1 and 2 trials: raw bits, diagnostics and CSV bytes must all agree."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
 
     def run(name, workers=1):
         res = run_experiment(cfg, workers=workers)
@@ -717,11 +772,8 @@ def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, override
 
 
 def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_ipnc):
+    # The pool's threads see the patched draw too.
     negative_ipnc({(1, 0), (2, 1), (4, 0)})
-    # The patched draw lives in this process only: split the chunks for
-    # two workers, but run them here.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
     reference = _check_chunking(tmp_path, monkeypatch, _small(trials=5))
     failed = {(rec["trial"], rec["x"]) for rec in reference.diagnostics["failures"]}
     assert failed == {(1, 0.0), (2, 10.0), (4, 0.0)}
