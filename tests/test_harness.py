@@ -1,7 +1,9 @@
 """Experiment configs, Monte Carlo driver, aggregation, CSV emission."""
 
 import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -411,6 +413,35 @@ def test_worker_threads_run_at_one_blas_thread(monkeypatch):
     finally:
         set_threads(caller)
     assert len(seen) == 2 and set(seen) == {(False, 1)}
+    for meth in serial.methods:
+        np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_pin_blas_under_any_start_method(monkeypatch, method):
+    # A spawned or forkserver process would start a fresh OpenBLAS at
+    # OPENBLAS_NUM_THREADS threads instead of inheriting the sweep's pin;
+    # whatever start method a process pool would use, --workers starts no
+    # process and keeps the serial sweep's bits.
+    _blas_controls()
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    context = multiprocessing.get_context(method)
+
+    def no_process(self):
+        raise AssertionError("--workers started a process")
+
+    monkeypatch.setattr(context.Process, "start", no_process)
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context),
+    )
+    cfg = _small("sinr_vs_snapshots", k_grid=[50, 500])
+    serial = run_experiment(cfg, workers=1)
+    parallel = run_experiment(cfg, workers=2)
     for meth in serial.methods:
         np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
 
