@@ -2,10 +2,10 @@
 
 Each weight function returns the complex vector w, with w^H a = 1 exactly.
 
-Every function here also takes a (B, n, n) stack of covariances, with a
-(B, n) stack of steering vectors or one shared (n,) vector, and returns
-(B, n) weights from one batched LAPACK call per step; a single matrix is
-the batch of one. A failing item raises for the whole stack.
+Every function here takes an (..., n, n) stack of covariances over any
+leading axes, with steering vectors that broadcast to (..., n), and
+returns (..., n) weights from one batched LAPACK call per step; a single
+matrix gives a single result. A failing item raises for the whole stack.
 """
 
 import numpy as np
@@ -16,12 +16,6 @@ LOADING_FLOOR = 1e-10
 
 class SingularCovarianceError(RuntimeError):
     """Covariance stayed numerically singular after the loading retry."""
-
-
-def _as_stack(matrix):
-    """(B, n, n) view of a matrix or a stack, and whether it was one matrix."""
-    matrix = np.asarray(matrix)
-    return (matrix[None], True) if matrix.ndim == 2 else (matrix, False)
 
 
 def _eigvalsh(stack):
@@ -62,29 +56,28 @@ def conditioned_matrix(matrix):
     eigvalsh checks the stack, and only the items that fail are loaded.
     Returns ``matrix`` itself when nothing was loaded.
     """
-    stack, single = _as_stack(matrix)
-    n = stack.shape[-1]
-    trace = np.trace(stack, axis1=-2, axis2=-1).real
-    if np.isfinite(stack).all() and np.all(trace > 0):
+    matrix = np.asarray(matrix)
+    n = matrix.shape[-1]
+    trace = np.trace(matrix, axis1=-2, axis2=-1).real
+    if np.isfinite(matrix).all() and np.all(trace > 0):
         try:
-            np.linalg.cholesky(stack - (2 * trace / COND_LIMIT)[:, None, None] * np.eye(n))
+            np.linalg.cholesky(matrix - (2 * trace / COND_LIMIT)[..., None, None] * np.eye(n))
             return matrix
         except np.linalg.LinAlgError:
             pass
-    need = ~(_condition_numbers(_eigvalsh(stack)) <= COND_LIMIT)
+    need = ~(_condition_numbers(_eigvalsh(matrix)) <= COND_LIMIT)
     if not need.any():
         return matrix
-    idx = np.flatnonzero(need)
-    loaded = stack[idx] + (LOADING_FLOOR * trace[idx] / n)[:, None, None] * np.eye(n)
+    loaded = matrix[need] + (LOADING_FLOOR * trace[need] / n)[:, None, None] * np.eye(n)
     cond = _condition_numbers(_eigvalsh(loaded))
     failing = cond[~(cond <= COND_LIMIT)]
     if failing.size:
         raise SingularCovarianceError(
             f"covariance condition number {failing[0]:.6e} exceeds {COND_LIMIT:.0e} after loading"
         )
-    out = stack.copy()
-    out[idx] = loaded
-    return out[0] if single else out
+    out = matrix.copy()
+    out[need] = loaded
+    return out
 
 
 def inner(u, v):
@@ -98,15 +91,13 @@ def distortionless_solve(matrix, sv_values):
     The solve runs one LAPACK call per item and forms no inverse. The
     normalization makes w^H a = 1 exact in floating point.
     """
-    stack, single = _as_stack(matrix)
-    svs = np.broadcast_to(sv_values, stack.shape[:-1])
-    solvable = conditioned_matrix(stack)
-    u = np.linalg.solve(solvable, svs[..., None])[..., 0]
+    matrix = np.asarray(matrix)
+    svs = np.broadcast_to(sv_values, matrix.shape[:-1])
+    u = np.linalg.solve(conditioned_matrix(matrix), svs[..., None])[..., 0]
     den = inner(svs, u)
     if np.any(~np.isfinite(den.real) | (np.abs(den) < 1e-300)):
         raise SingularCovarianceError("steering vector lies in the solve nullspace")
-    w = u / den[:, None]
-    return w[0] if single else w
+    return u / den[..., None]
 
 
 def optimal_weights(ipnc, true_sv):
@@ -128,10 +119,9 @@ def diagonal_loading_weights(scm, presumed_sv):
     The smallest SCM eigenvalue estimates the noise floor; it is clipped
     at zero so a rank-deficient SCM cannot produce negative loading.
     """
-    stack, single = _as_stack(scm)
-    loading = 10.0 * np.maximum(_eigvalsh(stack)[:, 0], 0.0)
-    w = distortionless_solve(stack + loading[:, None, None] * np.eye(stack.shape[-1]), presumed_sv)
-    return w[0] if single else w
+    scm = np.asarray(scm)
+    loading = 10.0 * np.maximum(_eigvalsh(scm)[..., 0], 0.0)
+    return distortionless_solve(scm + loading[..., None, None] * np.eye(scm.shape[-1]), presumed_sv)
 
 
 def _validate_intervals(sector_complement):
@@ -145,17 +135,18 @@ def _validate_intervals(sector_complement):
 
 
 def _diagonal_sums(stack):
-    """(B, 2n - 1) sums of each diagonal q - p = n - 1, ..., -(n - 1) of a
-    (B, n, n) stack, each a plain sequential sum over p.
+    """(..., 2n - 1) sums of each diagonal q - p = n - 1, ..., -(n - 1) of an
+    (..., n, n) stack, each a plain sequential sum over p.
 
     Row p of the column-reversed stack, padded to 2n entries, is laid out
     again at 2n - 1 entries per row, which shifts it right by p: column r
     then holds entry (p, n - 1 - r + p), on diagonal n - 1 - r.
     """
-    b, n, _ = stack.shape
-    padded = np.zeros((b, n, 2 * n), dtype=stack.dtype)
-    padded[:, :, :n] = stack[:, :, ::-1]
-    return padded.reshape(b, -1)[:, : n * (2 * n - 1)].reshape(b, n, 2 * n - 1).sum(axis=1)
+    *lead, n, _ = stack.shape
+    padded = np.zeros((*lead, n, 2 * n), dtype=stack.dtype)
+    padded[..., :n] = stack[..., ::-1]
+    flat = padded.reshape(*lead, -1)[..., : n * (2 * n - 1)]
+    return flat.reshape(*lead, n, 2 * n - 1).sum(axis=-2)
 
 
 def capon_integral_ipnc(scm, sector_complement, n_samples=200):
@@ -181,9 +172,8 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
         raise ValueError("need at least two quadrature points")
     intervals = _validate_intervals(sector_complement)
     total = sum(hi - lo for lo, hi in intervals)
-    stack, single = _as_stack(scm)
-    n = stack.shape[-1]
-    rinv = np.linalg.inv(conditioned_matrix(stack))
+    n = np.shape(scm)[-1]
+    rinv = np.linalg.inv(conditioned_matrix(scm))
     midpoints = []
     deltas = []
     for lo, hi in intervals:
@@ -195,13 +185,12 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     fourier = np.exp(1j * np.pi * lags[:, None] * np.sin(np.concatenate(midpoints))) / n
     # Each product runs once per item, (1, .) @ (., .), so no item's bits
     # depend on the batch around it.
-    capon = (_diagonal_sums(rinv)[:, None, :] @ fourier)[:, 0].real
+    capon = (_diagonal_sums(rinv)[..., None, :] @ fourier)[..., 0, :].real
     weights = np.concatenate(deltas) / capon
-    lower = (weights[:, None, :] @ fourier[:n].T)[:, 0]  # lags n - 1, ..., 0
-    entries = np.concatenate((lower, lower[:, -2::-1].conj()), axis=1)
+    lower = (weights[..., None, :] @ fourier[:n].T)[..., 0, :]  # lags n - 1, ..., 0
+    entries = np.concatenate((lower, lower[..., -2::-1].conj()), axis=-1)
     p = np.arange(n)
-    ipnc = entries[:, n - 1 - p[:, None] + p]  # exactly Hermitian
-    return ipnc[0] if single else ipnc
+    return entries[..., n - 1 - p[:, None] + p]  # exactly Hermitian
 
 
 def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200):

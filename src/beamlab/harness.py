@@ -1,8 +1,8 @@
 """Monte Carlo driver: trial draws, batched sweeps, aggregation, CSV emission.
 
 ``run_experiment`` runs one experiment of ``config.EXPERIMENTS``. Its
-trials run in chunks, each across the whole x grid: a chunk draws every
-point's inputs, runs each method as one batched call over the stack,
+trials run in chunks: a chunk draws the inputs of its (trial, x) points
+for the whole x grid, runs each method as one batched call over them,
 and returns one (x, method, trial) block of values with its failures.
 ``_aggregate`` folds the blocks into one (x, method, trial) table and
 its statistics, of which the ``SweepResult`` dicts are per-method views,
@@ -211,32 +211,41 @@ def _draw_mismatch(config, trial):
 
 @dataclass(frozen=True, eq=False)
 class _Points:
-    """Inputs of a chunk's trial points, stacked in (trial, x) order."""
+    """Inputs of a chunk's points on its (trial, x) axes.
 
-    cov: np.ndarray  # (B, L, L) extended sample covariances
-    ipnc: np.ndarray  # (B, m, m) true IPNCs
-    tsv: np.ndarray  # (B, m) true steering vectors
-    soi_power: np.ndarray  # (B,)
-    # Runs of this many consecutive points share one true IPNC and true
-    # steering vector, so the optimal weights are solved once per run.
-    shared: int = 1
+    A size-1 axis holds one value shared by every point along it: a
+    trial's true steering vector serves every x, and so does its true
+    IPNC unless an interferer power changes with x.
+    """
+
+    cov: np.ndarray  # (T, X, L, L) extended sample covariances
+    ipnc: np.ndarray  # (T, 1 or X, m, m) true IPNCs
+    tsv: np.ndarray  # (T, 1, m) true steering vectors
+    soi_power: np.ndarray  # (1, X)
+
+    @property
+    def shape(self):
+        """(trials, x values) of the chunk."""
+        return self.cov.shape[:2]
 
     @property
     def scm(self):
-        """(B, m, m) sample covariances of the physical rows, a view of ``cov``.
+        """(T, X, m, m) sample covariances of the physical rows, a view of ``cov``.
 
         The first m rows of an L-element draw are the m-element draw, so
         the SCM is the leading block of the extended covariance.
         """
         m = self.tsv.shape[-1]
-        return self.cov[:, :m, :m]
+        return self.cov[..., :m, :m]
 
     def __getitem__(self, index):
-        """The points at ``index``, each with its own optimal-weight solve."""
-        return _Points(self.cov[index], self.ipnc[index], self.tsv[index], self.soi_power[index])
+        """Point (t, ix) as a (1, 1) stack of its own."""
+        t, ix = index
 
-    def __len__(self):
-        return len(self.soi_power)
+        def point(a):
+            return np.broadcast_to(a, (*self.shape, *a.shape[2:]))[t : t + 1, ix : ix + 1]
+
+        return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
 
 
 def _draw_points(config, x_values, trials, n_generate):
@@ -248,8 +257,9 @@ def _draw_points(config, x_values, trials, n_generate):
     for the sources it sets, the first entry of every other grid. One
     steering stack over the extended aperture mixes the draws; one over
     the physical aperture holds each trial's true steering vector
-    (column 0), and its interferer columns and the power table give every
-    point's true IPNC in one ``_source_covariance`` call. A point's
+    (column 0), and its interferer columns and the power table give the
+    true IPNCs in one ``_source_covariance`` call: one per trial, or one
+    per point if an interferer power changes with x. A point's
     snapshots would be B Z, with Z the draw's complex normals (source
     waveforms, then noise) and B = [A, I] diag(a) for the steering
     matrix A and the amplitudes a = sqrt(power / 2), so its covariance
@@ -288,21 +298,19 @@ def _draw_points(config, x_values, trials, n_generate):
             z_conj = np.conjugate(z, out=conjugate[: z.size].reshape(z.shape))
             gram.append(z @ z_conj.T / z.shape[1])
         cov.append(hermitize(b @ np.stack(gram) @ np.swapaxes(b, -1, -2).conj()))
-    cov = np.concatenate(cov)
     # A trial's points share its true IPNC unless an interferer power
-    # changes with x; the IPNC is formed once per run of shared points.
-    shared = n_x if np.all(powers[:, 1:] == powers[0, 1:]) else 1
-    ipnc = _source_covariance(physical[:, None, :, 1:], powers[::shared, 1:], 1.0)
-    ipnc = np.repeat(ipnc.reshape(-1, m, m), shared, axis=0)
-    tsv = np.repeat(physical[:, :, 0], n_x, axis=0)
-    return _Points(cov, ipnc, tsv, np.tile(powers[:, 0], len(trials)), shared)
+    # changes with x. The IPNC and steering vector are made C-contiguous:
+    # BLAS rounds output_sinr's products by their memory layout.
+    int_powers = powers[:, 1:] if np.any(powers[:, 1:] != powers[0, 1:]) else powers[:1, 1:]
+    ipnc = np.ascontiguousarray(_source_covariance(physical[:, None, :, 1:], int_powers, 1.0))
+    tsv = np.ascontiguousarray(physical[:, None, :, 0])
+    return _Points(np.stack(cov), ipnc, tsv, powers[None, :, 0])
 
 
 def _method_sinr(method, points, presumed, complement, projection):
     """Weights and output SINRs of one method at every point of the stack."""
     if method == "optimal":
-        r = points.shared
-        w = np.repeat(optimal_weights(points.ipnc[::r], points.tsv[::r]), r, axis=0)
+        w = optimal_weights(points.ipnc, points.tsv)
     elif method == "scm_mvdr":
         w = scm_mvdr_weights(points.scm, presumed)
     elif method == "diagonal_loading":
@@ -316,35 +324,35 @@ def _method_sinr(method, points, presumed, complement, projection):
 
 
 def _point_values(method, points, presumed, complement, projection):
-    """(weights, SINRs, {point index: error text}) of one method over a stack.
+    """(weights, SINRs, {(t, ix): error text}) of one method over a chunk's points.
 
     The only place where an exception becomes a point's failure. The
     library raises for a whole stack if any item fails; the stack is then
     redone one point at a time, and batch-of-one results equal the
     batched ones bit for bit, so only the failing points are lost. A
-    failed point gets nan, and so does a non-finite SINR, so a nan value
-    always has a failure record.
+    failed point gets nan and zero weights, and so does a non-finite
+    SINR, so a nan value always has a failure record.
     """
     args = (presumed, complement, projection)
     failures = {}
     try:
         w, sinr = _method_sinr(method, points, *args)
     except _TRIAL_ERRORS:
-        w = np.zeros(points.tsv.shape, dtype=complex)
-        sinr = np.full(len(points), np.nan)
-        for b in range(len(points)):
+        w = np.zeros(points.scm.shape[:-1], dtype=complex)
+        sinr = np.full(points.shape, np.nan)
+        for index in np.ndindex(points.shape):
             try:
-                w_b, sinr_b = _method_sinr(method, points[b : b + 1], *args)
+                w_i, sinr_i = _method_sinr(method, points[index], *args)
             except _TRIAL_ERRORS as err:
-                failures[b] = err
+                failures[index] = err
                 continue
-            w[b], sinr[b] = w_b[0], sinr_b[0]
-    for b in np.flatnonzero(~np.isfinite(sinr)):
-        failures.setdefault(int(b), ValueError(f"non-finite output SINR {sinr[b]} dB"))
-    failed = sorted(failures)
+            w[index], sinr[index] = w_i[0, 0], sinr_i[0, 0]
+    failed = ~np.isfinite(sinr)
+    for index in zip(*np.nonzero(failed)):
+        failures.setdefault(index, ValueError(f"non-finite output SINR {sinr[index]} dB"))
     sinr[failed] = np.nan
-    w[failed] = 0.0
-    return w, sinr, {b: f"{type(err).__name__}: {err}" for b, err in failures.items()}
+    w = np.where(failed[..., None], 0.0, w)
+    return w, sinr, {index: f"{type(err).__name__}: {err}" for index, err in failures.items()}
 
 
 def _failure(trial, x, method, error):
@@ -366,32 +374,30 @@ def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
     points = _draw_points(config, x_values, trials, n_generate)
     methods = config.methods
-    # Row b is the stack's point (trial b // n_x, x b % n_x); column j is methods[j].
-    weights = np.zeros((len(points), len(methods), config.m), dtype=complex)
-    sinr = np.full((len(points), len(methods)), np.nan)
+    # Item (t, ix, j) is trial trials[t] at x_values[ix] under methods[j].
+    weights = np.zeros((*points.shape, len(methods), config.m), dtype=complex)
+    sinr = np.full((*points.shape, len(methods)), np.nan)
     failures = []
     for j, meth in enumerate(methods):
         if meth == "lcssp" and projection is None:
-            errors = dict.fromkeys(range(len(points)), lcssp_error)
+            errors = dict.fromkeys(np.ndindex(points.shape), lcssp_error)
         else:
-            weights[:, j], sinr[:, j], errors = _point_values(
+            weights[..., j, :], sinr[..., j], errors = _point_values(
                 meth, points, presumed, complement, projection
             )
-        for b, error in errors.items():
-            t, ix = divmod(b, len(x_values))
+        for (t, ix), error in errors.items():
             failures.append(_failure(trials[t], x_values[ix], meth, error))
     violations = 0
     if "optimal" in methods:
         # Strictly greater, so the optimal column never counts against itself.
-        best = sinr[:, methods.index("optimal"), None]
+        best = sinr[..., methods.index("optimal"), None]
         violations = int(np.sum(sinr > best + DOMINANCE_TOL_DB))
     if EXPERIMENTS[config.experiment].grid is None:
         steer = steering_matrix(default_beampattern_grid(), config.m)
-        gains = pattern_gains_db(weights, steer)  # (trials, methods, angles)
-        gains[np.isnan(sinr)] = np.nan
-        return trials, gains.transpose(2, 1, 0), failures, violations
-    values = sinr.reshape(len(trials), len(x_values), len(methods))
-    return trials, values.transpose(1, 2, 0), failures, violations
+        gains = pattern_gains_db(weights[:, 0], steer)  # (trials, methods, angles)
+        gains[np.isnan(sinr[:, 0])] = np.nan
+        return trials, gains.T, failures, violations
+    return trials, sinr.transpose(1, 2, 0), failures, violations
 
 
 @cache

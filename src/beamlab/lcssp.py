@@ -152,8 +152,8 @@ def reconstruct_ipnc(projection, cov_l, m):
     Only the m rows C_m R_L C^H are formed (C_m: the first m rows of C),
     not the L x L product; with all of C on the right, BLAS rounds the
     block as it does the leading block of a larger m, which it does not
-    for C_m R_L C_m^H. ``cov_l`` may be a (B, L, L) stack; the result is
-    then (B, m, m).
+    for C_m R_L C_m^H. ``cov_l`` may be an (..., L, L) stack; the result is
+    then (..., m, m).
     """
     if cov_l.shape[-2:] != projection.matrix.shape:
         raise ValueError("covariance dimension must match the projector")

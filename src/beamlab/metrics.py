@@ -12,9 +12,10 @@ def output_sinr(weights, soi_power, true_sv, ipnc):
     interference-plus-noise covariance only, so the optimal weights
     maximize this over all w.
 
-    Also takes (B, n) weights with (B,) powers, (B, n) steering vectors
-    and (B, n, n) IPNCs and returns (B,) values; a nonpositive
-    denominator at any item raises ValueError for the whole stack.
+    Also takes (..., n) weights, (...) powers, (..., n) steering vectors
+    and (..., n, n) IPNCs whose leading axes broadcast together, and
+    returns the broadcast values; a nonpositive denominator at any item
+    raises ValueError for the whole stack.
     """
     w = np.asarray(weights)
     num = soi_power * np.abs(inner(w, true_sv)) ** 2

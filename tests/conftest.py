@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ def negative_ipnc(monkeypatch):
 
     Every method's output power w^H R w is then negative at those points,
     so each of them fails in ``output_sinr`` whatever the order of the
-    arithmetic, and no other point fails. Where a trial's points share
-    their IPNC, the optimal weights of the whole trial come from its
-    first point. Call the fixture with the set of points.
+    arithmetic, and no other point fails. The draw's IPNCs are first
+    expanded to one per (trial, x) point, so a trial's other points keep
+    their own. Call the fixture with the set of points.
     """
 
     def poison(points_to_fail):
@@ -22,11 +24,12 @@ def negative_ipnc(monkeypatch):
 
         def poisoned(config, x_values, trials, n_generate):
             points = draw(config, x_values, trials, n_generate)
+            ipnc = np.broadcast_to(points.ipnc, (*points.shape, config.m, config.m)).copy()
             for t, trial in enumerate(trials):
                 for ix in range(len(x_values)):
                     if (trial, ix) in points_to_fail:
-                        points.ipnc[t * len(x_values) + ix] = -np.eye(config.m)
-            return points
+                        ipnc[t, ix] = -np.eye(config.m)
+            return dataclasses.replace(points, ipnc=ipnc)
 
         monkeypatch.setattr(harness, "_draw_points", poisoned)
 

@@ -60,7 +60,7 @@ def test_first_element_stays_reference_under_position_errors():
     config.position_error_halfwidth_wl = 0.2
     config = normalize_config(config)
     points = harness._draw_points(config, np.array([0.0, 10.0]), range(4), config.l)
-    np.testing.assert_array_equal(points.tsv[:, 0], 1 / np.sqrt(config.m))
+    np.testing.assert_array_equal(points.tsv[..., 0], 1 / np.sqrt(config.m))
 
 
 def test_steering_rejects_out_of_range_angles():

@@ -41,10 +41,10 @@ def _scm(k, seed):
     return oracle.sample_covariance(x)
 
 
-def _random_covariances(rng, n, count):
-    """``count`` random Hermitian positive definite n x n matrices."""
+def _random_covariances(rng, n, shape):
+    """A ``shape`` stack of random Hermitian positive definite n x n matrices."""
     k = 2 * n
-    x = rng.standard_normal((count, n, k)) + 1j * rng.standard_normal((count, n, k))
+    x = rng.standard_normal((*shape, n, k)) + 1j * rng.standard_normal((*shape, n, k))
     return x @ np.swapaxes(x, -1, -2).conj() / k + 0.1 * np.eye(n)
 
 
@@ -64,7 +64,7 @@ def test_capon_integral_matches_direct_sum(n, seed, edges, sides, n_samples):
     left = (-np.pi / 2, center - halfwidth)
     right = (center + halfwidth, np.pi / 2)
     complement = {"both": (left, right), "left": (left,), "right": (right,)}[sides]
-    r = _random_covariances(np.random.default_rng(seed), n, 1)[0]
+    r = _random_covariances(np.random.default_rng(seed), n, (1,))[0]
     got = capon_integral_ipnc(r, complement, n_samples)
     rinv = np.linalg.inv(r)
     total = sum(hi - lo for lo, hi in complement)
@@ -80,12 +80,14 @@ def test_capon_integral_matches_direct_sum(n, seed, edges, sides, n_samples):
     np.testing.assert_array_equal(got, got.conj().T)
 
 
-@pytest.mark.parametrize("batch", [1, 7, 144])
-def test_capon_integral_item_bits_do_not_depend_on_the_batch(batch):
-    stack = _random_covariances(np.random.default_rng(batch), 10, batch)
+@pytest.mark.parametrize("shape", [(1,), (7,), (144,), (3, 1, 4)], ids=["1", "7", "144", "3x1x4"])
+def test_capon_integral_item_bits_do_not_depend_on_the_batch(shape):
+    # Any leading axes, a size-1 axis among them, leave each item's bits alone.
+    stack = _random_covariances(np.random.default_rng(np.prod(shape)), 10, shape)
     together = capon_integral_ipnc(stack, COMPLEMENT)
-    for b in range(batch):
-        np.testing.assert_array_equal(together[b], capon_integral_ipnc(stack[b], COMPLEMENT))
+    for index in np.ndindex(shape):
+        alone = capon_integral_ipnc(stack[index], COMPLEMENT)
+        np.testing.assert_array_equal(together[index], alone)
 
 
 def test_distortionless_solve_matches_direct_inverse():

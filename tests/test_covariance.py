@@ -41,7 +41,9 @@ def test_theoretical_covariance_structure():
     # IPNC's trace, and unit noise adds one per element.
     ipnc = _points("sinr_vs_inr", [0.0, 20.0, 40.0]).ipnc
     np.testing.assert_array_equal(ipnc, np.swapaxes(ipnc, -1, -2).conj())
-    expected = np.tile(2 * 10.0 ** np.r_[0.0, 2.0, 4.0] + 10, 3)
+    # The interferer power changes with x, so every (trial, x) point has its own.
+    assert ipnc.shape[:2] == (3, 3)
+    expected = np.tile(2 * 10.0 ** np.r_[0.0, 2.0, 4.0] + 10, (3, 1))
     np.testing.assert_allclose(np.trace(ipnc, axis1=-2, axis2=-1).real, expected, rtol=1e-12)
 
 

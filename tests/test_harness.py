@@ -1,6 +1,7 @@
 """Experiment configs, Monte Carlo driver, aggregation, CSV emission."""
 
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -571,16 +572,17 @@ def test_dominance_accounting_on_clean_run():
 
 
 def test_dominance_violations_count_the_points_that_beat_optimal(monkeypatch):
-    # SINRs of 1000 dB planted at points b = trial * 2 + x index of the one
-    # chunk: scm_mvdr beats optimal at points 1 and 4, lcssp at point 3. At
-    # point 5 scm_mvdr ties with optimal, which is no violation, and optimal
+    # SINRs of 1000 dB planted at (trial, x index) points of the one chunk:
+    # scm_mvdr beats optimal at (0, 1) and (2, 0), lcssp at (1, 1). At
+    # (2, 1) scm_mvdr ties with optimal, which is no violation, and optimal
     # never counts against itself.
-    planted = {"optimal": [5], "scm_mvdr": [1, 4, 5], "lcssp": [3]}
+    planted = {"optimal": [(2, 1)], "scm_mvdr": [(0, 1), (2, 0), (2, 1)], "lcssp": [(1, 1)]}
     point_values = harness._point_values
 
     def planting(method, *args):
         w, sinr, errors = point_values(method, *args)
-        sinr[planted.get(method, [])] = 1e3
+        for index in planted.get(method, []):
+            sinr[index] = 1e3
         return w, sinr, errors
 
     monkeypatch.setattr(harness, "_point_values", planting)
@@ -835,34 +837,45 @@ def _chunk_points(n_trials=3):
 
 
 def _assert_batch_of_one(method, points, context, w, sinr, failed):
-    for b in range(len(points)):
-        if b in failed:
-            assert np.isnan(sinr[b])
+    for index in np.ndindex(points.shape):
+        if index in failed:
+            assert np.isnan(sinr[index])
             continue
-        w_b, sinr_b, errors_b = harness._point_values(method, points[b : b + 1], *context)
-        assert errors_b == {}
-        np.testing.assert_array_equal(w_b[0], w[b])
-        assert _bits(sinr_b[0]) == _bits(sinr[b])
+        w_i, sinr_i, errors_i = harness._point_values(method, points[index], *context)
+        assert errors_i == {}
+        np.testing.assert_array_equal(w_i[0, 0], w[index])
+        assert _bits(sinr_i[0, 0]) == _bits(sinr[index])
+
+
+def _expanded(points, field):
+    """``points`` with its ``field`` array given one copy per (trial, x) point."""
+    array = getattr(points, field)
+    full = np.broadcast_to(array, (*points.shape, *array.shape[2:])).copy()
+    return dataclasses.replace(points, **{field: full})
 
 
 def test_failing_points_do_not_touch_the_rest_of_the_stack():
     points, context = _chunk_points()
-    # Point 4: zero covariances that loading cannot fix; point 2: a
-    # negative definite true IPNC, so every method's output power is
-    # negative; point 6: zero SOI power, an output SINR of -inf dB.
-    points.scm[4] = 0.0
-    points.cov[4] = 0.0
-    points.ipnc[2] = -np.eye(points.ipnc.shape[-1])
-    points.soi_power[6] = 0.0
+    points = _expanded(_expanded(points, "ipnc"), "soi_power")
+    # Point (1, 1): zero covariances that loading cannot fix; point (0, 2):
+    # a negative definite true IPNC, so every method's output power is
+    # negative; point (2, 0): zero SOI power, an output SINR of -inf dB.
+    points.scm[1, 1] = 0.0
+    points.cov[1, 1] = 0.0
+    points.ipnc[0, 2] = -np.eye(points.ipnc.shape[-1])
+    points.soi_power[2, 0] = 0.0
     for method in METHOD_NAMES:
         w, sinr, errors = harness._point_values(method, points, *context)
-        expected = {2: "ValueError: nonpositive", 6: "ValueError: non-finite output SINR -inf"}
+        expected = {
+            (0, 2): "ValueError: nonpositive",
+            (2, 0): "ValueError: non-finite output SINR -inf",
+        }
         if method != "optimal":
-            expected[4] = "SingularCovarianceError: covariance condition number"
+            expected[1, 1] = "SingularCovarianceError: covariance condition number"
         assert sorted(errors) == sorted(expected), method
-        for b, prefix in expected.items():
-            assert errors[b].startswith(prefix), (method, errors[b])
-        assert np.isfinite(sinr).sum() == len(points) - len(expected)
+        for index, prefix in expected.items():
+            assert errors[index].startswith(prefix), (method, errors[index])
+        assert np.isfinite(sinr).sum() == sinr.size - len(expected)
         _assert_batch_of_one(method, points, context, w, sinr, errors)
 
 
@@ -909,10 +922,10 @@ def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
     points, context = _chunk_points()
     # The only IPNC with this diagonal: trial 0's, which its three points
     # share, so the optimal weights solve it once for all of them.
-    assert points.shared == 3
-    points.ipnc[:3] *= 2.0
+    assert points.ipnc.shape[:2] == (3, 1)
+    points.ipnc[0] *= 2.0
     clean = harness._point_values("optimal", points, *context)
-    poison = points.ipnc[0, 0, 0]
+    poison = points.ipnc[0, 0, 0, 0]
     real_solve = np.linalg.solve
 
     def flaky_solve(a, b):
@@ -922,8 +935,8 @@ def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", flaky_solve)
     w, sinr, errors = harness._point_values("optimal", points, *context)
-    assert errors == dict.fromkeys(range(3), "LinAlgError: simulated LAPACK failure")
-    assert np.isnan(sinr[:3]).all()
-    keep = np.arange(len(points)) >= 3
-    np.testing.assert_array_equal(w[keep], clean[0][keep])
-    np.testing.assert_array_equal(_bits(sinr[keep]), _bits(clean[1][keep]))
+    failed = [(0, ix) for ix in range(3)]
+    assert errors == dict.fromkeys(failed, "LinAlgError: simulated LAPACK failure")
+    assert np.isnan(sinr[0]).all()
+    np.testing.assert_array_equal(w[1:], clean[0][1:])
+    np.testing.assert_array_equal(_bits(sinr[1:]), _bits(clean[1][1:]))

@@ -1,4 +1,5 @@
-"""Property tests: projector algebra, distortionless constraint, SINR bound,
+"""Property tests: projector algebra, SOI removal and PSD reconstructions,
+distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, and the blocked CSV
 writer against a row-at-a-time one."""
@@ -20,20 +21,25 @@ from beamlab import (
     LcsspConfig,
     SingularCovarianceError,
     build_projection,
+    capon_integral_ipnc,
     conditioned_matrix,
     default_config,
+    diagonal_loading_weights,
     distortionless_solve,
     emit_csv,
+    hermitize,
     normalize_config,
     optimal_weights,
     output_sinr,
+    reconstruct_ipnc,
     run_experiment,
     select_dimension,
+    steering_matrix,
     steering_vector,
 )
 from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
-from beamlab.config import EXPERIMENTS, MAX_POWER_DB, METHOD_NAMES
+from beamlab.config import EXPERIMENTS, MAX_POWER_DB, METHOD_NAMES, _sector_complement
 from beamlab.harness import SweepResult, _draw_mismatch
 from beamlab.metrics import beampattern_grid_deg
 
@@ -80,6 +86,83 @@ def test_select_dimension_with_fixed_l_equals_build_projection(presumed, halfwid
     assert l_chosen == l == proj.dim
     np.testing.assert_array_equal(proj.matrix, expected.matrix)
     np.testing.assert_array_equal(proj.retained_angles, expected.retained_angles)
+
+
+def _lcssp_scenario(draw):
+    """(config, projector, m, interferer powers) of a drawn look sector and sources.
+
+    m and l >= m, the presumed direction and sector halfwidth, and one to
+    three interferers with powers from -10 to 40 dB.
+    """
+    m = draw(st.integers(min_value=2, max_value=12))
+    l = m + draw(st.integers(min_value=0, max_value=12))
+    presumed, halfwidth = draw(degrees), draw(halfwidths)
+    config = LcsspConfig(
+        presumed_soi=np.deg2rad(presumed),
+        soi_sector_halfwidth=np.deg2rad(halfwidth),
+        nominal_interferers=np.deg2rad(draw(st.lists(degrees, min_size=1, max_size=3))),
+    )
+    projection = _projection_or_skip(config, l)
+    powers_db = st.floats(min_value=-10.0, max_value=40.0)
+    powers = [10.0 ** (draw(powers_db) / 10.0) for _ in config.nominal_interferers]
+    return config, projection, m, powers
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), soi_db=st.floats(min_value=0.0, max_value=60.0))
+def test_reconstruction_does_not_see_the_soi(data, soi_db):
+    # The paper's central step: the retained basis vectors are selection
+    # zeros about the presumed direction, so they are orthogonal to its
+    # steering vector a0 and the projector removes p a0 a0^H whatever p.
+    config, projection, m, powers = _lcssp_scenario(data.draw)
+    l = projection.dim
+    r = oracle.covariance(config.nominal_interferers, powers, oracle.positions(l))
+    p = 10.0 ** (soi_db / 10.0)
+    a0 = steering_vector(config.presumed_soi, l)
+    with_soi = r + p * np.outer(a0, a0.conj())
+    # Each reconstruction is two products of inner dimension l; an entry
+    # of a computed product is off by at most l eps |C| |X| |C^H|, whose
+    # Frobenius norm is at most ||C||_F^2 ||X||_F <= l ||X||_F for the
+    # projector C of rank < l. Both reconstructions, and the rounding of
+    # R + p a0 a0^H (eps ||X||_F), stay within 4 l^2 eps (||R||_F + p).
+    # The exact projector leaves p |C a0|^2 = 0, the computed one
+    # p (l eps)^2, far inside that. Without the removal the difference
+    # would be of order p.
+    tol = 4 * l**2 * np.finfo(float).eps * (np.linalg.norm(r) + p)
+    diff = reconstruct_ipnc(projection, with_soi, m) - reconstruct_ipnc(projection, r, m)
+    assert np.linalg.norm(diff) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_reconstructions_are_hermitian_psd(data, seed):
+    # From a sample covariance of the drawn sources, rank deficient below
+    # l snapshots included, both reconstructions are Hermitian PSD.
+    config, projection, m, powers = _lcssp_scenario(data.draw)
+    l = projection.dim
+    k = data.draw(st.integers(min_value=1, max_value=2 * l))
+    directions = np.concatenate(([config.presumed_soi], config.nominal_interferers))
+    snapshots = oracle.snapshots(directions, [1.0, *powers], oracle.positions(l), k, seed)
+    r = oracle.sample_covariance(snapshots)
+    eps = np.finfo(float).eps
+    lcssp = reconstruct_ipnc(projection, r, m)
+    np.testing.assert_array_equal(lcssp, lcssp.conj().T)
+    # C_m R C_m^H is a block of the PSD C R C^H. Rounding moves it by at
+    # most 2 l^2 eps ||R||_F in Frobenius norm (see the SOI removal
+    # property), and by Weyl's inequality its eigenvalues by no more.
+    assert np.linalg.eigvalsh(lcssp)[0] >= -2 * l**2 * eps * np.linalg.norm(r)
+    complement = _sector_complement(config.presumed_soi, config.soi_sector_halfwidth)
+    capon = capon_integral_ipnc(r[:m, :m], complement)
+    np.testing.assert_array_equal(capon, capon.conj().T)
+    # sum_j delta_j a_j a_j^H / capon_j with every capon_j > 0 is PSD. The
+    # Toeplitz route sums the J weighted terms of each lag in one product,
+    # an entry off by at most J eps sum_j w_j / n with w_j > 0, and rounds
+    # each Fourier entry by eps relative; the Toeplitz error matrix then
+    # has Frobenius norm at most (J + 1) eps sum_j w_j = (J + 1) eps trace.
+    # J is 200 quadrature points, plus one per interval from rounding.
+    n_points = 200 + len(complement)
+    trace = np.trace(capon).real
+    assert np.linalg.eigvalsh(capon)[0] >= -(n_points + 1) * eps * trace
 
 
 @st.composite
@@ -153,6 +236,58 @@ def test_eigenvalue_condition_check_matches_svd(data, n):
             np.testing.assert_array_equal(out[i], stack[i])
         elif decision == "load":
             np.testing.assert_array_equal(out[i], conditioned_matrix(stack[i]))
+
+
+def _item_bits(a):
+    """Raw bits of a float or complex value or array."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_library_broadcasts_over_leading_axes(data, shape, seed):
+    # A sweep chunk's layout: (T, X) covariances against (T, 1) IPNCs and
+    # steering vectors and (1, X) SOI powers. Every item of a stacked call
+    # equals the call on that item alone, bit for bit. Covariances of fewer
+    # snapshots than elements make conditioned_matrix load some items.
+    config, projection, m, _ = _lcssp_scenario(data.draw)
+    l, (t, x) = projection.dim, shape
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((t, x, l, 2 * l)) + 1j * rng.standard_normal((t, x, l, 2 * l))
+    z *= np.arange(2 * l) < rng.integers(1, 2 * l + 1, size=(t, x, 1, 1))
+    cov = hermitize(z @ np.swapaxes(z, -1, -2).conj() / (2 * l))
+    scm = cov[..., :m, :m]
+    z = rng.standard_normal((t, 1, m, 2 * m)) + 1j * rng.standard_normal((t, 1, m, 2 * m))
+    ipnc = hermitize(z @ np.swapaxes(z, -1, -2).conj() / (2 * m) + 0.1 * np.eye(m))
+    tsv = np.ascontiguousarray(steering_matrix(rng.uniform(-1.5, 1.5, t), m).T[:, None])
+    soi_power = rng.uniform(0.1, 10.0, (1, x))
+    w = distortionless_solve(scm, tsv)
+    stacked = {
+        "conditioned_matrix": conditioned_matrix(scm),
+        "distortionless_solve": w,
+        "diagonal_loading_weights": diagonal_loading_weights(scm, tsv),
+        "reconstruct_ipnc": reconstruct_ipnc(projection, cov, m),
+        "output_sinr": output_sinr(w, soi_power, tsv, ipnc),
+    }
+    for i, j in np.ndindex(shape):
+        alone = {
+            "conditioned_matrix": conditioned_matrix(scm[i, j]),
+            "distortionless_solve": distortionless_solve(scm[i, j], tsv[i, 0]),
+            "diagonal_loading_weights": diagonal_loading_weights(scm[i, j], tsv[i, 0]),
+            "reconstruct_ipnc": reconstruct_ipnc(projection, cov[i, j], m),
+            "output_sinr": output_sinr(w[i, j], soi_power[0, j], tsv[i, 0], ipnc[i, 0]),
+        }
+        for name, value in alone.items():
+            assert np.array_equal(_item_bits(stacked[name][i, j]), _item_bits(value)), name
+    optimal = distortionless_solve(ipnc, tsv)
+    assert optimal.shape == (t, 1, m)
+    for i in range(t):
+        alone = distortionless_solve(ipnc[i, 0], tsv[i, 0])
+        assert np.array_equal(_item_bits(optimal[i, 0]), _item_bits(alone))
 
 
 @PROPERTY_SETTINGS
@@ -331,12 +466,18 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     trials = range(first, first + n_trials)
     n_generate = config.m + extra
     points = harness._draw_points(config, x_values, trials, n_generate)
+    # BLAS rounds output_sinr's products by the memory layout of its
+    # operands: with a transposed IPNC, raw SINRs of the m 100 / l 110
+    # snapshot sweep moved by 1 ulp. The draw keeps both C-contiguous.
+    assert points.ipnc.flags.c_contiguous and points.tsv.flags.c_contiguous
     direct = list(_direct_points(config, x_values, trials, n_generate))
-    assert len(points) == len(direct)
-    for b, (cov, scm, ipnc, tsv, soi_power) in enumerate(direct):
-        _assert_close(points.cov[b], cov)
-        _assert_close(points.scm[b], scm)
-        got = (points.ipnc[b], points.tsv[b], points.soi_power[b])
+    assert points.shape == (n_trials, len(x_values))
+    assert len(direct) == n_trials * len(x_values)
+    for index, (cov, scm, ipnc, tsv, soi_power) in zip(np.ndindex(points.shape), direct):
+        point = points[index]
+        _assert_close(point.cov[0, 0], cov)
+        _assert_close(point.scm[0, 0], scm)
+        got = (point.ipnc[0, 0], point.tsv[0, 0], point.soi_power[0, 0])
         for value, expected in zip(got, (ipnc, tsv, soi_power)):
             np.testing.assert_array_equal(value, expected)
 
