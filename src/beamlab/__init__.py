@@ -31,7 +31,6 @@ from .harness import SweepResult, emit_csv, run_experiment
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
-    ProjectionMatrix,
     build_projection,
     lcssp_weights,
     normalized_error,
@@ -50,7 +49,6 @@ __all__ = [
     "ExperimentConfig",
     "LcsspConfig",
     "NoConvergenceError",
-    "ProjectionMatrix",
     "SingularCovarianceError",
     "SweepResult",
     "build_projection",

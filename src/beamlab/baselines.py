@@ -12,6 +12,9 @@ import numpy as np
 
 COND_LIMIT = 1e12
 LOADING_FLOOR = 1e-10
+# Midpoint quadrature points of the Capon integral, shared by the
+# intervals of the sector complement in proportion to their lengths.
+CAPON_SAMPLES = 200
 
 
 class SingularCovarianceError(RuntimeError):
@@ -149,13 +152,13 @@ def _diagonal_sums(stack):
     return flat.reshape(*lead, n, 2 * n - 1).sum(axis=-2)
 
 
-def capon_integral_ipnc(scm, sector_complement, n_samples=200):
+def capon_integral_ipnc(scm, sector_complement):
     """Reconstruct the IPNC by integrating a(theta) a^H(theta) / capon(theta).
 
-    Midpoint quadrature over the union of ``sector_complement`` intervals
-    (radians), with points allocated to intervals proportionally to their
-    length. capon(theta) is the Capon spectrum a^H R^-1 a of the supplied
-    covariance.
+    Midpoint quadrature of CAPON_SAMPLES points over the union of
+    ``sector_complement`` intervals (radians), with points allocated to
+    intervals proportionally to their length. capon(theta) is the Capon
+    spectrum a^H R^-1 a of the supplied covariance.
 
     The array is the nominal half-wavelength ULA, a(theta)_p =
     e^{i pi p sin theta} / sqrt(n), so a a^H is Toeplitz: entry (p, q) is
@@ -168,8 +171,6 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     element positions break the lag structure, so the identity holds on
     the nominal geometry only.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two quadrature points")
     intervals = _validate_intervals(sector_complement)
     total = sum(hi - lo for lo, hi in intervals)
     n = np.shape(scm)[-1]
@@ -177,7 +178,7 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     midpoints = []
     deltas = []
     for lo, hi in intervals:
-        ni = max(1, round(n_samples * (hi - lo) / total))
+        ni = max(1, round(CAPON_SAMPLES * (hi - lo) / total))
         step = (hi - lo) / ni
         midpoints.append(lo + (np.arange(ni) + 0.5) * step)
         deltas.append(np.full(ni, step))
@@ -193,7 +194,6 @@ def capon_integral_ipnc(scm, sector_complement, n_samples=200):
     return entries[..., n - 1 - p[:, None] + p]  # exactly Hermitian
 
 
-def capon_integral_weights(scm, presumed_sv, sector_complement, n_samples=200):
+def capon_integral_weights(scm, presumed_sv, sector_complement):
     """MVDR weights against the Capon-integral reconstructed IPNC."""
-    ipnc = capon_integral_ipnc(scm, sector_complement, n_samples)
-    return distortionless_solve(ipnc, presumed_sv)
+    return distortionless_solve(capon_integral_ipnc(scm, sector_complement), presumed_sv)

@@ -139,7 +139,7 @@ def _overrides(args):
     if args.trials is not None:
         out["trials"] = args.trials
     if args.fix_l is not None:
-        out["l"] = args.fix_l
+        out["l"] = _as_int(args.fix_l, "l")
     elif args.auto_l:
         out["l"] = "auto"
     if args.methods is not None:

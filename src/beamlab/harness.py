@@ -111,7 +111,7 @@ def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
     diagnostics = {
         "dominance_violations": 0,
         "failures": [],
-        "l_chosen": None if projection is None else projection.dim,
+        "l_chosen": None if projection is None else len(projection),
         "epsilon_n": epsilon,
         "lcssp_error": lcssp_error,
     }
@@ -169,7 +169,7 @@ def _resolve_lcssp(config):
         _, projection = select_dimension(settings)
     except (NoConvergenceError, ValueError) as err:
         error = f"{type(err).__name__}: {err}"
-    n_generate = projection.dim if projection is not None else settings.fixed_l or config.m
+    n_generate = len(projection) if projection is not None else settings.fixed_l or config.m
     if "lcssp" not in config.methods:
         return None, None, None, n_generate
     epsilon = (

@@ -4,6 +4,8 @@ Pipeline: pick an extended dimension L whose selection-zero steering basis
 approximates the interferers well enough, project the extended sample
 covariance onto the basis vectors outside the look sector, and take the
 physical-size block as the interference-plus-noise covariance estimate.
+The projector is a plain Hermitian (L, L) array; its sampled angles are
+the ``selection_zeros(presumed, L)`` outside the closed look sector.
 The zero-set formula assumes half-wavelength element spacing.
 """
 
@@ -23,21 +25,6 @@ class NoConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_l = best_l
         self.best_error = best_error
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionMatrix:
-    """Orthogonal projector onto retained basis steering vectors.
-
-    ``retained_angles`` are the selection zeros outside the look sector;
-    ``excluded_angles`` are the zeros inside it plus the sector center.
-    Hermitian, idempotent, rank equal to the retained count.
-    """
-
-    matrix: np.ndarray
-    dim: int
-    retained_angles: np.ndarray
-    excluded_angles: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +68,14 @@ class LcsspConfig:
 
 
 def build_projection(config, l):
-    """Projector onto the l-dimensional basis vectors outside the look sector.
+    """Hermitian (l, l) projector onto the basis vectors outside the look sector.
 
     The l-1 selection zeros about the presumed direction are split by the
     closed sector [presumed - halfwidth, presumed + halfwidth]; the
     projector sums a a^H over the zeros outside it. Unit-norm steering
     vectors over an orthonormal set make this an exact orthogonal
-    projector.
+    projector, idempotent with rank the retained count; it blocks the
+    zeros inside the sector and the presumed direction itself.
     """
     if l < 2:
         raise ValueError("projector dimension must be at least 2")
@@ -98,44 +86,41 @@ def build_projection(config, l):
         raise ValueError(
             f"look sector swallows every basis angle at dimension {l}; halfwidth too large"
         )
-    excluded = np.concatenate((zeros[inside], [config.presumed_soi]))
     basis = steering_matrix(retained, l)
-    matrix = hermitize(basis @ basis.conj().T)
-    return ProjectionMatrix(
-        matrix=matrix, dim=l, retained_angles=retained, excluded_angles=excluded
-    )
+    return hermitize(basis @ basis.conj().T)
 
 
-def normalized_error(projection, interferer_angles):
+def normalized_error(projector, interferer_angles):
     """Relative energy of the interferer steering vectors lost to projection.
 
-    ||C B - B||_F / ||B||_F with B the nominal interferer steering matrix
-    at the projector's dimension; always in [0, 1].
+    ||C B - B||_F / ||B||_F with C the (l, l) projector and B the nominal
+    interferer steering matrix at dimension l; always in [0, 1].
     """
     angles = np.atleast_1d(np.asarray(interferer_angles, dtype=float))
     if angles.size == 0:
         raise ValueError("need at least one interferer angle")
-    b = steering_matrix(angles, projection.dim)
-    return float(
-        np.linalg.norm(projection.matrix @ b - b) / np.linalg.norm(b)
-    )
+    b = steering_matrix(angles, len(projector))
+    # I - C is an orthogonal projector, so the exact ratio is at most 1;
+    # rounding lifts it by an ulp when C blocks every interferer.
+    return min(float(np.linalg.norm(projector @ b - b) / np.linalg.norm(b)), 1.0)
 
 
 def select_dimension(config):
     """Smallest dimension in [l_initial, l_max] meeting the delta threshold.
 
-    Returns (l, projector); ``config.fixed_l`` pins l and skips the
-    search. Raises NoConvergenceError, carrying the best error seen, when
-    no dimension qualifies.
+    Returns (l, projector) with the (l, l) projector of
+    ``build_projection``; ``config.fixed_l`` pins l and skips the search.
+    Raises NoConvergenceError, carrying the best error seen, when no
+    dimension qualifies.
     """
     if config.fixed_l is not None:
         return config.fixed_l, build_projection(config, config.fixed_l)
     best_l, best_error = None, np.inf
     for l in range(config.l_initial, config.l_max + 1):
-        projection = build_projection(config, l)
-        error = normalized_error(projection, config.nominal_interferers)
+        projector = build_projection(config, l)
+        error = normalized_error(projector, config.nominal_interferers)
         if error <= config.delta:
-            return l, projection
+            return l, projector
         if error < best_error:
             best_l, best_error = l, error
     raise NoConvergenceError(
@@ -146,21 +131,20 @@ def select_dimension(config):
     )
 
 
-def reconstruct_ipnc(projection, cov_l, m):
+def reconstruct_ipnc(projector, cov_l, m):
     """Top-left m x m block of C R_L C^H, the reconstructed IPNC; Hermitian PSD.
 
-    Only the m rows C_m R_L C^H are formed (C_m: the first m rows of C),
-    not the L x L product; with all of C on the right, BLAS rounds the
-    block as it does the leading block of a larger m, which it does not
-    for C_m R_L C_m^H. ``cov_l`` may be an (..., L, L) stack; the result is
-    then (..., m, m).
+    C is the (L, L) projector. Only the m rows C_m R_L C^H are formed
+    (C_m: the first m rows of C), not the L x L product; with all of C on
+    the right, BLAS rounds the block as it does the leading block of a
+    larger m, which it does not for C_m R_L C_m^H. ``cov_l`` may be an
+    (..., L, L) stack; the result is then (..., m, m).
     """
-    if cov_l.shape[-2:] != projection.matrix.shape:
+    if cov_l.shape[-2:] != projector.shape:
         raise ValueError("covariance dimension must match the projector")
-    if not 1 <= m <= projection.dim:
+    if not 1 <= m <= len(projector):
         raise ValueError("block size must lie in [1, extended dimension]")
-    c = projection.matrix
-    return hermitize((c[:m] @ cov_l @ c.conj().T)[..., :m])
+    return hermitize((projector[:m] @ cov_l @ projector.conj().T)[..., :m])
 
 
 def lcssp_weights(ipnc, presumed_sv):

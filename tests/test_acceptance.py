@@ -52,16 +52,17 @@ def test_criterion_1_projector_properties():
                     presumed_soi=np.deg2rad(phi0_deg),
                     soi_sector_halfwidth=np.deg2rad(hw_deg),
                 )
-                proj = build_projection(cfg, l)
-                c = proj.matrix
+                c = build_projection(cfg, l)
+                zeros = selection_zeros(cfg.presumed_soi, l)
+                retained = zeros[np.abs(zeros - cfg.presumed_soi) > cfg.soi_sector_halfwidth]
                 assert np.max(np.abs(c - c.conj().T)) <= 1e-9
                 assert np.max(np.abs(c @ c - c)) <= 1e-9
                 eigs = np.linalg.eigvalsh(c)
                 assert np.max(np.minimum(np.abs(eigs), np.abs(eigs - 1))) <= 1e-9
-                assert int(np.sum(eigs > 0.5)) == len(proj.retained_angles)
+                assert int(np.sum(eigs > 0.5)) == len(retained)
                 center = steering_vector(np.deg2rad(phi0_deg), l)
                 assert np.linalg.norm(c @ center) <= 1e-9
-                kept = steering_matrix(proj.retained_angles, l)
+                kept = steering_matrix(retained, l)
                 assert np.max(np.abs(c @ kept - kept)) <= 1e-9
     assert time.monotonic() - start < 1.0
 

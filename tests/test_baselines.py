@@ -20,6 +20,7 @@ from beamlab import (
     steering_matrix,
     steering_vector,
 )
+from beamlab import baselines
 from beamlab.baselines import COND_LIMIT
 
 # Total angular measure of [-90, -6] and [6, 90] degrees in radians;
@@ -65,7 +66,10 @@ def test_capon_integral_matches_direct_sum(n, seed, edges, sides, n_samples):
     right = (center + halfwidth, np.pi / 2)
     complement = {"both": (left, right), "left": (left,), "right": (right,)}[sides]
     r = _random_covariances(np.random.default_rng(seed), n, (1,))[0]
-    got = capon_integral_ipnc(r, complement, n_samples)
+    # A patch, not the function-scoped monkeypatch fixture, which a
+    # hypothesis test cannot take.
+    with mock.patch.object(baselines, "CAPON_SAMPLES", n_samples):
+        got = capon_integral_ipnc(r, complement)
     rinv = np.linalg.inv(r)
     total = sum(hi - lo for lo, hi in complement)
     expected = np.zeros((n, n), dtype=complex)
@@ -271,16 +275,18 @@ def test_capon_integral_weight_normalization():
     # With an identity covariance the integrand traces to one at every
     # angle, so the reconstruction trace equals the total measure.
     ident = np.eye(10, dtype=complex)
-    est = capon_integral_ipnc(ident, COMPLEMENT, n_samples=200)
+    est = capon_integral_ipnc(ident, COMPLEMENT)
     assert np.trace(est).real == pytest.approx(SECTOR_COMPLEMENT_MEASURE, rel=1e-12)
-    est2 = capon_integral_ipnc(ident, COMPLEMENT, n_samples=400)
+    with mock.patch.object(baselines, "CAPON_SAMPLES", 400):
+        est2 = capon_integral_ipnc(ident, COMPLEMENT)
     assert np.trace(est2).real == pytest.approx(SECTOR_COMPLEMENT_MEASURE, rel=1e-12)
 
 
 def test_capon_integral_quadrature_refinement_is_stable():
     theo = oracle.covariance(DIRECTIONS, POWERS, oracle.positions(10))
-    base = capon_integral_ipnc(theo, COMPLEMENT, n_samples=200)
-    fine = capon_integral_ipnc(theo, COMPLEMENT, n_samples=400)
+    base = capon_integral_ipnc(theo, COMPLEMENT)
+    with mock.patch.object(baselines, "CAPON_SAMPLES", 400):
+        fine = capon_integral_ipnc(theo, COMPLEMENT)
     rel = np.linalg.norm(fine - base) / np.linalg.norm(base)
     assert rel < 0.01
 

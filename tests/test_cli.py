@@ -136,6 +136,7 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
         ("--trials", "abc", "trials must be an integer, got 'abc'"),
         ("--seed", "abc", "seed must be an integer, got 'abc'"),
         ("--fix-l", "abc", "l must be an integer, got 'abc'"),
+        ("--fix-l", "auto", "l must be an integer, got 'auto'"),
         ("--workers", "abc", "--workers must be an integer, got 'abc'"),
         ("--workers", "0", "--workers must be at least 1, got 0"),
     ],

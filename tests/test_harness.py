@@ -827,7 +827,7 @@ def _chunk_points(n_trials=3):
     cfg = normalize_config(_small(snr_grid_db=[0.0, 10.0, 20.0]))
     projection, *_ = harness._resolve_lcssp(cfg)
     x_values = np.asarray(cfg.snr_grid_db)
-    points = harness._draw_points(cfg, x_values, range(n_trials), projection.dim)
+    points = harness._draw_points(cfg, x_values, range(n_trials), len(projection))
     context = (
         steering_vector(0.0, cfg.m),
         _sector_complement(0.0, np.deg2rad(cfg.sector_halfwidth_deg)),

@@ -12,6 +12,7 @@ from beamlab import (
     normalized_error,
     reconstruct_ipnc,
     select_dimension,
+    selection_zeros,
     steering_matrix,
     steering_vector,
 )
@@ -42,6 +43,14 @@ def _config(**overrides):
     return LcsspConfig(**base)
 
 
+def _partition(cfg, l):
+    """(retained, excluded) angles by definition: the selection zeros outside
+    the closed look sector, and those inside it plus the presumed direction."""
+    zeros = selection_zeros(cfg.presumed_soi, l)
+    outside = np.abs(zeros - cfg.presumed_soi) > cfg.soi_sector_halfwidth
+    return zeros[outside], np.concatenate((zeros[~outside], [cfg.presumed_soi]))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(delta=0.0)
@@ -59,28 +68,34 @@ def test_config_validation():
 def test_projection_partitions_the_zero_set():
     cfg = _config()
     proj = build_projection(cfg, 20)
-    assert proj.dim == 20
-    assert len(proj.retained_angles) + len(proj.excluded_angles) == 20
-    assert np.any(np.isclose(proj.excluded_angles, cfg.presumed_soi))
-    inside = np.abs(proj.retained_angles - cfg.presumed_soi) <= cfg.soi_sector_halfwidth
+    assert proj.shape == (20, 20)
+    retained, excluded = _partition(cfg, 20)
+    assert len(retained) + len(excluded) == 20
+    assert np.any(np.isclose(excluded, cfg.presumed_soi))
+    inside = np.abs(retained - cfg.presumed_soi) <= cfg.soi_sector_halfwidth
     assert not inside.any()
+    # The projector is the sum of a a^H over exactly the retained zeros.
+    kept = steering_matrix(retained, 20)
+    np.testing.assert_allclose(proj, kept @ kept.conj().T, atol=1e-12)
 
 
 def test_projection_is_orthogonal_projector():
-    proj = build_projection(_config(), 20)
-    c = proj.matrix
+    cfg = _config()
+    c = build_projection(cfg, 20)
     np.testing.assert_allclose(c, c.conj().T, atol=1e-12)
     np.testing.assert_allclose(c @ c, c, atol=1e-10)
     eigs = np.linalg.eigvalsh(c)
-    assert int(np.sum(eigs > 0.5)) == len(proj.retained_angles)
+    assert int(np.sum(eigs > 0.5)) == len(_partition(cfg, 20)[0])
 
 
 def test_projection_passes_retained_and_blocks_excluded():
-    proj = build_projection(_config(), 20)
-    kept = steering_matrix(proj.retained_angles, 20)
-    np.testing.assert_allclose(proj.matrix @ kept, kept, atol=1e-10)
-    blocked = steering_matrix(proj.excluded_angles, 20)
-    np.testing.assert_allclose(proj.matrix @ blocked, 0, atol=1e-10)
+    cfg = _config()
+    proj = build_projection(cfg, 20)
+    retained, excluded = _partition(cfg, 20)
+    kept = steering_matrix(retained, 20)
+    np.testing.assert_allclose(proj @ kept, kept, atol=1e-10)
+    blocked = steering_matrix(excluded, 20)
+    np.testing.assert_allclose(proj @ blocked, 0, atol=1e-10)
 
 
 def test_projection_rejects_fully_excluded_sector():
@@ -99,10 +114,21 @@ def test_normalized_error_reference_values():
         assert eps < 1e-12
 
 
+def test_normalized_error_of_a_blocked_interferer_is_one():
+    # Every projector blocks the presumed direction, so an interferer there
+    # loses all its energy; rounding must not lift the error above 1.
+    for presumed_deg in (0.0, 10.0, -20.0, 35.0):
+        presumed = np.deg2rad(presumed_deg)
+        cfg = _config(presumed_soi=presumed, nominal_interferers=[presumed])
+        for l in range(10, 41):
+            eps = normalized_error(build_projection(cfg, l), [presumed])
+            assert 1.0 - 1e-12 <= eps <= 1.0
+
+
 def test_select_dimension_returns_first_below_threshold():
     l, proj = select_dimension(_config())
     assert l == 12
-    assert proj.dim == 12
+    assert proj.shape == (12, 12)
     assert normalized_error(proj, INTERFERERS) <= 0.05
 
 
@@ -123,7 +149,7 @@ def test_reconstruct_ipnc_takes_physical_block():
     r20 = oracle.covariance(directions, powers, oracle.positions(20))
     rec = reconstruct_ipnc(proj, r20, 10)
     assert rec.shape == (10, 10)
-    full = proj.matrix @ r20 @ proj.matrix.conj().T
+    full = proj @ r20 @ proj.conj().T
     np.testing.assert_allclose(rec, (full + full.conj().T)[:10, :10] / 2, atol=1e-10)
     for m in (0, 21):
         with pytest.raises(ValueError):
@@ -147,6 +173,6 @@ def test_select_dimension_fixed_matches_equivalent_auto():
     l_auto, proj_auto = select_dimension(_config())
     l_fixed, proj_fixed = select_dimension(_config(fixed_l=12))
     assert l_auto == l_fixed == 12
-    np.testing.assert_array_equal(proj_fixed.matrix, proj_auto.matrix)
+    np.testing.assert_array_equal(proj_fixed, proj_auto)
     assert normalized_error(proj_fixed, INTERFERERS) == normalized_error(proj_auto, INTERFERERS)
 

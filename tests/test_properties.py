@@ -1,10 +1,12 @@
-"""Property tests: projector algebra, SOI removal and PSD reconstructions,
+"""Property tests: projector algebra, projection error and the dimension
+search against a direct scan, SOI removal and PSD reconstructions,
 distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, and the blocked CSV
 writer against a row-at-a-time one."""
 
 import csv
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -19,6 +21,7 @@ import oracle
 from beamlab import (
     ConfigError,
     LcsspConfig,
+    NoConvergenceError,
     SingularCovarianceError,
     build_projection,
     capon_integral_ipnc,
@@ -29,11 +32,13 @@ from beamlab import (
     emit_csv,
     hermitize,
     normalize_config,
+    normalized_error,
     optimal_weights,
     output_sinr,
     reconstruct_ipnc,
     run_experiment,
     select_dimension,
+    selection_zeros,
     steering_matrix,
     steering_vector,
 )
@@ -67,14 +72,20 @@ def _projection_or_skip(config, l):
         assume(False)
 
 
+def _retained(config, l):
+    """The selection zeros outside the closed look sector, by definition."""
+    zeros = selection_zeros(config.presumed_soi, l)
+    return zeros[np.abs(zeros - config.presumed_soi) > config.soi_sector_halfwidth]
+
+
 @PROPERTY_SETTINGS
 @given(presumed=degrees, halfwidth=halfwidths, l=dimensions)
 def test_projector_is_hermitian_idempotent_with_retained_rank(presumed, halfwidth, l):
-    proj = _projection_or_skip(_lcssp_config(presumed, halfwidth), l)
-    c = proj.matrix
+    config = _lcssp_config(presumed, halfwidth)
+    c = _projection_or_skip(config, l)
     np.testing.assert_allclose(c, c.conj().T, atol=1e-12)
     np.testing.assert_allclose(c @ c, c, atol=1e-10)
-    assert abs(np.trace(c) - len(proj.retained_angles)) < 1e-9
+    assert abs(np.trace(c) - len(_retained(config, l))) < 1e-9
 
 
 @PROPERTY_SETTINGS
@@ -83,9 +94,71 @@ def test_select_dimension_with_fixed_l_equals_build_projection(presumed, halfwid
     config = _lcssp_config(presumed, halfwidth, fixed_l=l)
     expected = _projection_or_skip(config, l)
     l_chosen, proj = select_dimension(config)
-    assert l_chosen == l == proj.dim
-    np.testing.assert_array_equal(proj.matrix, expected.matrix)
-    np.testing.assert_array_equal(proj.retained_angles, expected.retained_angles)
+    assert l_chosen == l
+    assert proj.shape == (l, l)
+    np.testing.assert_array_equal(proj, expected)
+    kept = steering_matrix(_retained(config, l), l)
+    np.testing.assert_allclose(proj @ kept, kept, atol=1e-10)
+
+
+def _search_config(draw):
+    """LcsspConfig of a drawn search: l_initial (the element count m), l_max,
+    delta, the look sector and one to three nominal interferers. Sectors
+    up to 90 degrees wide can swallow every selection zero at small l, and
+    an interferer may sit on the presumed direction, which every
+    projector blocks."""
+    l_initial = draw(st.integers(min_value=2, max_value=12))
+    presumed = draw(degrees)
+    interferers = st.one_of(st.just(presumed), degrees)
+    return LcsspConfig(
+        presumed_soi=np.deg2rad(presumed),
+        soi_sector_halfwidth=np.deg2rad(draw(st.floats(min_value=0.0, max_value=90.0))),
+        nominal_interferers=np.deg2rad(draw(st.lists(interferers, min_size=1, max_size=3))),
+        delta=draw(st.floats(min_value=1e-3, max_value=1.0)),
+        l_initial=l_initial,
+        l_max=l_initial + draw(st.integers(min_value=0, max_value=24)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_normalized_error_lies_in_unit_interval(data):
+    # ||(C - I) B||_F / ||B||_F with I - C an orthogonal projector: it keeps
+    # at most all of B's energy, and an interferer on an excluded zero or
+    # on the presumed direction loses all of it.
+    config = _search_config(data.draw)
+    l = data.draw(st.integers(min_value=config.l_initial, max_value=config.l_max))
+    error = normalized_error(_projection_or_skip(config, l), config.nominal_interferers)
+    assert 0.0 <= error <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_select_dimension_equals_direct_scan(data):
+    # A direct scan of [l_initial, l_max]: the first l whose error is at
+    # most delta, else NoConvergenceError carrying the scan's argmin and
+    # min. A dimension whose projector cannot be built stops the scan
+    # with the same ValueError.
+    config = _search_config(data.draw)
+    errors = {}
+    for l in range(config.l_initial, config.l_max + 1):
+        try:
+            projector = build_projection(config, l)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                select_dimension(config)
+            return
+        errors[l] = normalized_error(projector, config.nominal_interferers)
+        if errors[l] <= config.delta:
+            l_chosen, chosen = select_dimension(config)
+            assert l_chosen == l
+            np.testing.assert_array_equal(chosen, projector)
+            return
+    best_l = min(errors, key=errors.get)
+    with pytest.raises(NoConvergenceError) as raised:
+        select_dimension(config)
+    assert raised.value.best_l == best_l
+    assert raised.value.best_error == errors[best_l]
 
 
 def _lcssp_scenario(draw):
@@ -115,7 +188,7 @@ def test_reconstruction_does_not_see_the_soi(data, soi_db):
     # zeros about the presumed direction, so they are orthogonal to its
     # steering vector a0 and the projector removes p a0 a0^H whatever p.
     config, projection, m, powers = _lcssp_scenario(data.draw)
-    l = projection.dim
+    l = len(projection)
     r = oracle.covariance(config.nominal_interferers, powers, oracle.positions(l))
     p = 10.0 ** (soi_db / 10.0)
     a0 = steering_vector(config.presumed_soi, l)
@@ -139,7 +212,7 @@ def test_reconstructions_are_hermitian_psd(data, seed):
     # From a sample covariance of the drawn sources, rank deficient below
     # l snapshots included, both reconstructions are Hermitian PSD.
     config, projection, m, powers = _lcssp_scenario(data.draw)
-    l = projection.dim
+    l = len(projection)
     k = data.draw(st.integers(min_value=1, max_value=2 * l))
     directions = np.concatenate(([config.presumed_soi], config.nominal_interferers))
     snapshots = oracle.snapshots(directions, [1.0, *powers], oracle.positions(l), k, seed)
@@ -255,7 +328,7 @@ def test_library_broadcasts_over_leading_axes(data, shape, seed):
     # equals the call on that item alone, bit for bit. Covariances of fewer
     # snapshots than elements make conditioned_matrix load some items.
     config, projection, m, _ = _lcssp_scenario(data.draw)
-    l, (t, x) = projection.dim, shape
+    l, (t, x) = len(projection), shape
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((t, x, l, 2 * l)) + 1j * rng.standard_normal((t, x, l, 2 * l))
     z *= np.arange(2 * l) < rng.integers(1, 2 * l + 1, size=(t, x, 1, 1))
