@@ -43,21 +43,25 @@ METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lc
 MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
 # Largest k_grid entry. A trial draws its stream of normals once, at its
 # largest k: 16 (1 + P + L) k bytes, 37 MB at this k and the default
-# dimensions, long after the sample covariance has converged.
+# dimensions, long after the sample covariance has converged. The stream
+# is held once; its Gram matrix conjugates one block of it at a time.
 MAX_SNAPSHOTS = 100_000
 # Largest array dimension a run may reach: m, a fixed l, and at l "auto"
 # the search ceiling 8 m. At this bound a failing search takes about
 # 0.1 s, a default chunk's covariances (16 * 9 * L^2 * 16 B) 38 MB, and
-# one trial at MAX_SNAPSHOTS peaks near 440 MB; at 256 these are 1 s,
-# 151 MB and 830 MB.
+# a one-trial run at MAX_SNAPSHOTS peaks at 251 MB (getrusage): its
+# 210 MB stream plus about 40 MB for the interpreter and numpy. At 256
+# these are 1 s, 151 MB and 462 MB.
 MAX_DIMENSION = 128
 # Most entries of snr_grid_db, inr_grid_db or k_grid. A chunk stacks the
-# covariances of all its points: 16 trials * 64 * L^2 * 16 B, 268 MB at
-# MAX_DIMENSION.
+# covariances of all its points once: 16 trials * 64 * L^2 * 16 B,
+# 268 MB at MAX_DIMENSION, and a 16-trial run of this many SNR points
+# at that dimension peaks at 376 MB (getrusage).
 MAX_GRID_POINTS = 64
 # Most interferers. A trial's stream holds one row per source: at this
 # count, MAX_DIMENSION and MAX_SNAPSHOTS it is 16 (1 + 32 + 128) k bytes,
-# 258 MB against 210 MB at the default two.
+# 258 MB against 210 MB at the default two; a one-trial run peaks at
+# 299 MB (getrusage).
 MAX_INTERFERERS = 32
 # Most values of a run's raw (x, method, trial) table: x rows (the 1801
 # angles of the beampattern) times methods times trials. The table takes

@@ -15,11 +15,13 @@ master seed by counter, so runs are reproducible and trials can execute
 in parallel in any order. Past those per-trial draws, a chunk's set-up
 is array code over its trials (``normalize_config`` has bounded every
 draw); it is the package's only simulation code. Every sweep reduces
-a trial's draw to the Gram matrix of its normals, and no snapshot
-matrix is formed. The SNR and INR sweeps draw each trial once and scale it;
-the snapshot sweep draws each trial's stream once, at its largest k,
-and takes every k's draw from a prefix of it. The sample covariance of
-the physical array is the leading m x m block of the extended one.
+a trial's draw to the Gram matrix of its normals, summed over blocks of
+GRAM_BLOCK columns, and no snapshot matrix is formed. The SNR and INR
+sweeps draw each trial once and scale it; the snapshot sweep draws each
+trial's stream once, at its largest k, and takes every k's draw from a
+prefix of it. A chunk holds that stream once, one conjugated Gram block
+and one stack of its points' covariances. The sample covariance of the
+physical array is the leading m x m block of the extended one.
 """
 
 import ctypes
@@ -68,6 +70,11 @@ DOMINANCE_TOL_DB = 1e-6
 # runs every method over the stack in one batched call. Worker runs use
 # smaller chunks so that every worker thread gets one.
 TRIAL_CHUNK = 16
+# Columns per product of a trial's Gram matrix Z Z^H: the sum runs over
+# blocks of this many columns of Z, so the conjugated copy of Z that
+# each product needs is one block, not the trial's whole stream. At k up
+# to this size the Gram is one product.
+GRAM_BLOCK = 512
 # Rows per CSV write: a block's text is all of the file held in memory,
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
@@ -248,6 +255,24 @@ class _Points:
         return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
 
 
+def _gram(z, conjugate):
+    """Z Z^H of an (n, k) block Z, summed over its GRAM_BLOCK-column blocks.
+
+    The blocks are anchored at column 0 and summed in ascending order,
+    starting from the first block's product, so at k up to GRAM_BLOCK
+    this is the single product. Each block is conjugated into the leading
+    entries of the complex buffer ``conjugate``.
+    """
+    products = (
+        block @ np.conjugate(block, out=conjugate[: block.size].reshape(block.shape)).T
+        for block in (z[:, s : s + GRAM_BLOCK] for s in range(0, z.shape[1], GRAM_BLOCK))
+    )
+    gram = next(products)
+    for product in products:
+        gram += product
+    return gram
+
+
 def _draw_points(config, x_values, trials, n_generate):
     """Draw every (trial, x) point of ``trials``, keeping only covariances.
 
@@ -263,7 +288,8 @@ def _draw_points(config, x_values, trials, n_generate):
     snapshots would be B Z, with Z the draw's complex normals (source
     waveforms, then noise) and B = [A, I] diag(a) for the steering
     matrix A and the amplitudes a = sqrt(power / 2), so its covariance
-    is B G B^H with G = Z Z^H / k, formed per trial. In the SNR and INR
+    is B G B^H with G = Z Z^H / k, formed per trial by ``_gram`` and
+    written into the chunk's one (T, X, L, L) stack. In the SNR and INR
     sweeps the x values of a trial share G; the snapshot sweep takes
     every k's Z from a prefix of the trial's stream at its largest k.
     """
@@ -285,26 +311,25 @@ def _draw_points(config, x_values, trials, n_generate):
     extended = _steering_grid(positions, sines)
     amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
     n_rows = amplitudes.shape[-1]
-    # Every trial of the chunk draws into one stream buffer and conjugates
-    # into one more, so the trials allocate no multi-MB arrays whose
+    # Every trial of the chunk draws into one stream buffer, conjugates
+    # one Gram block at a time into one more and writes its covariances
+    # into one stack, so the trials allocate no multi-MB arrays whose
     # allocation speed would depend on the allocator's state.
     stream = np.empty(2 * n_rows * max(ks))
-    conjugate = np.empty(n_rows * max(ks), dtype=complex)
-    cov = []
-    for steer, (_, _, _, snap_seed) in zip(extended, draws):
+    conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
+    cov = np.empty((len(trials), n_x, n, n), dtype=complex)
+    for t, (steer, (_, _, _, snap_seed)) in enumerate(zip(extended, draws)):
         b = np.hstack((steer, np.eye(n))) * amplitudes
-        gram = []
-        for z in _normal_blocks(n_rows, ks, snap_seed, stream):
-            z_conj = np.conjugate(z, out=conjugate[: z.size].reshape(z.shape))
-            gram.append(z @ z_conj.T / z.shape[1])
-        cov.append(hermitize(b @ np.stack(gram) @ np.swapaxes(b, -1, -2).conj()))
+        zs = _normal_blocks(n_rows, ks, snap_seed, stream)
+        gram = np.stack([_gram(z, conjugate) / z.shape[1] for z in zs])
+        cov[t] = hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
     # A trial's points share its true IPNC unless an interferer power
     # changes with x. The IPNC and steering vector are made C-contiguous:
     # BLAS rounds output_sinr's products by their memory layout.
     int_powers = powers[:, 1:] if np.any(powers[:, 1:] != powers[0, 1:]) else powers[:1, 1:]
     ipnc = np.ascontiguousarray(_source_covariance(physical[:, None, :, 1:], int_powers, 1.0))
     tsv = np.ascontiguousarray(physical[:, None, :, 0])
-    return _Points(np.stack(cov), ipnc, tsv, powers[None, :, 0])
+    return _Points(cov, ipnc, tsv, powers[None, :, 0])
 
 
 def _method_sinr(method, points, presumed, complement, projection):
@@ -473,11 +498,12 @@ def run_experiment(config, workers=1):
     count yields identical results. Trials run in chunks of at most
     TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
     threads maps the chunks; ``workers`` below 1 runs serially, and a
-    non-integer one is a ConfigError. Threads run the chunks in parallel
-    because a chunk's heavy work releases the GIL: the RNG fill of the
-    normals, BLAS products and numpy's batched LAPACK calls. If a chunk
-    raises, or the caller is interrupted, the queued chunks are cancelled
-    and the error propagates. OpenBLAS runs at one thread for the
+    non-integer one is a ConfigError. Threads overlap where a chunk
+    releases the GIL: the RNG fill of the normals, BLAS products and
+    numpy's batched LAPACK calls; the many small calls between them hold
+    it, so two threads gain well under 2x (README gives figures). If a
+    chunk raises, or the caller is interrupted, the queued chunks are
+    cancelled and the error propagates. OpenBLAS runs at one thread for the
     duration of the call and gets the caller's thread count back
     afterwards, so the worker count is the only parallelism and the raw
     bits do not depend on the BLAS thread count. The thread count is a

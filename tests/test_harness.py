@@ -16,15 +16,18 @@ import numpy as np
 import pytest
 
 import beamlab
+import oracle
 from beamlab import (
     ConfigError,
     default_config,
     emit_csv,
+    hermitize,
     load_config,
     run_experiment,
     steering_vector,
 )
 from beamlab import baselines, harness
+from beamlab.array_model import _normal_blocks
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 from beamlab.config import (
     MAX_DIMENSION,
@@ -814,12 +817,47 @@ def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_i
 
 
 def test_snapshot_points_depend_only_on_their_k():
-    # Each k's draw is a prefix of the trial's one stream, so the other
-    # entries of the grid and their order leave its values alone.
-    wide = run_experiment(_small("sinr_vs_snapshots", k_grid=[500, 10, 50]))
-    narrow = run_experiment(_small("sinr_vs_snapshots", k_grid=[10, 50]))
-    for meth in wide.methods:
-        np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
+    # Each k's draw is a prefix of the trial's one stream, and its Gram
+    # matrix sums blocks anchored at its own column 0, so the other
+    # entries of the grid and their order leave its values alone: within
+    # one Gram block, and with a largest k (1500) and a k (600) that span
+    # several blocks.
+    for wide_grid in ([500, 10, 50], [1500, 10, 600]):
+        wide = run_experiment(_small("sinr_vs_snapshots", k_grid=wide_grid))
+        narrow = run_experiment(_small("sinr_vs_snapshots", k_grid=wide_grid[1:]))
+        for meth in wide.methods:
+            np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
+
+
+def test_drawn_covariance_is_the_blocked_gram():
+    # A point's covariance is hermitize(B G B^H) with G = Z Z^H / k, B the
+    # documented mixing matrix and Z the draw of _normal_blocks. Up to
+    # GRAM_BLOCK columns the Gram is the single product, bit for bit.
+    # Past it, the blocked sum only reorders each Gram entry's k terms.
+    # Any order errs by at most gamma_(k+2) ~ (k + 2) eps / 2 times the
+    # sum of the terms' moduli, (|Z| |Z|^T)_rs (Higham's bound for
+    # complex inner products), so two orders differ by (k + 2) eps times
+    # it. Each side's two mixing products, of n_rows terms each, add
+    # (n_rows + 2) eps / 2 apiece relative to |B| |G| |B|^T. In all:
+    # |dR| <= (k + 2 + 2 (n_rows + 2)) eps |B| (|Z| |Z|^T) |B|^T / k.
+    ks = [300, harness.GRAM_BLOCK, harness.GRAM_BLOCK + 1, 3 * harness.GRAM_BLOCK - 36]
+    config = normalize_config(_small("sinr_vs_snapshots", k_grid=ks))
+    cov = harness._draw_points(config, np.asarray(ks, dtype=float), range(2, 3), config.l).cov
+    soi, interferers, perr, seed = _draw_mismatch(config, 2)
+    powers = [10.0 ** (config.snr_grid_db[0] / 10.0)]
+    powers += [10.0 ** (config.inr_grid_db[0] / 10.0)] * len(interferers)
+    steer = oracle.steering([soi, *interferers], oracle.positions(config.l, perr))
+    b = np.hstack((steer, np.eye(config.l))) * np.sqrt(np.r_[powers, np.ones(config.l)] / 2)
+    n_rows = b.shape[1]
+    for got, z in zip(cov[0], _normal_blocks(n_rows, ks, seed)):
+        k = z.shape[1]
+        single = hermitize(b @ (z @ z.conj().T / k) @ b.conj().T)
+        if k <= harness.GRAM_BLOCK:
+            np.testing.assert_array_equal(got, single)
+        else:
+            bound = np.abs(b) @ (np.abs(z) @ np.abs(z).T) @ np.abs(b).T / k
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(got - single) <= (k + 2 + 2 * (n_rows + 2)) * eps * bound)
 
 
 def _chunk_points(n_trials=3):

@@ -2,8 +2,9 @@
 search against a direct scan, SOI removal and PSD reconstructions,
 distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
-factored point draw against the per-point draw, and the blocked CSV
-writer against a row-at-a-time one."""
+factored point draw against the per-point draw, the blocked CSV
+writer against a row-at-a-time one, and the memory of the CSV writer
+and of the draw."""
 
 import csv
 import re
@@ -703,3 +704,43 @@ def test_emit_csv_memory_is_one_table_plus_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < table_bytes + 4 * 2**20
+
+
+def _draw_peak(config):
+    """tracemalloc peak, in bytes, of drawing one chunk of ``config``'s points."""
+    config = normalize_config(config)
+    x_values = np.asarray(getattr(config, EXPERIMENTS[config.experiment].grid), dtype=float)
+    tracemalloc.start()
+    try:
+        harness._draw_points(config, x_values, range(config.trials), config.l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_draw_memory_is_one_stream_or_one_stack():
+    # One trial at the largest k holds its stream of 2 n_rows k floats
+    # once. Its other arrays are one Gram block's conjugate (n_rows x
+    # GRAM_BLOCK complex, 188 kB here) and a few of n_rows^2 or L n_rows
+    # values, well inside 4 MiB; a conjugate of the whole stream would
+    # double the peak.
+    config = default_config("sinr_vs_snapshots")
+    config.trials, config.l, config.k_grid = 1, 20, [100_000]
+    n_rows = 1 + len(config.interferers_deg) + config.l
+    stream_bytes = 2 * n_rows * 100_000 * 8
+    assert _draw_peak(config) < stream_bytes + 4 * 2**20
+    # 16 trials x 32 SNR points at l 64 hold one (T, X, L, L) covariance
+    # stack, written in place, plus one trial's temporaries: at most four
+    # arrays of X L n_rows complex values at once (B, B G, B^H and B G B^H,
+    # then B and three (X, L, L) arrays in hermitize), and 1 MiB for the
+    # chunk's small arrays (steering stacks, the stream at k 50). A
+    # per-trial list of covariances stacked at the end would hold the
+    # stack twice.
+    config = default_config("sinr_vs_snr")
+    config.trials, config.l = 16, 64
+    config.snr_grid_db = np.linspace(-10.0, 52.0, 32).tolist()
+    n_rows, n_x = 1 + len(config.interferers_deg) + config.l, 32
+    stack_bytes = config.trials * n_x * config.l**2 * 16
+    trial_bytes = 4 * n_x * config.l * n_rows * 16
+    assert _draw_peak(config) < stack_bytes + trial_bytes + 2**20
