@@ -17,8 +17,9 @@ LOADING_FLOOR = 1e-10
 CAPON_SAMPLES = 200
 
 
-class SingularCovarianceError(RuntimeError):
-    """Covariance stayed numerically singular after the loading retry."""
+class SingularCovarianceError(np.linalg.LinAlgError):
+    """Covariance stayed numerically singular after the loading retry. A point
+    fails when its method raises a LinAlgError; any other exception stops the run."""
 
 
 def _eigvalsh(stack):

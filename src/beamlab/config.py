@@ -66,7 +66,8 @@ MAX_INTERFERERS = 32
 # Most values of a run's raw (x, method, trial) table: x rows (the 1801
 # angles of the beampattern) times methods times trials. The table takes
 # 268 MB at this bound; its statistics and emit_csv each hold one more
-# array of its size while they run, emit_csv also one block of rows.
+# array of its size while they run, emit_csv also one block of rows and
+# a row template per (method, trial), about 90 B each: 3 GB at one x.
 MAX_RAW_VALUES = 2**25
 # Largest position_error_halfwidth_wl, in wavelengths. At half-wavelength
 # spacing, two neighbours each this far off can meet.

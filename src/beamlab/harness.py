@@ -29,6 +29,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import cycle, islice
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .array_model import (
     steering_vector,
 )
 from .baselines import (
-    SingularCovarianceError,
     capon_integral_weights,
     diagonal_loading_weights,
     optimal_weights,
@@ -79,8 +79,6 @@ GRAM_BLOCK = 512
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
 
-# A nonpositive output power raises ValueError.
-_TRIAL_ERRORS = (SingularCovarianceError, np.linalg.LinAlgError, ValueError)
 # (getter, setter) symbol names of OpenBLAS's thread count: the
 # scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -333,7 +331,7 @@ def _draw_points(config, x_values, trials, n_generate):
 
 
 def _method_sinr(method, points, presumed, complement, projection):
-    """Weights and output SINRs of one method at every point of the stack."""
+    """Weights and output SINRs of one method per point; a non-finite SINR raises LinAlgError."""
     if method == "optimal":
         w = optimal_weights(points.ipnc, points.tsv)
     elif method == "scm_mvdr":
@@ -345,43 +343,38 @@ def _method_sinr(method, points, presumed, complement, projection):
     else:
         m = points.scm.shape[-1]
         w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed)
-    return w, output_sinr(w, points.soi_power, points.tsv, points.ipnc)
+    sinr = output_sinr(w, points.soi_power, points.tsv, points.ipnc)
+    bad = sinr[~np.isfinite(sinr)]
+    if bad.size:
+        raise np.linalg.LinAlgError(f"non-finite output SINR {bad[0]} dB")
+    return w, sinr
 
 
 def _point_values(method, points, presumed, complement, projection):
     """(weights, SINRs, {(t, ix): error text}) of one method over a chunk's points.
 
-    The only place where an exception becomes a point's failure. The
-    library raises for a whole stack if any item fails; the stack is then
-    redone one point at a time, and batch-of-one results equal the
-    batched ones bit for bit, so only the failing points are lost. A
-    failed point gets nan and zero weights, and so does a non-finite
-    SINR, so a nan value always has a failure record.
+    The only place where an exception becomes a point's failure: a point
+    fails when its method raises a LinAlgError, and any other exception is
+    a bug and stops the run. The library raises for a whole stack if any
+    item fails; the stack is then redone one point at a time, and
+    batch-of-one results equal the batched ones bit for bit, so only the
+    failing points are lost. A failed point gets nan and zero weights.
     """
     args = (presumed, complement, projection)
     failures = {}
     try:
         w, sinr = _method_sinr(method, points, *args)
-    except _TRIAL_ERRORS:
+    except np.linalg.LinAlgError:
         w = np.zeros(points.scm.shape[:-1], dtype=complex)
         sinr = np.full(points.shape, np.nan)
         for index in np.ndindex(points.shape):
             try:
                 w_i, sinr_i = _method_sinr(method, points[index], *args)
-            except _TRIAL_ERRORS as err:
-                failures[index] = err
+            except np.linalg.LinAlgError as err:
+                failures[index] = f"{type(err).__name__}: {err}"
                 continue
             w[index], sinr[index] = w_i[0, 0], sinr_i[0, 0]
-    failed = ~np.isfinite(sinr)
-    for index in zip(*np.nonzero(failed)):
-        failures.setdefault(index, ValueError(f"non-finite output SINR {sinr[index]} dB"))
-    sinr[failed] = np.nan
-    w = np.where(failed[..., None], 0.0, w)
-    return w, sinr, {index: f"{type(err).__name__}: {err}" for index, err in failures.items()}
-
-
-def _failure(trial, x, method, error):
-    return {"trial": trial, "x": float(x), "method": method, "error": error}
+    return np.broadcast_to(w, (*points.shape, w.shape[-1])), sinr, failures
 
 
 def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
@@ -411,7 +404,8 @@ def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
                 meth, points, presumed, complement, projection
             )
         for (t, ix), error in errors.items():
-            failures.append(_failure(trials[t], x_values[ix], meth, error))
+            x = float(x_values[ix])
+            failures.append({"trial": trials[t], "x": x, "method": meth, "error": error})
     violations = 0
     if "optimal" in methods:
         # Strictly greater, so the optimal column never counts against itself.
@@ -539,11 +533,6 @@ def run_experiment(config, workers=1):
     return _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error)
 
 
-def _cells(values):
-    """CSV text of each value: 12 significant digits, every non-finite value as nan."""
-    return [f"{v:.12g}" for v in np.where(np.isfinite(values), values, np.nan).ravel().tolist()]
-
-
 def _write_blocks(path, header, period, x_cells, columns):
     """Write ``header``, then the rows of ``columns`` in blocks of CSV_BLOCK_ROWS.
 
@@ -551,6 +540,7 @@ def _write_blocks(path, header, period, x_cells, columns):
     ``x_cells[r // len(period)]`` and the r-th value of each column.
     """
     n_rows, p, width = len(columns[0]), len(period), len(columns) + 1
+    templates = cycle(period)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -562,8 +552,7 @@ def _write_blocks(path, header, period, x_cells, columns):
                 if v.dtype.kind == "f":
                     v = np.where(np.isfinite(v), v, np.nan)
                 args[k::width] = v.tolist()
-            templates = period[start % p :] + period * (n // p + 1)
-            fh.write("".join(templates[:n]) % tuple(args))
+            fh.write("".join(islice(templates, n)) % tuple(args))
 
 
 def emit_csv(result, path):
@@ -576,22 +565,30 @@ def emit_csv(result, path):
     ``nan``; byte-identical for identical runs. A file's rows repeat a
     period of printf-style row templates, one per method (aggregate) or
     per (method, trial) (raw). Each block of CSV_BLOCK_ROWS rows is one
-    ``%`` format over its x cells and values and one write, so the text
-    held in memory does not grow with the file.
+    ``%`` format over its x cells and values and one write; the writer
+    holds a stacked copy of the tables, the raw period (about 90 B a
+    template) and one block of text. Tables that do not fit the x values,
+    methods and ``config.trials`` raise ValueError before any file opens.
     """
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
     trials = result.config.trials
     # Each table in CSV row order: the C order of its (x, method[, trial]) stack.
-    mean, std, n_ok, raw = (
-        np.stack([table[meth] for meth in result.methods], axis=1).ravel()
+    tables = [
+        np.stack([table[meth] for meth in result.methods], axis=1)
         for table in (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
-    )
+    ]
+    shape = (len(result.x_values), len(result.methods))
+    if [t.shape for t in tables] != [shape] * 3 + [(*shape, trials)]:
+        raise ValueError(f"result tables of shapes {[t.shape for t in tables]} do not fit "
+                         f"{shape[0]} x values, {shape[1]} methods and {trials} trials")
+    mean, std, n_ok, raw = (t.ravel() for t in tables)
     # One period of each file's row templates; a % in a method name is escaped.
     methods = [meth.replace("%", "%%") for meth in result.methods]
     agg_period = [f"%s,{meth},%.12g,%.12g,%d\n" for meth in methods]
     raw_period = [f"%s,{meth},{t},%.12g\n" for meth in methods for t in range(trials)]
-    x_cells = np.array(_cells(result.x_values), dtype=object)
+    x = np.where(np.isfinite(result.x_values), result.x_values, np.nan)
+    x_cells = np.array([f"{v:.12g}" for v in x.tolist()], dtype=object)
     try:
         _write_blocks(
             path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, (mean, std, n_ok)

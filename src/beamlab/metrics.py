@@ -15,13 +15,14 @@ def output_sinr(weights, soi_power, true_sv, ipnc):
     Also takes (..., n) weights, (...) powers, (..., n) steering vectors
     and (..., n, n) IPNCs whose leading axes broadcast together, and
     returns the broadcast values; a nonpositive denominator at any item
-    raises ValueError for the whole stack.
+    raises LinAlgError, a ValueError, for the whole stack. A point fails
+    when its method raises a LinAlgError; any other exception stops the run.
     """
     w = np.asarray(weights)
     num = soi_power * np.abs(inner(w, true_sv)) ** 2
     den = inner(w, (ipnc @ w[..., None])[..., 0]).real
     if np.any(den <= 0):
-        raise ValueError("nonpositive interference-plus-noise power; weights invalid")
+        raise np.linalg.LinAlgError("nonpositive interference-plus-noise power; weights invalid")
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = 10.0 * np.log10(num / den)
     return float(sinr) if w.ndim == 1 else sinr

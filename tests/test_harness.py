@@ -905,8 +905,8 @@ def test_failing_points_do_not_touch_the_rest_of_the_stack():
     for method in METHOD_NAMES:
         w, sinr, errors = harness._point_values(method, points, *context)
         expected = {
-            (0, 2): "ValueError: nonpositive",
-            (2, 0): "ValueError: non-finite output SINR -inf",
+            (0, 2): "LinAlgError: nonpositive",
+            (2, 0): "LinAlgError: non-finite output SINR -inf",
         }
         if method != "optimal":
             expected[1, 1] = "SingularCovarianceError: covariance condition number"
@@ -978,3 +978,18 @@ def test_batch_level_linalg_error_loses_only_its_point(monkeypatch):
     assert np.isnan(sinr[0]).all()
     np.testing.assert_array_equal(w[1:], clean[0][1:])
     np.testing.assert_array_equal(_bits(sinr[1:]), _bits(clean[1][1:]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_other_errors_in_a_method_stop_the_run(monkeypatch, workers):
+    # Only a LinAlgError fails a point. A ValueError from a bug, here a
+    # broadcasting one inside LCSSP, is not filed as a failure of every
+    # lcssp point: it propagates out of the run, from a worker thread too.
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(harness, "reconstruct_ipnc", broken)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="operands could not be broadcast") as info:
+        run_experiment(_small(), workers=workers)
+    assert type(info.value) is ValueError

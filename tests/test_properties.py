@@ -3,12 +3,14 @@ search against a direct scan, SOI removal and PSD reconstructions,
 distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, the blocked CSV
-writer against a row-at-a-time one, and the memory of the CSV writer
-and of the draw."""
+writer against a row-at-a-time one, its time over a long row period and
+its table shape check, and the memory of the CSV writer and of the
+draw."""
 
 import csv
 import re
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -691,10 +693,48 @@ def test_csv_escapes_percent_in_method_names(block_rows):
         _assert_csv_matches_oracle(result)
 
 
+def test_csv_write_time_does_not_grow_with_the_row_period(tmp_path):
+    # Raw rows repeat a period of row templates, one per (method, trial).
+    # At one row per block, one x value with 20,000 trials spreads that
+    # period over 20,000 blocks, while 20,000 x values with one trial
+    # repeat a period of one row, and also write 20,000 aggregate rows.
+    # A block that copied the rest of the period would make the
+    # long-period write quadratic in the period.
+    long_period = _synthetic_result([0.0], ["optimal"], trials=20_000)
+    short_period = _synthetic_result(np.arange(20_000.0), ["optimal"], trials=1)
+
+    def write_s(result):
+        start = time.perf_counter()
+        emit_csv(result, tmp_path / "out.csv")
+        return time.perf_counter() - start
+
+    with mock.patch.object(harness, "CSV_BLOCK_ROWS", 1):
+        long_s = min(write_s(long_period) for _ in range(2))
+        short_s = min(write_s(short_period) for _ in range(2))
+        _assert_csv_matches_oracle(long_period)
+    assert long_s < 2 * short_s, (long_s, short_s)
+
+
+@pytest.mark.parametrize("table_trials, x_values", [(2, 3), (4, 3), (3, 4)])
+def test_emit_csv_rejects_tables_that_do_not_fit(tmp_path, table_trials, x_values):
+    # Tables of 3 x values for a config of 3 trials. Fewer trials would
+    # move values onto the next x value's rows, more would fail halfway
+    # through the raw file, and more x values than table rows would drop
+    # rows: each raises before either file is opened.
+    result = _synthetic_result(np.arange(3.0), ["optimal", "lcssp"], trials=table_trials)
+    result.config.trials = 3
+    result.x_values = np.arange(float(x_values))
+    with pytest.raises(ValueError, match="do not fit"):
+        emit_csv(result, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_csv_memory_is_one_table_plus_a_block(tmp_path):
     # 1801 beampattern angles x 5 methods x 60 trials. The writer holds
-    # one stacked copy of the raw table and one block of rows; a list of
-    # the whole table's Python floats would take several times the table.
+    # one stacked copy of the raw table, one block of rows and one row
+    # template per (method, trial), about 90 B each: 300 here, but 3 GB
+    # at MAX_RAW_VALUES with one x value. A list of the whole table's
+    # Python floats would take several times the table.
     result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=60)
     table_bytes = sum(view.nbytes for view in result.raw.values())
     tracemalloc.start()
