@@ -16,10 +16,10 @@ from .baselines import (
     conditioned_matrix,
     diagonal_loading_weights,
     distortionless_solve,
+    hermitize,
     optimal_weights,
     scm_mvdr_weights,
 )
-from .covariance import hermitize
 from .config import (
     ConfigError,
     ExperimentConfig,

@@ -1,11 +1,11 @@
 """Array signal model for uniform linear arrays.
 
 Steering vectors, the zeros of the selection (indication) function
-a^H(phi0) a(phi), and the pieces of the Monte Carlo snapshot draw:
-element positions under sensor-position errors, steering stacks over
-physical and virtually extended apertures, and the stream of complex
-normals. All angles are radians; degrees appear only at CLI and config
-surfaces.
+a^H(phi0) a(phi), and the two helpers that ``steering_matrix`` shares
+with the Monte Carlo draw: element positions under sensor-position
+errors and steering stacks over physical and virtually extended
+apertures. All angles are radians; degrees appear only at CLI and
+config surfaces.
 """
 
 import math
@@ -104,20 +104,3 @@ def selection_zeros(phi0, n):
     args = np.clip(2.0 * zs / n + s0, -1.0, 1.0)
     return np.sort(np.arcsin(args))
 
-
-def _normal_blocks(n_rows, ks, seed, out=None):
-    """Complex standard normals of seed's stream, an (n_rows, k) block per k.
-
-    The stream is drawn once, for the largest k, into a new array or into
-    the leading entries of the float buffer ``out``; each block, in the
-    order of ``ks``, is a view of its first 2 n_rows k numbers read as
-    complex pairs. For n_rows = P + 1 + n that is the draw of k snapshots
-    of an n-element array: the waveform rows of [SOI, *interferers], then
-    the noise rows, so the first m noise rows of an extended draw are the
-    m-element draw.
-    """
-    size = 2 * n_rows * max(ks)
-    flat = np.empty(size) if out is None else out[:size]
-    np.random.default_rng(seed).standard_normal(out=flat)
-    for k in ks:
-        yield flat[: 2 * n_rows * k].view(complex).reshape(n_rows, k)

@@ -22,6 +22,14 @@ class SingularCovarianceError(np.linalg.LinAlgError):
     fails when its method raises a LinAlgError; any other exception stops the run."""
 
 
+def hermitize(matrix):
+    """Symmetrize (A + A^H)/2 of a matrix or a (..., n, n) stack.
+
+    The solvers here assume exact Hermitian input.
+    """
+    return (matrix + np.swapaxes(matrix, -1, -2).conj()) / 2.0
+
+
 def _eigvalsh(stack):
     """Batched eigenvalues, ascending; nan rows for items with non-finite entries.
 

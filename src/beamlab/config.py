@@ -22,7 +22,8 @@ precision no longer resolves the noise floor, snapshot counts above
 ``MAX_SNAPSHOTS``, whose draw would not fit in memory, an array
 dimension that may exceed ``MAX_DIMENSION``, grids or interferer lists
 longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``, trial counts
-whose raw table would hold more than ``MAX_RAW_VALUES`` values, and a
+whose raw table would hold more than ``MAX_RAW_VALUES`` values or
+whose methods times trials exceed ``MAX_RAW_PERIOD``, and a
 sensor-position error halfwidth above ``MAX_POSITION_ERROR_WL``.
 """
 
@@ -67,8 +68,12 @@ MAX_INTERFERERS = 32
 # angles of the beampattern) times methods times trials. The table takes
 # 268 MB at this bound; its statistics and emit_csv each hold one more
 # array of its size while they run, emit_csv also one block of rows and
-# a row template per (method, trial), about 90 B each: 3 GB at one x.
+# the row templates that MAX_RAW_PERIOD bounds.
 MAX_RAW_VALUES = 2**25
+# Most rows in the period of the raw CSV, methods times trials: emit_csv
+# holds one row template per (method, trial), about 90 B each, so 95 MB
+# at this bound whatever the number of x values.
+MAX_RAW_PERIOD = 2**20
 # Largest position_error_halfwidth_wl, in wavelengths. At half-wavelength
 # spacing, two neighbours each this far off can meet.
 MAX_POSITION_ERROR_WL = 0.25
@@ -332,11 +337,11 @@ def normalize_config(config):
     out.methods = methods
     grid = EXPERIMENTS[out.experiment].grid
     rows = len(beampattern_grid_deg()) if grid is None else len(getattr(out, grid))
-    max_trials = MAX_RAW_VALUES // (rows * len(methods))
+    max_trials = min(MAX_RAW_VALUES // rows, MAX_RAW_PERIOD) // len(methods)
     if out.trials > max_trials:
         raise ConfigError(
             f"trials must be at most {max_trials} for {rows} x values and {len(methods)} "
-            f"methods ({MAX_RAW_VALUES} raw values), got {out.trials}"
+            f"methods ({MAX_RAW_VALUES} raw values, {MAX_RAW_PERIOD} per x), got {out.trials}"
         )
     angles = [out.presumed_soi_deg, *out.interferers_deg]
     if any(abs(a) >= 90 for a in angles):

@@ -35,21 +35,15 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .array_model import (
-    _element_positions,
-    _normal_blocks,
-    _steering_grid,
-    steering_matrix,
-    steering_vector,
-)
+from .array_model import _element_positions, _steering_grid, steering_matrix, steering_vector
 from .baselines import (
     capon_integral_weights,
     diagonal_loading_weights,
+    hermitize,
     optimal_weights,
     scm_mvdr_weights,
 )
 from .config import EXPERIMENTS, ExperimentConfig, _as_int, _sector_complement, normalize_config
-from .covariance import _source_covariance, hermitize
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -253,6 +247,24 @@ class _Points:
         return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
 
 
+def _normal_blocks(n_rows, ks, seed, out=None):
+    """Complex standard normals of seed's stream, an (n_rows, k) block per k.
+
+    The stream is drawn once, for the largest k, into a new array or into
+    the leading entries of the float buffer ``out``; each block, in the
+    order of ``ks``, is a view of its first 2 n_rows k numbers read as
+    complex pairs. For n_rows = P + 1 + n that is the draw of k snapshots
+    of an n-element array: the waveform rows of [SOI, *interferers], then
+    the noise rows, so the first m noise rows of an extended draw are the
+    m-element draw.
+    """
+    size = 2 * n_rows * max(ks)
+    flat = np.empty(size) if out is None else out[:size]
+    np.random.default_rng(seed).standard_normal(out=flat)
+    for k in ks:
+        yield flat[: 2 * n_rows * k].view(complex).reshape(n_rows, k)
+
+
 def _gram(z, conjugate):
     """Z Z^H of an (n, k) block Z, summed over its GRAM_BLOCK-column blocks.
 
@@ -269,6 +281,19 @@ def _gram(z, conjugate):
     for product in products:
         gram += product
     return gram
+
+
+def _source_covariance(steer, powers, noise_power):
+    """hermitize(A diag(powers) A^H + noise_power I) of the columns A of ``steer``.
+
+    A (..., n, P) steering stack with (..., P) powers gives a (..., n, n)
+    stack: the true IPNC of every trial of a sweep chunk comes from one
+    call.
+    """
+    powers = np.asarray(powers, dtype=float)
+    r = (steer * powers[..., None, :]) @ np.swapaxes(steer.conj(), -1, -2)
+    r += noise_power * np.eye(steer.shape[-2])
+    return hermitize(r)
 
 
 def _draw_points(config, x_values, trials, n_generate):

@@ -14,17 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import selection_zeros, steering_matrix
-from .baselines import distortionless_solve
-from .covariance import hermitize
+from .baselines import distortionless_solve, hermitize
 
 
 class NoConvergenceError(RuntimeError):
     """No dimension up to l_max met the normalized-error threshold."""
-
-    def __init__(self, message, best_l=None, best_error=None):
-        super().__init__(message)
-        self.best_l = best_l
-        self.best_error = best_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,24 +104,22 @@ def select_dimension(config):
 
     Returns (l, projector) with the (l, l) projector of
     ``build_projection``; ``config.fixed_l`` pins l and skips the search.
-    Raises NoConvergenceError, carrying the best error seen, when no
-    dimension qualifies.
+    Raises NoConvergenceError, whose message names the smallest error
+    seen and its dimension, when no dimension qualifies.
     """
     if config.fixed_l is not None:
         return config.fixed_l, build_projection(config, config.fixed_l)
-    best_l, best_error = None, np.inf
+    closest_l, closest_error = None, np.inf
     for l in range(config.l_initial, config.l_max + 1):
         projector = build_projection(config, l)
         error = normalized_error(projector, config.nominal_interferers)
         if error <= config.delta:
             return l, projector
-        if error < best_error:
-            best_l, best_error = l, error
+        if error < closest_error:
+            closest_l, closest_error = l, error
     raise NoConvergenceError(
         f"no dimension up to {config.l_max} reached delta={config.delta:g}; "
-        f"best error {best_error:.6g} at l={best_l}",
-        best_l=best_l,
-        best_error=best_error,
+        f"best error {closest_error:.6g} at l={closest_l}"
     )
 
 

@@ -14,7 +14,7 @@ from beamlab import (
     steering_vector,
 )
 from beamlab import harness
-from beamlab.array_model import _element_positions, _normal_blocks, _steering_grid
+from beamlab.array_model import _element_positions, _steering_grid
 from beamlab.config import MAX_DIMENSION
 
 
@@ -120,40 +120,6 @@ def test_steering_matrix_columns_match_vectors():
 # SOI, then interferers at -30 and +30 degrees.
 DIRECTIONS = [0.05, *np.deg2rad([-30.0, 30.0])]
 POWERS = [10.0, 100.0, 100.0]
-
-
-def test_snapshots_match_reference_draw_protocol():
-    # The engine forms no snapshots: a point's draw is B Z, with Z the
-    # normals of _normal_blocks (waveforms, then noise) and B = [A, I]
-    # diag(sqrt(power / 2)) for the steering stack A of _steering_grid.
-    # A is the reference steering bit for bit, and B Z the reference draw.
-    m, n, k, seed = 10, 13, 6, 99
-    perr = np.concatenate(([0.0], np.linspace(-0.04, 0.04, m - 1)))
-    pos = oracle.positions(n, perr)
-    steer = _steering_grid(_element_positions(n, perr), np.sin(DIRECTIONS))
-    np.testing.assert_array_equal(steer, oracle.steering(DIRECTIONS, pos))
-    (z,) = _normal_blocks(len(POWERS) + n, [k], seed)
-    b = np.hstack((steer, np.eye(n))) * np.sqrt(np.r_[POWERS, np.ones(n)] / 2)
-    expected = oracle.snapshots(DIRECTIONS, POWERS, pos, k, seed)
-    np.testing.assert_allclose(b @ z, expected, rtol=0, atol=1e-12)
-
-
-def test_normal_blocks_are_each_k_draw():
-    # Every block, for an unsorted grid with repeats, holds the complex
-    # normals of a fresh k draw: the (P + 1, k, 2) waveform block, then
-    # the (n, k, 2) noise block.
-    n_sources, n, seed = 3, 13, 99
-    ks = [50, 1, 8, 50, 3]
-    blocks = list(_normal_blocks(n_sources + n, ks, seed))
-    assert len(blocks) == len(ks)
-    for k, block in zip(ks, blocks):
-        rng = np.random.default_rng(seed)
-        d = np.concatenate(
-            (rng.standard_normal((n_sources, k, 2)), rng.standard_normal((n, k, 2)))
-        )
-        assert block.shape == (n_sources + n, k)
-        np.testing.assert_array_equal(block.real, d[..., 0])
-        np.testing.assert_array_equal(block.imag, d[..., 1])
 
 
 def test_snapshot_stream_prefix_property():

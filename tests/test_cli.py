@@ -20,6 +20,7 @@ from beamlab.config import (
     MAX_GRID_POINTS,
     MAX_INTERFERERS,
     MAX_POWER_DB,
+    MAX_RAW_PERIOD,
     MAX_SNAPSHOTS,
     METHOD_NAMES,
 )
@@ -127,6 +128,22 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert field in err
+    assert not out.exists()
+
+
+def test_run_raw_period_over_the_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    # One x value and one method at a trial past MAX_RAW_PERIOD: the raw
+    # table would fit MAX_RAW_VALUES, its writer's templates would not.
+    # Should the check let it through, the test fails before the run.
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("the run started"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "sinr_vs_snapshots", "k_grid": [20]}))
+    out = tmp_path / "out"
+    trials = str(MAX_RAW_PERIOD + 1)
+    argv = ["run", "--config", str(cfg), "--methods", "optimal", "--trials", trials]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: trials must be at most {MAX_RAW_PERIOD} for 1 x values ")
     assert not out.exists()
 
 

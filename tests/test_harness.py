@@ -27,19 +27,20 @@ from beamlab import (
     steering_vector,
 )
 from beamlab import baselines, harness
-from beamlab.array_model import _normal_blocks
+from beamlab.array_model import _element_positions, _steering_grid
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 from beamlab.config import (
     MAX_DIMENSION,
     MAX_GRID_POINTS,
     MAX_INTERFERERS,
+    MAX_RAW_PERIOD,
     MAX_RAW_VALUES,
     MAX_SNAPSHOTS,
     METHOD_NAMES,
     _sector_complement,
     normalize_config,
 )
-from beamlab.harness import _draw_mismatch
+from beamlab.harness import _draw_mismatch, _normal_blocks
 
 
 def test_benchmark_tracer_targets_resolve_in_harness():
@@ -165,11 +166,15 @@ def test_normalize_config_bounds_the_array_dimension():
 
 
 def test_normalize_config_bounds_the_raw_table():
-    # The raw table holds x rows x methods x trials values; past
-    # MAX_RAW_VALUES a run would exhaust memory mid-run.
-    for experiment, rows in (("beampattern", 1801), ("sinr_vs_snr", 9)):
+    # The raw table holds x rows x methods x trials values, and the raw
+    # writer one row template per (method, trial); past MAX_RAW_VALUES or
+    # MAX_RAW_PERIOD a run would exhaust memory mid-run. The beampattern's
+    # 1801 rows meet the first bound, the SNR sweep's 9 the second.
+    for experiment, rows, limit in (
+        ("beampattern", 1801, MAX_RAW_VALUES // (1801 * len(METHOD_NAMES))),
+        ("sinr_vs_snr", 9, MAX_RAW_PERIOD // len(METHOD_NAMES)),
+    ):
         cfg = default_config(experiment)
-        limit = MAX_RAW_VALUES // (rows * len(METHOD_NAMES))
         cfg.trials = limit
         assert normalize_config(cfg).trials == limit
         for trials in (limit + 1, 10**12):
@@ -816,6 +821,45 @@ def test_point_failures_cross_chunk_boundaries(tmp_path, monkeypatch, negative_i
     assert len(reference.diagnostics["failures"]) == 3 * len(reference.methods)
 
 
+# SOI, then interferers at -30 and +30 degrees.
+DIRECTIONS = [0.05, *np.deg2rad([-30.0, 30.0])]
+POWERS = [10.0, 100.0, 100.0]
+
+
+def test_snapshots_match_reference_draw_protocol():
+    # The engine forms no snapshots: a point's draw is B Z, with Z the
+    # normals of _normal_blocks (waveforms, then noise) and B = [A, I]
+    # diag(sqrt(power / 2)) for the steering stack A of _steering_grid.
+    # A is the reference steering bit for bit, and B Z the reference draw.
+    m, n, k, seed = 10, 13, 6, 99
+    perr = np.concatenate(([0.0], np.linspace(-0.04, 0.04, m - 1)))
+    pos = oracle.positions(n, perr)
+    steer = _steering_grid(_element_positions(n, perr), np.sin(DIRECTIONS))
+    np.testing.assert_array_equal(steer, oracle.steering(DIRECTIONS, pos))
+    (z,) = _normal_blocks(len(POWERS) + n, [k], seed)
+    b = np.hstack((steer, np.eye(n))) * np.sqrt(np.r_[POWERS, np.ones(n)] / 2)
+    expected = oracle.snapshots(DIRECTIONS, POWERS, pos, k, seed)
+    np.testing.assert_allclose(b @ z, expected, rtol=0, atol=1e-12)
+
+
+def test_normal_blocks_are_each_k_draw():
+    # Every block, for an unsorted grid with repeats, holds the complex
+    # normals of a fresh k draw: the (P + 1, k, 2) waveform block, then
+    # the (n, k, 2) noise block.
+    n_sources, n, seed = 3, 13, 99
+    ks = [50, 1, 8, 50, 3]
+    blocks = list(_normal_blocks(n_sources + n, ks, seed))
+    assert len(blocks) == len(ks)
+    for k, block in zip(ks, blocks):
+        rng = np.random.default_rng(seed)
+        d = np.concatenate(
+            (rng.standard_normal((n_sources, k, 2)), rng.standard_normal((n, k, 2)))
+        )
+        assert block.shape == (n_sources + n, k)
+        np.testing.assert_array_equal(block.real, d[..., 0])
+        np.testing.assert_array_equal(block.imag, d[..., 1])
+
+
 def test_snapshot_points_depend_only_on_their_k():
     # Each k's draw is a prefix of the trial's one stream, and its Gram
     # matrix sums blocks anchored at its own column 0, so the other
@@ -858,6 +902,58 @@ def test_drawn_covariance_is_the_blocked_gram():
             bound = np.abs(b) @ (np.abs(z) @ np.abs(z).T) @ np.abs(b).T / k
             eps = np.finfo(float).eps
             assert np.all(np.abs(got - single) <= (k + 2 + 2 * (n_rows + 2)) * eps * bound)
+
+
+def test_scm_mvdr_sinr_loss_follows_reed_mallett_brennan():
+    # Reed, Mallett and Brennan (1974): from K independent snapshots that
+    # hold no SOI, with no mismatch, SCM-MVDR's normalized SINR
+    # rho = SINR_scm / SINR_opt is Beta(a, b) with a = K - M + 2 and
+    # b = M - 1, of mean a / (a + b) = (K - M + 2) / (K + 1) and variance
+    # a b / ((a + b)^2 (a + b + 1)) = (K - M + 2)(M - 1) / ((K + 1)^2 (K + 2)).
+    # Here the SOI is 1e-6 of the noise in the SCM. The trials are
+    # independent, so the mean of rho over T of them has standard error
+    # sqrt(variance / T). A Gram of k - 1 columns gives a mean of about
+    # 0.250 at k 12, 9 standard errors below 0.308.
+    m, trials = 10, 400
+    ks = np.array([12, 20, 50, 1000])
+    config = _small(
+        "sinr_vs_snapshots", m=m, l=m, trials=trials, seed=5, snr_grid_db=[-60.0],
+        k_grid=ks.tolist(), doa_mismatch_halfwidth_deg=0.0, position_error_halfwidth_wl=0.0,
+        methods=["optimal", "scm_mvdr"],
+    )
+    result = run_experiment(config)
+    rho = 10.0 ** ((result.raw["scm_mvdr"] - result.raw["optimal"]) / 10.0)
+    mean = (ks - m + 2) / (ks + 1)
+    se = np.sqrt((ks - m + 2) * (m - 1) / ((ks + 1) ** 2 * (ks + 2)) / trials)
+    z = (rho.mean(axis=1) - mean) / se
+    assert np.all(np.abs(z) <= 5), z
+
+
+def test_mean_drawn_covariance_is_the_documented_covariance():
+    # Without mismatch every trial draws from one covariance R =
+    # sum_p power_p a_p a_p^H + I on the extended positions. An entry of
+    # a sample covariance averages k terms x_i conj(x_j); for circular
+    # complex Gaussian x, Isserlis gives E|x_i x_j|^2 = R_ii R_jj + |R_ij|^2,
+    # so each term has variance R_ii R_jj. The mean over T independent
+    # trials of k snapshots each then differs from R_ij with standard
+    # deviation sqrt(R_ii R_jj / (k T)). A k above GRAM_BLOCK checks the
+    # blocked Gram sum. Noise of amplitude 1 in place of sqrt(1/2) puts
+    # the k 50 diagonal about 56 of these deviations off.
+    trials, ks = 400, [50, 1000]
+    assert ks[0] < harness.GRAM_BLOCK < ks[1]
+    config = normalize_config(_small(
+        "sinr_vs_snapshots", trials=trials, k_grid=ks,
+        doa_mismatch_halfwidth_deg=0.0, position_error_halfwidth_wl=0.0,
+    ))
+    cov = harness._draw_points(config, np.asarray(ks, dtype=float), range(trials), config.l).cov
+    directions = np.deg2rad([config.presumed_soi_deg, *config.interferers_deg])
+    db = [config.snr_grid_db[0]] + [config.inr_grid_db[0]] * len(config.interferers_deg)
+    powers = 10.0 ** (np.array(db) / 10.0)
+    r = oracle.covariance(directions, powers, oracle.positions(config.l))
+    diag = r.diagonal().real
+    for k, mean in zip(ks, cov.mean(axis=0)):
+        sd = np.sqrt(np.outer(diag, diag) / (k * trials))
+        assert np.all(np.abs(mean - r) <= 5 * sd), np.abs(mean - r).max() / sd.min()
 
 
 def _chunk_points(n_trials=3):
