@@ -73,12 +73,14 @@ GRAM_BLOCK = 512
 # and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
 
-# (getter, setter) symbol names of OpenBLAS's thread count: the
-# scipy-openblas build numpy wheels ship, then a plain OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+# (getter, setter) symbol names of OpenBLAS's thread count under every
+# affix numpy wheels build it with: the scipy-openblas prefix of numpy 2,
+# none, and the suffixes of a 64-bit-integer build (numpy 1.x: "64_").
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "_64", "")
+]
 
 
 @dataclass
@@ -247,24 +249,6 @@ class _Points:
         return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
 
 
-def _normal_blocks(n_rows, ks, seed, out=None):
-    """Complex standard normals of seed's stream, an (n_rows, k) block per k.
-
-    The stream is drawn once, for the largest k, into a new array or into
-    the leading entries of the float buffer ``out``; each block, in the
-    order of ``ks``, is a view of its first 2 n_rows k numbers read as
-    complex pairs. For n_rows = P + 1 + n that is the draw of k snapshots
-    of an n-element array: the waveform rows of [SOI, *interferers], then
-    the noise rows, so the first m noise rows of an extended draw are the
-    m-element draw.
-    """
-    size = 2 * n_rows * max(ks)
-    flat = np.empty(size) if out is None else out[:size]
-    np.random.default_rng(seed).standard_normal(out=flat)
-    for k in ks:
-        yield flat[: 2 * n_rows * k].view(complex).reshape(n_rows, k)
-
-
 def _gram(z, conjugate):
     """Z Z^H of an (n, k) block Z, summed over its GRAM_BLOCK-column blocks.
 
@@ -283,19 +267,6 @@ def _gram(z, conjugate):
     return gram
 
 
-def _source_covariance(steer, powers, noise_power):
-    """hermitize(A diag(powers) A^H + noise_power I) of the columns A of ``steer``.
-
-    A (..., n, P) steering stack with (..., P) powers gives a (..., n, n)
-    stack: the true IPNC of every trial of a sweep chunk comes from one
-    call.
-    """
-    powers = np.asarray(powers, dtype=float)
-    r = (steer * powers[..., None, :]) @ np.swapaxes(steer.conj(), -1, -2)
-    r += noise_power * np.eye(steer.shape[-2])
-    return hermitize(r)
-
-
 def _draw_points(config, x_values, trials, n_generate):
     """Draw every (trial, x) point of ``trials``, keeping only covariances.
 
@@ -305,16 +276,17 @@ def _draw_points(config, x_values, trials, n_generate):
     for the sources it sets, the first entry of every other grid. One
     steering stack over the extended aperture mixes the draws; one over
     the physical aperture holds each trial's true steering vector
-    (column 0), and its interferer columns and the power table give the
-    true IPNCs in one ``_source_covariance`` call: one per trial, or one
-    per point if an interferer power changes with x. A point's
+    (column 0), and its interferer columns A_I and the power table p give
+    the true IPNCs A_I diag(p) A_I^H + I in one product: one per trial, or
+    one per point if an interferer power changes with x. A point's
     snapshots would be B Z, with Z the draw's complex normals (source
     waveforms, then noise) and B = [A, I] diag(a) for the steering
     matrix A and the amplitudes a = sqrt(power / 2), so its covariance
     is B G B^H with G = Z Z^H / k, formed per trial by ``_gram`` and
     written into the chunk's one (T, X, L, L) stack. In the SNR and INR
-    sweeps the x values of a trial share G; the snapshot sweep takes
-    every k's Z from a prefix of the trial's stream at its largest k.
+    sweeps the x values of a trial share G; the snapshot sweep draws the
+    trial's stream once, at its largest k, and every k's Z is a view of
+    its first 2 n_rows k numbers read as complex pairs.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     grid = EXPERIMENTS[config.experiment].grid
@@ -343,14 +315,19 @@ def _draw_points(config, x_values, trials, n_generate):
     cov = np.empty((len(trials), n_x, n, n), dtype=complex)
     for t, (steer, (_, _, _, snap_seed)) in enumerate(zip(extended, draws)):
         b = np.hstack((steer, np.eye(n))) * amplitudes
-        zs = _normal_blocks(n_rows, ks, snap_seed, stream)
+        np.random.default_rng(snap_seed).standard_normal(out=stream)
+        # Z's rows are the waveforms of [SOI, *interferers], then noise, so
+        # the first m noise rows of an extended draw are the m-element draw.
+        zs = (stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k) for k in ks)
         gram = np.stack([_gram(z, conjugate) / z.shape[1] for z in zs])
         cov[t] = hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
     # A trial's points share its true IPNC unless an interferer power
     # changes with x. The IPNC and steering vector are made C-contiguous:
     # BLAS rounds output_sinr's products by their memory layout.
     int_powers = powers[:, 1:] if np.any(powers[:, 1:] != powers[0, 1:]) else powers[:1, 1:]
-    ipnc = np.ascontiguousarray(_source_covariance(physical[:, None, :, 1:], int_powers, 1.0))
+    a_int = physical[:, None, :, 1:]
+    ipnc = (a_int * int_powers[..., None, :]) @ np.swapaxes(a_int.conj(), -1, -2) + np.eye(m)
+    ipnc = np.ascontiguousarray(hermitize(ipnc))
     tsv = np.ascontiguousarray(physical[:, None, :, 0])
     return _Points(cov, ipnc, tsv, powers[None, :, 0])
 

@@ -104,17 +104,24 @@ def select_dimension(config):
 
     Returns (l, projector) with the (l, l) projector of
     ``build_projection``; ``config.fixed_l`` pins l and skips the search.
-    Raises NoConvergenceError, whose message names the smallest error
-    seen and its dimension, when no dimension qualifies.
+    A dimension whose look sector holds every selection zero has no
+    projector and never qualifies; its empty projector loses all of the
+    interferers' energy, an error of exactly 1. Raises
+    NoConvergenceError, whose message names the smallest error seen and
+    its dimension, when no dimension qualifies.
     """
     if config.fixed_l is not None:
         return config.fixed_l, build_projection(config, config.fixed_l)
     closest_l, closest_error = None, np.inf
     for l in range(config.l_initial, config.l_max + 1):
-        projector = build_projection(config, l)
-        error = normalized_error(projector, config.nominal_interferers)
-        if error <= config.delta:
-            return l, projector
+        try:
+            projector = build_projection(config, l)
+        except ValueError:
+            error = 1.0
+        else:
+            error = normalized_error(projector, config.nominal_interferers)
+            if error <= config.delta:
+                return l, projector
         if error < closest_error:
             closest_l, closest_error = l, error
     raise NoConvergenceError(

@@ -36,6 +36,13 @@ def covariance(directions, powers, pos):
     return hermitian(r + np.eye(len(pos)))
 
 
+def normals(n_rows, k, seed):
+    """(n_rows, k) complex normals of seed's stream: an (n_rows, k, 2)
+    standard-normal draw read as (real, imaginary) pairs."""
+    d = np.random.default_rng(seed).standard_normal((n_rows, k, 2))
+    return d[..., 0] + 1j * d[..., 1]
+
+
 def snapshots(directions, powers, pos, k, seed):
     """k snapshots of the sources over noise, drawn from seed's stream: one
     standard-normal (k, 2) block per source in order, the circular complex

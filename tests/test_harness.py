@@ -40,7 +40,7 @@ from beamlab.config import (
     _sector_complement,
     normalize_config,
 )
-from beamlab.harness import _draw_mismatch, _normal_blocks
+from beamlab.harness import _draw_mismatch
 
 
 def test_benchmark_tracer_targets_resolve_in_harness():
@@ -305,6 +305,29 @@ def _blas_controls():
     if controls is None:
         pytest.skip("numpy links no OpenBLAS: the thread pin does nothing")
     return controls
+
+
+def test_openblas_threads_are_found_under_a_numpy1_suffix(monkeypatch):
+    # numpy 1.x wheels export OpenBLAS's thread count with no prefix and
+    # a "64_" suffix; a library with only that pair still gives the pin.
+    libs = []
+
+    class Openblas64:
+        def __init__(self, name, mode=0):
+            libs.append(self)
+            self.openblas_get_num_threads64_ = types.SimpleNamespace()
+            self.openblas_set_num_threads64_ = types.SimpleNamespace()
+
+    harness._openblas_threads.cache_clear()
+    monkeypatch.setattr(harness.ctypes, "CDLL", Openblas64)
+    try:
+        controls = harness._openblas_threads()
+    finally:
+        harness._openblas_threads.cache_clear()
+    (lib,) = libs
+    assert controls is not None
+    assert controls[0] is lib.openblas_get_num_threads64_
+    assert controls[1] is lib.openblas_set_num_threads64_
 
 
 _RAW_SCRIPT = """
@@ -828,36 +851,19 @@ POWERS = [10.0, 100.0, 100.0]
 
 def test_snapshots_match_reference_draw_protocol():
     # The engine forms no snapshots: a point's draw is B Z, with Z the
-    # normals of _normal_blocks (waveforms, then noise) and B = [A, I]
-    # diag(sqrt(power / 2)) for the steering stack A of _steering_grid.
-    # A is the reference steering bit for bit, and B Z the reference draw.
+    # complex normals of the reference stream (waveforms, then noise) and
+    # B = [A, I] diag(sqrt(power / 2)) for the steering stack A of
+    # _steering_grid. A is the reference steering bit for bit, and B Z
+    # the reference draw.
     m, n, k, seed = 10, 13, 6, 99
     perr = np.concatenate(([0.0], np.linspace(-0.04, 0.04, m - 1)))
     pos = oracle.positions(n, perr)
     steer = _steering_grid(_element_positions(n, perr), np.sin(DIRECTIONS))
     np.testing.assert_array_equal(steer, oracle.steering(DIRECTIONS, pos))
-    (z,) = _normal_blocks(len(POWERS) + n, [k], seed)
+    z = oracle.normals(len(POWERS) + n, k, seed)
     b = np.hstack((steer, np.eye(n))) * np.sqrt(np.r_[POWERS, np.ones(n)] / 2)
     expected = oracle.snapshots(DIRECTIONS, POWERS, pos, k, seed)
     np.testing.assert_allclose(b @ z, expected, rtol=0, atol=1e-12)
-
-
-def test_normal_blocks_are_each_k_draw():
-    # Every block, for an unsorted grid with repeats, holds the complex
-    # normals of a fresh k draw: the (P + 1, k, 2) waveform block, then
-    # the (n, k, 2) noise block.
-    n_sources, n, seed = 3, 13, 99
-    ks = [50, 1, 8, 50, 3]
-    blocks = list(_normal_blocks(n_sources + n, ks, seed))
-    assert len(blocks) == len(ks)
-    for k, block in zip(ks, blocks):
-        rng = np.random.default_rng(seed)
-        d = np.concatenate(
-            (rng.standard_normal((n_sources, k, 2)), rng.standard_normal((n, k, 2)))
-        )
-        assert block.shape == (n_sources + n, k)
-        np.testing.assert_array_equal(block.real, d[..., 0])
-        np.testing.assert_array_equal(block.imag, d[..., 1])
 
 
 def test_snapshot_points_depend_only_on_their_k():
@@ -873,10 +879,19 @@ def test_snapshot_points_depend_only_on_their_k():
             np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
 
 
-def test_drawn_covariance_is_the_blocked_gram():
+@pytest.mark.parametrize(
+    "ks",
+    [
+        # An unsorted grid with repeats: every k's Z is a fresh k draw.
+        [50, 1, 8, 50, 3],
+        [300, harness.GRAM_BLOCK, harness.GRAM_BLOCK + 1, 3 * harness.GRAM_BLOCK - 36],
+    ],
+    ids=["unsorted_repeats", "gram_blocks"],
+)
+def test_drawn_covariance_is_the_blocked_gram(ks):
     # A point's covariance is hermitize(B G B^H) with G = Z Z^H / k, B the
-    # documented mixing matrix and Z the draw of _normal_blocks. Up to
-    # GRAM_BLOCK columns the Gram is the single product, bit for bit.
+    # documented mixing matrix and Z the reference draw of k normals. Up
+    # to GRAM_BLOCK columns the Gram is the single product, bit for bit.
     # Past it, the blocked sum only reorders each Gram entry's k terms.
     # Any order errs by at most gamma_(k+2) ~ (k + 2) eps / 2 times the
     # sum of the terms' moduli, (|Z| |Z|^T)_rs (Higham's bound for
@@ -884,7 +899,6 @@ def test_drawn_covariance_is_the_blocked_gram():
     # it. Each side's two mixing products, of n_rows terms each, add
     # (n_rows + 2) eps / 2 apiece relative to |B| |G| |B|^T. In all:
     # |dR| <= (k + 2 + 2 (n_rows + 2)) eps |B| (|Z| |Z|^T) |B|^T / k.
-    ks = [300, harness.GRAM_BLOCK, harness.GRAM_BLOCK + 1, 3 * harness.GRAM_BLOCK - 36]
     config = normalize_config(_small("sinr_vs_snapshots", k_grid=ks))
     cov = harness._draw_points(config, np.asarray(ks, dtype=float), range(2, 3), config.l).cov
     soi, interferers, perr, seed = _draw_mismatch(config, 2)
@@ -893,8 +907,8 @@ def test_drawn_covariance_is_the_blocked_gram():
     steer = oracle.steering([soi, *interferers], oracle.positions(config.l, perr))
     b = np.hstack((steer, np.eye(config.l))) * np.sqrt(np.r_[powers, np.ones(config.l)] / 2)
     n_rows = b.shape[1]
-    for got, z in zip(cov[0], _normal_blocks(n_rows, ks, seed)):
-        k = z.shape[1]
+    for got, k in zip(cov[0], ks):
+        z = oracle.normals(n_rows, k, seed)
         single = hermitize(b @ (z @ z.conj().T / k) @ b.conj().T)
         if k <= harness.GRAM_BLOCK:
             np.testing.assert_array_equal(got, single)

@@ -145,6 +145,27 @@ def test_select_dimension_no_convergence_reports_best():
     assert 10 <= int(l) <= 40
 
 
+def test_select_dimension_skips_dimensions_without_a_projector():
+    # A 70-degree sector holds every selection zero at l 11, 13 and 15 (the
+    # even l keep the -90 degree zero), so no projector exists there; the
+    # search goes on to the first l that qualifies.
+    cfg = _config(
+        soi_sector_halfwidth=np.deg2rad(70.0), nominal_interferers=np.deg2rad([-75.0, 75.0])
+    )
+    for l in (11, 13, 15):
+        with pytest.raises(ValueError, match="swallows every basis angle"):
+            build_projection(cfg, l)
+    l, proj = select_dimension(cfg)
+    assert l == 29
+    np.testing.assert_array_equal(proj, build_projection(cfg, 29))
+    assert normalized_error(proj, cfg.nominal_interferers) == pytest.approx(0.008926, abs=1e-6)
+    # With no projector at any l, each counts as losing all the interferer
+    # energy: the closest is the first l, at error 1.
+    cfg = _config(soi_sector_halfwidth=np.deg2rad(90.0), l_max=20)
+    with pytest.raises(NoConvergenceError, match=r"best error 1 at l=10$"):
+        select_dimension(cfg)
+
+
 def test_reconstruct_ipnc_takes_physical_block():
     cfg = _config()
     proj = build_projection(cfg, 20)

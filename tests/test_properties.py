@@ -4,11 +4,15 @@ distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, the blocked CSV
 writer against a row-at-a-time one, its time over a long row period and
-its table shape check, and the memory of the CSV writer and of the
-draw."""
+its table shape check, the memory of the CSV writer and of the draw,
+and the peak resident memory of runs at the config bounds."""
 
 import csv
+import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -47,7 +51,16 @@ from beamlab import (
 )
 from beamlab import harness
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
-from beamlab.config import EXPERIMENTS, MAX_POWER_DB, METHOD_NAMES, _sector_complement
+from beamlab.config import (
+    EXPERIMENTS,
+    MAX_DIMENSION,
+    MAX_GRID_POINTS,
+    MAX_INTERFERERS,
+    MAX_POWER_DB,
+    MAX_SNAPSHOTS,
+    METHOD_NAMES,
+    _sector_complement,
+)
 from beamlab.harness import SweepResult, _draw_mismatch
 from beamlab.metrics import beampattern_grid_deg
 
@@ -140,17 +153,16 @@ def test_normalized_error_lies_in_unit_interval(data):
 def test_select_dimension_equals_direct_scan(data):
     # A direct scan of [l_initial, l_max]: the first l whose error is at
     # most delta, else NoConvergenceError naming the scan's argmin and
-    # min. A dimension whose projector cannot be built stops the scan
-    # with the same ValueError.
+    # min. A dimension whose projector cannot be built never qualifies
+    # and counts as an error of 1, all of the interferers' energy lost.
     config = _search_config(data.draw)
     errors = {}
     for l in range(config.l_initial, config.l_max + 1):
         try:
             projector = build_projection(config, l)
-        except ValueError as err:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                select_dimension(config)
-            return
+        except ValueError:
+            errors[l] = 1.0
+            continue
         errors[l] = normalized_error(projector, config.nominal_interferers)
         if errors[l] <= config.delta:
             l_chosen, chosen = select_dimension(config)
@@ -783,3 +795,70 @@ def test_draw_memory_is_one_stream_or_one_stack():
     stack_bytes = config.trials * n_x * config.l**2 * 16
     trial_bytes = 4 * n_x * config.l * n_rows * 16
     assert _draw_peak(config) < stack_bytes + trial_bytes + 2**20
+
+
+_PEAK_SCRIPT = """
+import json, resource, sys
+from beamlab import default_config, run_experiment
+config = default_config(sys.argv[1])
+for name, value in json.loads(sys.argv[2]).items():
+    setattr(config, name, value)
+run_experiment(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize(
+    "experiment, overrides, documented_mb",
+    [
+        # config.MAX_DIMENSION: one trial at MAX_SNAPSHOTS and l 128.
+        ("sinr_vs_snapshots", {"trials": 1, "l": MAX_DIMENSION, "k_grid": [MAX_SNAPSHOTS]}, 251),
+        # config.MAX_INTERFERERS: the same run with that many interferers.
+        (
+            "sinr_vs_snapshots",
+            {
+                "trials": 1,
+                "l": MAX_DIMENSION,
+                "k_grid": [MAX_SNAPSHOTS],
+                "interferers_deg": [
+                    side * a
+                    for side in (-1, 1)
+                    for a in np.linspace(10.0, 80.0, MAX_INTERFERERS // 2)
+                ],
+            },
+            299,
+        ),
+        # config.MAX_GRID_POINTS: 16 trials of that many SNR points at l 128.
+        (
+            "sinr_vs_snr",
+            {
+                "trials": 16,
+                "l": MAX_DIMENSION,
+                "snr_grid_db": np.linspace(-10.0, 52.0, MAX_GRID_POINTS).tolist(),
+            },
+            376,
+        ),
+    ],
+    ids=["max_snapshots", "max_interferers", "max_grid_points"],
+)
+def test_runs_at_the_config_bounds_keep_their_documented_peak(
+    tmp_path, experiment, overrides, documented_mb
+):
+    # config.py documents the getrusage peak, in decimal MB, of a run at
+    # each of these bounds; a run here may exceed it by 10% at most. A
+    # second copy of the stream per trial adds 210 MB at the first bound.
+    src = Path(harness.__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, experiment, json.dumps(overrides)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    peak_mb = int(run.stdout) * 1024 / 1e6
+    assert peak_mb <= 1.1 * documented_mb, f"peak {peak_mb:.1f} MB"
