@@ -66,9 +66,13 @@ MAX_GRID_POINTS = 64
 MAX_INTERFERERS = 32
 # Most values of a run's raw (x, method, trial) table: x rows (the 1801
 # angles of the beampattern) times methods times trials. The table takes
-# 268 MB at this bound; its statistics and emit_csv each hold one more
-# array of its size while they run, emit_csv also one block of rows and
-# the row templates that MAX_RAW_PERIOD bounds.
+# 268 MB at this bound and is the only array of its size that a run and
+# its CSV write hold: the chunks write into it, and its statistics and
+# emit_csv read it a block at a time, emit_csv also holding the row
+# templates that MAX_RAW_PERIOD bounds. A 3726-trial beampattern at this
+# bound, emit_csv included, peaks at 318 MB (getrusage); holding the
+# chunks' blocks, a copy for the statistics and a stacked copy for the
+# writer beside the table took it to 882 MB.
 MAX_RAW_VALUES = 2**25
 # Most rows in the period of the raw CSV, methods times trials: emit_csv
 # holds one row template per (method, trial), about 90 B each, so 95 MB

@@ -4,11 +4,14 @@
 trials run in chunks: a chunk draws the inputs of its (trial, x) points
 for the whole x grid, runs each method as one batched call over them,
 and returns one (x, method, trial) block of values with its failures.
-``_aggregate`` folds the blocks into one (x, method, trial) table and
-its statistics, of which the ``SweepResult`` dicts are per-method views,
-and ``emit_csv`` writes the tables in their C order, the CSV row order:
-each block of rows is one printf-style format of a row template per
-(method[, trial]) over the block's x cells and values.
+``run_experiment`` writes each block into the run's one (x, method,
+trial) table as its chunk returns; ``_aggregate`` takes the table's
+statistics a block of x rows at a time, and the ``SweepResult`` dicts
+are per-method views of these tables. ``emit_csv`` writes them in the C
+order of their (x, method[, trial]) stack, the CSV row order: each block
+of rows gathers its values from the per-method views and is one
+printf-style format of a row template per (method[, trial]) over the
+block's x cells and values.
 
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
@@ -25,6 +28,7 @@ physical array is the leading m x m block of the extended one.
 """
 
 import ctypes
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -69,8 +73,12 @@ TRIAL_CHUNK = 16
 # each product needs is one block, not the trial's whole stream. At k up
 # to this size the Gram is one product.
 GRAM_BLOCK = 512
-# Rows per CSV write: a block's text is all of the file held in memory,
-# and one block amortizes the interpreter's cost per write.
+# Raw values per block of a run's statistics, which take whole x rows:
+# a block's float copy and mask (0.15 MB) stay in cache, and the numpy
+# calls per block amortize over it.
+STATS_BLOCK_VALUES = 2**14
+# Rows per CSV write: a block's values and text are all of the file held
+# in memory, and one block amortizes the interpreter's cost per write.
 CSV_BLOCK_ROWS = 4096
 
 # (getter, setter) symbol names of OpenBLAS's thread count under every
@@ -104,32 +112,31 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
-    """Fold the chunks' (x, method, trial) blocks into one raw table, take
-    its statistics over the finite trials, and return a ``SweepResult``
-    whose dicts are per-method views of these tables."""
-    raw = np.full((len(x_values), len(config.methods), config.trials), np.nan)
-    diagnostics = {
-        "dominance_violations": 0,
-        "failures": [],
-        "l_chosen": None if projection is None else len(projection),
-        "epsilon_n": epsilon,
-        "lcssp_error": lcssp_error,
-    }
-    for trials, values, failures, violations in outcomes:
-        raw[..., trials] = values
-        diagnostics["failures"].extend(failures)
-        diagnostics["dominance_violations"] += violations
-    diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
-    mask = np.isfinite(raw)
-    n_ok = mask.sum(axis=-1)
-    denom = np.maximum(n_ok, 1)
-    # The deviations reuse the zero-filled copy, so the statistics hold
-    # one temporary of the table's size.
-    dev = np.where(mask, raw, 0.0)
-    mu = dev.sum(axis=-1) / denom
-    np.subtract(dev, mu[..., None], out=dev, where=mask)
-    var = np.square(dev, out=dev).sum(axis=-1) / denom
+def _aggregate(config, x_values, raw, diagnostics):
+    """Statistics of the filled (x, method, trial) table ``raw`` over its
+    finite trials, and a ``SweepResult`` whose dicts are per-method views
+    of ``raw`` and of the (x, method) statistics tables.
+
+    The statistics run over blocks of x rows, about STATS_BLOCK_VALUES
+    values each and at least one row, so their temporaries are a block's
+    size, not the table's. A row's sums over its trials do not depend on
+    the block it is in.
+    """
+    n_x, n_methods, trials = raw.shape
+    n_ok = np.empty((n_x, n_methods), dtype=int)
+    mean, std = np.empty((2, n_x, n_methods))
+    step = max(1, STATS_BLOCK_VALUES // (n_methods * trials))
+    for s in range(0, n_x, step):
+        block = raw[s : s + step]
+        mask = np.isfinite(block)
+        denom = np.maximum(mask.sum(axis=-1, out=n_ok[s : s + step]), 1)
+        # The deviations reuse the zero-filled copy of the block.
+        dev = np.where(mask, block, 0.0)
+        mu = np.divide(dev.sum(axis=-1), denom, out=mean[s : s + step])
+        np.subtract(dev, mu[..., None], out=dev, where=mask)
+        np.divide(np.square(dev, out=dev).sum(axis=-1), denom, out=std[s : s + step])
+    np.sqrt(std, out=std)
+    mean[n_ok == 0] = std[n_ok == 0] = np.nan
 
     def per_method(table):
         return {meth: table[:, j] for j, meth in enumerate(config.methods)}
@@ -138,8 +145,8 @@ def _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error):
         x_values=np.asarray(x_values, dtype=float),
         methods=list(config.methods),
         raw=per_method(raw),
-        mean_sinr_db=per_method(np.where(n_ok > 0, mu, np.nan)),
-        std_db=per_method(np.where(n_ok > 0, np.sqrt(var), np.nan)),
+        mean_sinr_db=per_method(mean),
+        std_db=per_method(std),
         n_ok=per_method(n_ok),
         diagnostics=diagnostics,
         config=config,
@@ -516,32 +523,76 @@ def run_experiment(config, workers=1):
     x_values = np.asarray([0.0] if spec.grid is None else getattr(config, spec.grid), dtype=float)
     size = min(TRIAL_CHUNK, -(-config.trials // workers))
     chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
+    table_x = beampattern_grid_deg() if spec.grid is None else x_values
+    raw = np.full((len(table_x), len(config.methods), config.trials), np.nan)
     with _one_blas_thread:
         projection, epsilon, lcssp_error, n_generate = _resolve_lcssp(config)
+        diagnostics = {
+            "dominance_violations": 0,
+            "failures": [],
+            "l_chosen": None if projection is None else len(projection),
+            "epsilon_n": epsilon,
+            "lcssp_error": lcssp_error,
+        }
+
+        def fill(outcomes):
+            # Each chunk's block goes into the table as the chunk returns.
+            for trials, values, failures, violations in outcomes:
+                raw[..., trials] = values
+                diagnostics["failures"].extend(failures)
+                diagnostics["dominance_violations"] += violations
+
         run_chunk = partial(_run_chunk, config, x_values, projection, lcssp_error, n_generate)
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor  # serial runs never pay its import
 
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
-                outcomes = list(pool.map(run_chunk, chunks))
+                fill(pool.map(run_chunk, chunks))
             finally:
                 # After an error or an interrupt, the queued chunks never run.
                 pool.shutdown(cancel_futures=True)
         else:
-            outcomes = [run_chunk(trials) for trials in chunks]
-    if spec.grid is None:
-        x_values = beampattern_grid_deg()
-    return _aggregate(config, x_values, outcomes, projection, epsilon, lcssp_error)
+            fill(map(run_chunk, chunks))
+    diagnostics["failures"].sort(key=lambda rec: (rec["trial"], rec["x"], rec["method"]))
+    return _aggregate(config, table_x, raw, diagnostics)
+
+
+def _stacked_values(tables, start, stop):
+    """Entries start:stop of the C-order (x, method[, trial]) stack of the
+    per-method ``tables``, gathered from them without stacking them whole.
+
+    Whole x rows in the range take one strided copy per method; a part of
+    an x row takes one run of a method's values at a time.
+    """
+    shape = tables[0].shape[1:]
+    period = len(tables) * math.prod(shape)
+    values = np.empty(stop - start, np.result_type(*tables))
+    at = start
+    while at < stop:
+        ix, offset = divmod(at, period)
+        if offset == 0 and stop - at >= period:
+            n_x = (stop - at) // period
+            rows = values[at - start : at - start + n_x * period].reshape(n_x, -1, *shape)
+            for j, table in enumerate(tables):
+                rows[:, j] = table[ix : ix + n_x]
+            at += n_x * period
+        else:
+            j, k = divmod(offset, period // len(tables))
+            run = tables[j][ix : ix + 1].ravel()[k : k + stop - at]
+            values[at - start : at - start + len(run)] = run
+            at += len(run)
+    return values
 
 
 def _write_blocks(path, header, period, x_cells, columns):
     """Write ``header``, then the rows of ``columns`` in blocks of CSV_BLOCK_ROWS.
 
-    Row r fills the template ``period[r % len(period)]`` with the x cell
-    ``x_cells[r // len(period)]`` and the r-th value of each column.
+    Each column is a list of per-method tables. Row r fills the template
+    ``period[r % len(period)]`` with the x cell ``x_cells[r // len(period)]``
+    and the r-th value of each column's (x, method[, trial]) stack.
     """
-    n_rows, p, width = len(columns[0]), len(period), len(columns) + 1
+    n_rows, p, width = len(x_cells) * len(period), len(period), len(columns) + 1
     templates = cycle(period)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
@@ -549,8 +600,8 @@ def _write_blocks(path, header, period, x_cells, columns):
             n = min(CSV_BLOCK_ROWS, n_rows - start)
             args = [None] * (width * n)
             args[::width] = x_cells[np.arange(start, start + n) // p].tolist()
-            for k, column in enumerate(columns, 1):
-                v = column[start : start + n]
+            for k, tables in enumerate(columns, 1):
+                v = _stacked_values(tables, start, start + n)
                 if v.dtype.kind == "f":
                     v = np.where(np.isfinite(v), v, np.nan)
                 args[k::width] = v.tolist()
@@ -566,25 +617,26 @@ def emit_csv(result, path):
     numbers to 12 significant digits with every non-finite value as
     ``nan``; byte-identical for identical runs. A file's rows repeat a
     period of printf-style row templates, one per method (aggregate) or
-    per (method, trial) (raw). Each block of CSV_BLOCK_ROWS rows is one
-    ``%`` format over its x cells and values and one write; the writer
-    holds a stacked copy of the tables, the raw period (about 90 B a
-    template) and one block of text. Tables that do not fit the x values,
-    methods and ``config.trials`` raise ValueError before any file opens.
+    per (method, trial) (raw). Each block of CSV_BLOCK_ROWS rows gathers
+    its values from the per-method tables and is one ``%`` format over
+    its x cells and values and one write; the writer holds the raw
+    period (about 90 B a template), the x cells and one block of values
+    and text, whatever the size of the tables. Tables that do not fit the
+    x values, methods and ``config.trials`` raise ValueError before any
+    file opens.
     """
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
     trials = result.config.trials
-    # Each table in CSV row order: the C order of its (x, method[, trial]) stack.
-    tables = [
-        np.stack([table[meth] for meth in result.methods], axis=1)
+    columns = [
+        [np.asarray(table[meth]) for meth in result.methods]
         for table in (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
     ]
-    shape = (len(result.x_values), len(result.methods))
-    if [t.shape for t in tables] != [shape] * 3 + [(*shape, trials)]:
-        raise ValueError(f"result tables of shapes {[t.shape for t in tables]} do not fit "
-                         f"{shape[0]} x values, {shape[1]} methods and {trials} trials")
-    mean, std, n_ok, raw = (t.ravel() for t in tables)
+    shapes = [[t.shape for t in tables] for tables in columns]
+    n_x, n_methods = len(result.x_values), len(result.methods)
+    if shapes != [[(n_x,)] * n_methods] * 3 + [[(n_x, trials)] * n_methods]:
+        raise ValueError(f"per-method tables of shapes {shapes} do not fit {n_x} x values, "
+                         f"{n_methods} methods and {trials} trials")
     # One period of each file's row templates; a % in a method name is escaped.
     methods = [meth.replace("%", "%%") for meth in result.methods]
     agg_period = [f"%s,{meth},%.12g,%.12g,%d\n" for meth in methods]
@@ -593,9 +645,9 @@ def emit_csv(result, path):
     x_cells = np.array([f"{v:.12g}" for v in x.tolist()], dtype=object)
     try:
         _write_blocks(
-            path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, (mean, std, n_ok)
+            path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, columns[:3]
         )
-        _write_blocks(raw_path, "x,method,trial,sinr_db\n", raw_period, x_cells, (raw,))
+        _write_blocks(raw_path, "x,method,trial,sinr_db\n", raw_period, x_cells, columns[3:])
     except OSError as err:
         raise OSError(f"writing results to {path}: {err}") from err
     return path, raw_path

@@ -42,7 +42,15 @@ def pattern_gains_db(weights, steer):
     """Gains 20 log10 |w^H a_j| over the columns of ``steer``, peak at 0 dB.
 
     ``weights`` may be a (..., n) stack; each curve is normalized on its own.
+    The complex responses are formed one (k, n) matrix of the stack at a
+    time, in a sweep one trial's methods, so the float gains are the only
+    array of the stack's size.
     """
-    response = np.abs(weights.conj() @ steer)
-    gains = 20.0 * np.log10(np.maximum(response, 1e-300))
-    return gains - gains.max(axis=-1, keepdims=True)
+    weights = np.asarray(weights)
+    gains = np.empty((*weights.shape[:-1], steer.shape[-1]))
+    for index in np.ndindex(weights.shape[:-2]):
+        np.abs(weights[index].conj() @ steer, out=gains[index])
+    np.log10(np.maximum(gains, 1e-300, out=gains), out=gains)
+    gains *= 20.0
+    gains -= gains.max(axis=-1, keepdims=True)
+    return gains

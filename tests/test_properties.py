@@ -4,7 +4,7 @@ distortionless constraint, broadcasting over leading axes, SINR bound,
 invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, the blocked CSV
 writer against a row-at-a-time one, its time over a long row period and
-its table shape check, the memory of the CSV writer and of the draw,
+its table shape check, the memory of the CSV writer, the sweep and the draw,
 and the peak resident memory of runs at the config bounds."""
 
 import csv
@@ -740,21 +740,46 @@ def test_emit_csv_rejects_tables_that_do_not_fit(tmp_path, table_trials, x_value
     assert list(tmp_path.iterdir()) == []
 
 
-def test_emit_csv_memory_is_one_table_plus_a_block(tmp_path):
-    # 1801 beampattern angles x 5 methods x 60 trials. The writer holds
-    # one stacked copy of the raw table, one block of rows and one row
-    # template per (method, trial), about 90 B each: 300 here, but 3 GB
-    # at MAX_RAW_VALUES with one x value. A list of the whole table's
-    # Python floats would take several times the table.
-    result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=60)
-    table_bytes = sum(view.nbytes for view in result.raw.values())
+def test_emit_csv_memory_is_one_block_plus_the_templates(tmp_path):
+    # 1801 beampattern angles x 5 methods x 117 trials: an 8 MiB raw
+    # table, which a stacked copy would double. The writer gathers each
+    # block of CSV_BLOCK_ROWS rows from the per-method views and holds
+    # about 200 B a row: its text, its template in the joined format, its
+    # value as a Python float and its slots in the argument list and
+    # tuple. Besides the block it holds the 585 raw row templates (about
+    # 90 B each) and the 1801 x cells, 0.2 MiB together. Neither depends
+    # on the size of the table.
+    result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=117)
+    assert sum(view.nbytes for view in result.raw.values()) >= 8 * 2**20
     tracemalloc.start()
     try:
         emit_csv(result, tmp_path / "out.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < table_bytes + 4 * 2**20
+    assert peak < harness.CSV_BLOCK_ROWS * 400 + 2**19
+
+
+def test_sweep_memory_is_one_table_plus_a_chunk():
+    # A serial 200-trial beampattern writes each chunk's block into one
+    # (1801, 5, 200) raw table, 13.7 MiB, as the chunk returns. A 16-trial
+    # chunk holds its (16, 5, 1801) float gains, 1.1 MiB, one trial's
+    # complex response, 0.14 MiB, and the (10, 1801) complex steering
+    # matrix with its temporaries, 0.7 MiB; the statistics hold a block of
+    # about STATS_BLOCK_VALUES values (0.15 MB with its mask) and the
+    # (1801, 5) results. Half a table covers these with room to spare;
+    # holding every chunk's block until the end, or a zero-filled copy of
+    # the table for the statistics, would each add one table.
+    config = default_config("beampattern")
+    config.trials = 200
+    table_bytes = len(beampattern_grid_deg()) * len(config.methods) * config.trials * 8
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes
 
 
 def _draw_peak(config):
