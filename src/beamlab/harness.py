@@ -6,12 +6,11 @@ for the whole x grid, runs each method as one batched call over them,
 and returns one (x, method, trial) block of values with its failures.
 ``run_experiment`` writes each block into the run's one (x, method,
 trial) table as its chunk returns; ``_aggregate`` takes the table's
-statistics a block of x rows at a time, and the ``SweepResult`` dicts
-are per-method views of these tables. ``emit_csv`` writes them in the C
-order of their (x, method[, trial]) stack, the CSV row order: each block
-of rows gathers its values from the per-method views and is one
-printf-style format of a row template per (method[, trial]) over the
-block's x cells and values.
+statistics a block of x rows at a time, and the ``SweepResult`` holds
+these tables as per-method views. ``emit_csv`` writes the tables in
+their C order, the CSV row order: each block of rows takes its values
+as one slice of each table and is one printf-style format of a row
+template per (method[, trial]) over the block's x cells and values.
 
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
@@ -28,9 +27,9 @@ physical array is the leading m x m block of the extended one.
 """
 
 import ctypes
-import math
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import cycle, islice
@@ -91,31 +90,51 @@ _OPENBLAS_THREAD_SYMBOLS = [
 ]
 
 
+class MethodViews(Mapping):
+    """Read-only map from each method to its column ``table[:, j]`` of an
+    (x, method[, trial]) ``table``, which it keeps; it iterates the
+    methods in the table's order."""
+
+    def __init__(self, table, methods):
+        self.table = table
+        self._columns = {meth: j for j, meth in enumerate(methods)}
+
+    def __getitem__(self, method):
+        return self.table[:, self._columns[method]]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self):
+        return len(self._columns)
+
+
 @dataclass
 class SweepResult:
     """Aggregated Monte Carlo output for one experiment.
 
     The per-trial values form one (x, method, trial) table with nan
     marking failures, and ``raw[method]`` is that method's (n_x, trials)
-    view of it. ``mean_sinr_db``, ``std_db`` and ``n_ok`` are per-method
-    (n_x,) views of (x, method) tables computed from it over the finite
-    entries, so they stay consistent by construction.
+    column of it. ``mean_sinr_db``, ``std_db`` and ``n_ok`` hold (x,
+    method) tables computed from it over the finite entries, so they stay
+    consistent by construction. Each of the four is a ``MethodViews``
+    whose ``table`` is in the CSV row order.
     """
 
     x_values: np.ndarray
     methods: list
-    raw: dict
-    mean_sinr_db: dict
-    std_db: dict
-    n_ok: dict
+    raw: MethodViews
+    mean_sinr_db: MethodViews
+    std_db: MethodViews
+    n_ok: MethodViews
     diagnostics: dict
     config: ExperimentConfig
 
 
 def _aggregate(config, x_values, raw, diagnostics):
     """Statistics of the filled (x, method, trial) table ``raw`` over its
-    finite trials, and a ``SweepResult`` whose dicts are per-method views
-    of ``raw`` and of the (x, method) statistics tables.
+    finite trials, and a ``SweepResult`` that holds ``raw`` and the (x,
+    method) statistics tables as per-method views.
 
     The statistics run over blocks of x rows, about STATS_BLOCK_VALUES
     values each and at least one row, so their temporaries are a block's
@@ -137,17 +156,13 @@ def _aggregate(config, x_values, raw, diagnostics):
         np.divide(np.square(dev, out=dev).sum(axis=-1), denom, out=std[s : s + step])
     np.sqrt(std, out=std)
     mean[n_ok == 0] = std[n_ok == 0] = np.nan
-
-    def per_method(table):
-        return {meth: table[:, j] for j, meth in enumerate(config.methods)}
-
     return SweepResult(
         x_values=np.asarray(x_values, dtype=float),
         methods=list(config.methods),
-        raw=per_method(raw),
-        mean_sinr_db=per_method(mean),
-        std_db=per_method(std),
-        n_ok=per_method(n_ok),
+        raw=MethodViews(raw, config.methods),
+        mean_sinr_db=MethodViews(mean, config.methods),
+        std_db=MethodViews(std, config.methods),
+        n_ok=MethodViews(n_ok, config.methods),
         diagnostics=diagnostics,
         config=config,
     )
@@ -558,41 +573,14 @@ def run_experiment(config, workers=1):
     return _aggregate(config, table_x, raw, diagnostics)
 
 
-def _stacked_values(tables, start, stop):
-    """Entries start:stop of the C-order (x, method[, trial]) stack of the
-    per-method ``tables``, gathered from them without stacking them whole.
+def _write_blocks(path, header, period, x_cells, tables):
+    """Write ``header``, then the rows of ``tables`` in blocks of CSV_BLOCK_ROWS.
 
-    Whole x rows in the range take one strided copy per method; a part of
-    an x row takes one run of a method's values at a time.
+    Row r fills the template ``period[r % len(period)]`` with the x cell
+    ``x_cells[r // len(period)]`` and entry r of each (x, method[, trial])
+    table in C order; a block takes its entries as one slice of each.
     """
-    shape = tables[0].shape[1:]
-    period = len(tables) * math.prod(shape)
-    values = np.empty(stop - start, np.result_type(*tables))
-    at = start
-    while at < stop:
-        ix, offset = divmod(at, period)
-        if offset == 0 and stop - at >= period:
-            n_x = (stop - at) // period
-            rows = values[at - start : at - start + n_x * period].reshape(n_x, -1, *shape)
-            for j, table in enumerate(tables):
-                rows[:, j] = table[ix : ix + n_x]
-            at += n_x * period
-        else:
-            j, k = divmod(offset, period // len(tables))
-            run = tables[j][ix : ix + 1].ravel()[k : k + stop - at]
-            values[at - start : at - start + len(run)] = run
-            at += len(run)
-    return values
-
-
-def _write_blocks(path, header, period, x_cells, columns):
-    """Write ``header``, then the rows of ``columns`` in blocks of CSV_BLOCK_ROWS.
-
-    Each column is a list of per-method tables. Row r fills the template
-    ``period[r % len(period)]`` with the x cell ``x_cells[r // len(period)]``
-    and the r-th value of each column's (x, method[, trial]) stack.
-    """
-    n_rows, p, width = len(x_cells) * len(period), len(period), len(columns) + 1
+    n_rows, p, width = len(x_cells) * len(period), len(period), len(tables) + 1
     templates = cycle(period)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
@@ -600,8 +588,8 @@ def _write_blocks(path, header, period, x_cells, columns):
             n = min(CSV_BLOCK_ROWS, n_rows - start)
             args = [None] * (width * n)
             args[::width] = x_cells[np.arange(start, start + n) // p].tolist()
-            for k, tables in enumerate(columns, 1):
-                v = _stacked_values(tables, start, start + n)
+            for k, table in enumerate(tables, 1):
+                v = table.flat[start : start + n]
                 if v.dtype.kind == "f":
                     v = np.where(np.isfinite(v), v, np.nan)
                 args[k::width] = v.tolist()
@@ -617,26 +605,29 @@ def emit_csv(result, path):
     numbers to 12 significant digits with every non-finite value as
     ``nan``; byte-identical for identical runs. A file's rows repeat a
     period of printf-style row templates, one per method (aggregate) or
-    per (method, trial) (raw). Each block of CSV_BLOCK_ROWS rows gathers
-    its values from the per-method tables and is one ``%`` format over
-    its x cells and values and one write; the writer holds the raw
-    period (about 90 B a template), the x cells and one block of values
-    and text, whatever the size of the tables. Tables that do not fit the
-    x values, methods and ``config.trials`` raise ValueError before any
-    file opens.
+    per (method, trial) (raw). The rows are the C order of the result's
+    (x, method[, trial]) tables, the ``table`` of each ``MethodViews``.
+    Each block of CSV_BLOCK_ROWS rows takes its values as one slice of
+    each table and is one ``%`` format over its x cells and values and
+    one write; the writer holds the raw period (about 90 B a template),
+    the x cells and one block of values and text, whatever the size of
+    the tables. Tables that do not fit the x values, methods and
+    ``config.trials``, and views whose methods are not ``result.methods``
+    in order, raise ValueError before any file opens.
     """
     path = Path(path)
     raw_path = path.with_name(path.stem + "_raw" + path.suffix)
     trials = result.config.trials
-    columns = [
-        [np.asarray(table[meth]) for meth in result.methods]
-        for table in (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
-    ]
-    shapes = [[t.shape for t in tables] for tables in columns]
+    views = (result.mean_sinr_db, result.std_db, result.n_ok, result.raw)
+    tables = [view.table for view in views]
+    shapes = [table.shape for table in tables]
     n_x, n_methods = len(result.x_values), len(result.methods)
-    if shapes != [[(n_x,)] * n_methods] * 3 + [[(n_x, trials)] * n_methods]:
-        raise ValueError(f"per-method tables of shapes {shapes} do not fit {n_x} x values, "
+    if shapes != [(n_x, n_methods)] * 3 + [(n_x, n_methods, trials)]:
+        raise ValueError(f"tables of shapes {shapes} do not fit {n_x} x values, "
                          f"{n_methods} methods and {trials} trials")
+    if any(list(view) != list(result.methods) for view in views):
+        raise ValueError(f"views list methods {[list(view) for view in views]}, "
+                         f"not {list(result.methods)}")
     # One period of each file's row templates; a % in a method name is escaped.
     methods = [meth.replace("%", "%%") for meth in result.methods]
     agg_period = [f"%s,{meth},%.12g,%.12g,%d\n" for meth in methods]
@@ -645,9 +636,9 @@ def emit_csv(result, path):
     x_cells = np.array([f"{v:.12g}" for v in x.tolist()], dtype=object)
     try:
         _write_blocks(
-            path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, columns[:3]
+            path, "x,method,mean_sinr_db,std_db,n_ok\n", agg_period, x_cells, tables[:3]
         )
-        _write_blocks(raw_path, "x,method,trial,sinr_db\n", raw_period, x_cells, columns[3:])
+        _write_blocks(raw_path, "x,method,trial,sinr_db\n", raw_period, x_cells, tables[3:])
     except OSError as err:
         raise OSError(f"writing results to {path}: {err}") from err
     return path, raw_path

@@ -78,6 +78,15 @@ def test_steering_rejects_out_of_range_angles():
     steering_vector(np.pi / 2, 8)
 
 
+def test_degenerate_arrays_and_look_directions_are_rejected():
+    with pytest.raises(ValueError, match="at least one element"):
+        steering_matrix([0.0], 0)
+    with pytest.raises(ValueError, match="at least two elements"):
+        selection_zeros(0.0, 1)
+    with pytest.raises(ValueError, match="strictly inside"):
+        selection_zeros(np.pi / 2, 8)
+
+
 def test_selection_zeros_closed_form():
     n = 10
     zeros = selection_zeros(0.0, n)

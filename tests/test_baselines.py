@@ -142,6 +142,13 @@ def test_conditioned_matrix_raises_when_loading_cannot_help():
         conditioned_matrix(np.zeros((3, 3), dtype=complex))
 
 
+def test_distortionless_solve_rejects_a_steering_vector_in_the_nullspace():
+    # A well-conditioned matrix passes the screen, but a zero steering
+    # vector gives a^H R^-1 a = 0, which no normalization can fix.
+    with pytest.raises(SingularCovarianceError, match="solve nullspace"):
+        distortionless_solve(np.eye(3), np.zeros(3))
+
+
 def test_conditioning_failure_is_per_item():
     # One failing item raises for its whole stack, and only that item
     # fails: the items beside it pass alone and as a stack of their own.

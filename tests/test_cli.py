@@ -118,6 +118,9 @@ def test_run_reports_failed_trials(tmp_path, capsys):
         ("snr_grid_db", [-4000]),
         ("inr_grid_db", [400]),
         ("experiment", ["sinr_vs_snr"]),
+        ("k_grid", []),
+        ("sector_halfwidth_deg", -1.0),
+        ("doa_mismatch_halfwidth_deg", -1.0),
     ],
 )
 def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
@@ -129,6 +132,20 @@ def test_run_unrunnable_config_is_config_error(tmp_path, capsys, field, value):
     assert err.startswith("config error:")
     assert field in err
     assert not out.exists()
+
+
+def test_run_warns_when_points_beat_the_optimal_bound(tmp_path, capsys, monkeypatch):
+    # A violation is a warning, not a failure: the run still exits 0.
+    run = cli.run_experiment
+
+    def violating(config, workers=1):
+        result = run(config, workers=workers)
+        result.diagnostics["dominance_violations"] = 3
+        return result
+
+    monkeypatch.setattr(cli, "run_experiment", violating)
+    assert main(_run_args(tmp_path)) == 0
+    assert "warning: 3 points beat the optimal bound\n" in capsys.readouterr().err
 
 
 def test_run_raw_period_over_the_limit_is_config_error(tmp_path, capsys, monkeypatch):

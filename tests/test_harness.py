@@ -330,6 +330,39 @@ def test_openblas_threads_are_found_under_a_numpy1_suffix(monkeypatch):
     assert controls[1] is lib.openblas_set_num_threads64_
 
 
+class _NoLibrary:
+    def __init__(self, name, mode=0):
+        raise OSError(f"{name}: cannot open shared object file")
+
+
+class _NoThreadSymbols:
+    def __init__(self, name, mode=0):
+        pass
+
+
+@pytest.mark.parametrize("cdll", [_NoLibrary, _NoThreadSymbols], ids=["no-library", "no-symbols"])
+def test_sweep_runs_without_openblas_thread_controls(monkeypatch, cdll):
+    # Where numpy's linalg library cannot be opened, or exports none of
+    # the symbol pairs, there is no pin: no sweep registers, and the
+    # sweep still runs to the end.
+    run_chunk, sweeps = harness._run_chunk, []
+
+    def counting(*args):
+        sweeps.append(harness._one_blas_thread._sweeps)
+        return run_chunk(*args)
+
+    harness._openblas_threads.cache_clear()
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(harness, "_run_chunk", counting)
+    try:
+        assert harness._openblas_threads() is None
+        res = run_experiment(_small("sinr_vs_snr"))
+    finally:
+        harness._openblas_threads.cache_clear()
+    assert sweeps == [0]
+    assert all(np.all(res.n_ok[meth] == res.config.trials) for meth in res.methods)
+
+
 _RAW_SCRIPT = """
 import sys
 import numpy as np

@@ -64,6 +64,10 @@ def test_config_validation():
         _config(l_initial=1)
     with pytest.raises(ValueError):
         _config(fixed_l=5)
+    with pytest.raises(ValueError, match="l_max must be at least l_initial"):
+        _config(l_max=9)
+    with pytest.raises(ValueError, match="sector halfwidth must be nonnegative"):
+        _config(soi_sector_halfwidth=-0.01)
     assert _config(l_max=None).l_max == 80
 
 
@@ -104,6 +108,14 @@ def test_projection_rejects_fully_excluded_sector():
     wide = _config(soi_sector_halfwidth=np.pi)
     with pytest.raises(ValueError):
         build_projection(wide, 20)
+
+
+def test_projection_and_error_reject_degenerate_inputs():
+    cfg = _config()
+    with pytest.raises(ValueError, match="at least 2"):
+        build_projection(cfg, 1)
+    with pytest.raises(ValueError, match="at least one interferer angle"):
+        normalized_error(build_projection(cfg, 10), [])
 
 
 def test_normalized_error_reference_values():

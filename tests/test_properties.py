@@ -61,7 +61,7 @@ from beamlab.config import (
     METHOD_NAMES,
     _sector_complement,
 )
-from beamlab.harness import SweepResult, _draw_mismatch
+from beamlab.harness import MethodViews, SweepResult, _draw_mismatch
 from beamlab.metrics import beampattern_grid_deg
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -642,13 +642,14 @@ def sweep_results(draw):
         x_values = values(n_x)
     config = default_config("sinr_vs_snr")
     config.trials, config.methods = trials, methods
+    n_methods = len(methods)
     return SweepResult(
         x_values=x_values,
         methods=methods,
-        raw={meth: values((n_x, trials)) for meth in methods},
-        mean_sinr_db={meth: values(n_x) for meth in methods},
-        std_db={meth: values(n_x) for meth in methods},
-        n_ok={meth: rng.integers(0, trials + 1, size=n_x) for meth in methods},
+        raw=MethodViews(values((n_x, n_methods, trials)), methods),
+        mean_sinr_db=MethodViews(values((n_x, n_methods)), methods),
+        std_db=MethodViews(values((n_x, n_methods)), methods),
+        n_ok=MethodViews(rng.integers(0, trials + 1, size=(n_x, n_methods)), methods),
         diagnostics={},
         config=config,
     )
@@ -665,31 +666,31 @@ def test_blocked_csv_matches_row_at_a_time_writer(result, block_rows):
 
 def test_beampattern_csv_matches_row_at_a_time_writer():
     # 1801 angles x 5 methods x 2 trials: several blocks of real output.
+    # At 7 rows a block, block boundaries also fall inside an angle's
+    # raw period of 10 rows.
     config = default_config("beampattern")
     config.trials = 2
     result = run_experiment(config)
     assert len(result.x_values) * len(result.methods) * 2 > 2 * harness.CSV_BLOCK_ROWS
-    _assert_csv_matches_oracle(result)
+    for block_rows in (7, harness.CSV_BLOCK_ROWS):
+        with mock.patch.object(harness, "CSV_BLOCK_ROWS", block_rows):
+            _assert_csv_matches_oracle(result)
 
 
 def _synthetic_result(x_values, methods, trials, seed=0):
-    """A ``SweepResult`` whose per-method dicts are views of random tables."""
+    """A ``SweepResult`` whose per-method views hold random tables."""
     rng = np.random.default_rng(seed)
     n_x = len(x_values)
     raw = rng.normal(size=(n_x, len(methods), trials))
     config = default_config("sinr_vs_snr")
     config.trials = trials
-
-    def per_method(table):
-        return {meth: table[:, j] for j, meth in enumerate(methods)}
-
     return SweepResult(
         x_values=np.asarray(x_values, dtype=float),
         methods=list(methods),
-        raw=per_method(raw),
-        mean_sinr_db=per_method(raw.mean(axis=-1)),
-        std_db=per_method(raw.std(axis=-1)),
-        n_ok=per_method(np.full((n_x, len(methods)), trials)),
+        raw=MethodViews(raw, methods),
+        mean_sinr_db=MethodViews(raw.mean(axis=-1), methods),
+        std_db=MethodViews(raw.std(axis=-1), methods),
+        n_ok=MethodViews(np.full((n_x, len(methods)), trials), methods),
         diagnostics={},
         config=config,
     )
@@ -740,17 +741,28 @@ def test_emit_csv_rejects_tables_that_do_not_fit(tmp_path, table_trials, x_value
     assert list(tmp_path.iterdir()) == []
 
 
+def test_emit_csv_rejects_views_in_another_method_order(tmp_path):
+    # Values are written in table order, not looked up by method, so a
+    # view whose columns follow another method order would label its rows
+    # wrongly; it raises before either file is opened.
+    result = _synthetic_result(np.arange(3.0), ["optimal", "lcssp"], trials=3)
+    result.std_db = MethodViews(result.std_db.table, ["lcssp", "optimal"])
+    with pytest.raises(ValueError, match="views list methods"):
+        emit_csv(result, tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_csv_memory_is_one_block_plus_the_templates(tmp_path):
     # 1801 beampattern angles x 5 methods x 117 trials: an 8 MiB raw
-    # table, which a stacked copy would double. The writer gathers each
-    # block of CSV_BLOCK_ROWS rows from the per-method views and holds
-    # about 200 B a row: its text, its template in the joined format, its
-    # value as a Python float and its slots in the argument list and
-    # tuple. Besides the block it holds the 585 raw row templates (about
-    # 90 B each) and the 1801 x cells, 0.2 MiB together. Neither depends
-    # on the size of the table.
+    # table, which a copy would double. The writer takes each block of
+    # CSV_BLOCK_ROWS rows as one slice of the table and holds about 200 B
+    # a row: its text, its template in the joined format, its value as a
+    # Python float and its slots in the argument list and tuple. Besides
+    # the block it holds the 585 raw row templates (about 90 B each) and
+    # the 1801 x cells, 0.2 MiB together. Neither depends on the size of
+    # the table.
     result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=117)
-    assert sum(view.nbytes for view in result.raw.values()) >= 8 * 2**20
+    assert result.raw.table.nbytes >= 8 * 2**20
     tracemalloc.start()
     try:
         emit_csv(result, tmp_path / "out.csv")
