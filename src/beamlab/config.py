@@ -18,13 +18,10 @@ nothing by default.
 
 ``normalize_config`` checks every field before anything runs. It
 rejects power grid entries above ``MAX_POWER_DB``, where double
-precision no longer resolves the noise floor, snapshot counts above
-``MAX_SNAPSHOTS``, whose draw would not fit in memory, an array
-dimension that may exceed ``MAX_DIMENSION``, grids or interferer lists
-longer than ``MAX_GRID_POINTS`` or ``MAX_INTERFERERS``, trial counts
-whose raw table would hold more than ``MAX_RAW_VALUES`` values or
-whose methods times trials exceed ``MAX_RAW_PERIOD``, and a
-sensor-position error halfwidth above ``MAX_POSITION_ERROR_WL``.
+precision no longer resolves the noise floor, an array dimension that
+may exceed ``MAX_DIMENSION``, a sensor-position error halfwidth above
+``MAX_POSITION_ERROR_WL``, and a run whose estimated peak memory on one
+thread (``memory_terms``) is above ``MEMORY_BUDGET``.
 """
 
 import json
@@ -33,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .baselines import COND_LIMIT
+from .baselines import CAPON_SAMPLES, COND_LIMIT
 from .metrics import beampattern_grid_deg
 
 METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
@@ -42,45 +39,26 @@ METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lc
 # above COND_LIMIT the optimal weights need diagonal loading: the noise
 # floor is lost in rounding, and every SINR would be noise.
 MAX_POWER_DB = 10.0 * math.log10(COND_LIMIT)
-# Largest k_grid entry. A trial draws its stream of normals once, at its
-# largest k: 16 (1 + P + L) k bytes, 37 MB at this k and the default
-# dimensions, long after the sample covariance has converged. The stream
-# is held once; its Gram matrix conjugates one block of it at a time.
-MAX_SNAPSHOTS = 100_000
 # Largest array dimension a run may reach: m, a fixed l, and at l "auto"
 # the search ceiling 8 m. At this bound a failing search takes about
-# 0.1 s, a default chunk's covariances (16 * 9 * L^2 * 16 B) 38 MB, and
-# a one-trial run at MAX_SNAPSHOTS peaks at 251 MB (getrusage): its
-# 210 MB stream plus about 40 MB for the interpreter and numpy. At 256
-# these are 1 s, 151 MB and 462 MB.
+# 0.1 s; at 256 it takes 1 s.
 MAX_DIMENSION = 128
-# Most entries of snr_grid_db, inr_grid_db or k_grid. A chunk stacks the
-# covariances of all its points once: 16 trials * 64 * L^2 * 16 B,
-# 268 MB at MAX_DIMENSION, and a 16-trial run of this many SNR points
-# at that dimension peaks at 376 MB (getrusage).
-MAX_GRID_POINTS = 64
-# Most interferers. A trial's stream holds one row per source: at this
-# count, MAX_DIMENSION and MAX_SNAPSHOTS it is 16 (1 + 32 + 128) k bytes,
-# 258 MB against 210 MB at the default two; a one-trial run peaks at
-# 299 MB (getrusage).
-MAX_INTERFERERS = 32
-# Most values of a run's raw (x, method, trial) table: x rows (the 1801
-# angles of the beampattern) times methods times trials. The table takes
-# 268 MB at this bound and is the only array of its size that a run and
-# its CSV write hold: the chunks write into it, and its statistics and
-# emit_csv read it a block at a time, emit_csv also holding the row
-# templates that MAX_RAW_PERIOD bounds. A 3726-trial beampattern at this
-# bound, emit_csv included, peaks at 318 MB (getrusage); holding the
-# chunks' blocks, a copy for the statistics and a stacked copy for the
-# writer beside the table took it to 882 MB.
-MAX_RAW_VALUES = 2**25
-# Most rows in the period of the raw CSV, methods times trials: emit_csv
-# holds one row template per (method, trial), about 90 B each, so 95 MB
-# at this bound whatever the number of x values.
-MAX_RAW_PERIOD = 2**20
 # Largest position_error_halfwidth_wl, in wavelengths. At half-wavelength
 # spacing, two neighbours each this far off can meet.
 MAX_POSITION_ERROR_WL = 0.25
+# Trials per task: each task stacks the points of this many trials and
+# runs every method over the stack in one batched call. Worker runs use
+# smaller chunks so that every worker thread gets one.
+TRIAL_CHUNK = 16
+# Columns per product of a trial's Gram matrix Z Z^H, a sum over blocks
+# of this many columns of Z: each product conjugates one block, not the
+# trial's whole stream. At k up to this size the Gram is one product.
+GRAM_BLOCK = 512
+# Most bytes of a run's estimated peak (memory_terms), which read 0.99 to
+# 1.29 times the measured one at fixed l: this accepts each former per-field
+# cap's largest run (376 MB measured), rejects them all at once (684 MB), and
+# runs two 32-interferer k 100000 trials on one thread (561 MB on two).
+MEMORY_BUDGET = 2**29
 
 
 class ConfigError(ValueError):
@@ -297,19 +275,8 @@ def normalize_config(config):
     out.k_grid = [_as_int(v, "k_grid entry", minimum=1) for v in _as_list(config.k_grid, "k_grid")]
     if not out.k_grid:
         raise ConfigError("k_grid must be nonempty")
-    if max(out.k_grid) > MAX_SNAPSHOTS:
-        raise ConfigError(f"k_grid entries must be at most {MAX_SNAPSHOTS}, got {max(out.k_grid)}")
-    for name in ("snr_grid_db", "inr_grid_db", "k_grid"):
-        count = len(getattr(out, name))
-        if count > MAX_GRID_POINTS:
-            raise ConfigError(f"{name} must have at most {MAX_GRID_POINTS} entries, got {count}")
     out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
     out.interferers_deg = _as_float_list(config.interferers_deg, "interferers_deg")
-    if len(out.interferers_deg) > MAX_INTERFERERS:
-        raise ConfigError(
-            f"interferers_deg must have at most {MAX_INTERFERERS} entries, "
-            f"got {len(out.interferers_deg)}"
-        )
     out.sector_halfwidth_deg = _as_float(config.sector_halfwidth_deg, "sector_halfwidth_deg")
     out.doa_mismatch_halfwidth_deg = _as_float(
         config.doa_mismatch_halfwidth_deg, "doa_mismatch_halfwidth_deg"
@@ -339,14 +306,6 @@ def normalize_config(config):
             raise ConfigError(f"duplicate method {meth!r}")
         seen.add(meth)
     out.methods = methods
-    grid = EXPERIMENTS[out.experiment].grid
-    rows = len(beampattern_grid_deg()) if grid is None else len(getattr(out, grid))
-    max_trials = min(MAX_RAW_VALUES // rows, MAX_RAW_PERIOD) // len(methods)
-    if out.trials > max_trials:
-        raise ConfigError(
-            f"trials must be at most {max_trials} for {rows} x values and {len(methods)} "
-            f"methods ({MAX_RAW_VALUES} raw values, {MAX_RAW_PERIOD} per x), got {out.trials}"
-        )
     angles = [out.presumed_soi_deg, *out.interferers_deg]
     if any(abs(a) >= 90 for a in angles):
         raise ConfigError("directions must lie strictly inside (-90, 90) degrees")
@@ -359,7 +318,53 @@ def normalize_config(config):
         _sector_complement(np.deg2rad(out.presumed_soi_deg), np.deg2rad(out.sector_halfwidth_deg))
     except ValueError as err:
         raise ConfigError(f"sector_halfwidth_deg too large: {err}") from err
+    terms = memory_terms(out)
+    if sum(terms.values()) > MEMORY_BUDGET:
+        raise ConfigError(
+            f"the run needs about {sum(terms.values()) // 10**6:,} MB, above the "
+            f"{MEMORY_BUDGET / 1e6:.0f} MB memory budget; most of it is {max(terms, key=terms.get)}"
+        )
     return out
+
+
+def memory_terms(config, workers=1):
+    """Estimated peak bytes of running the normalized ``config`` on
+    ``workers`` threads and writing its CSVs, as {term (the config fields
+    that drive it): bytes}, which sum to the peak. Each thread holds a
+    chunk of T trials at X grid points (1 for the beampattern); a trial
+    draws 1 + P + L rows of normals at its largest k, for P interferers
+    and dimension L (at l "auto" the search ceiling 8 m). Failure records
+    and run time are not counted."""
+    spec, trials, n = EXPERIMENTS[config.experiment], config.trials, workers
+    m, p, n_methods = config.m, len(config.interferers_deg), len(config.methods)
+    l = 8 * m if config.l == "auto" else config.l
+    n_rows = 1 + p + l
+    x = len(getattr(config, spec.grid)) if spec.grid else 1
+    ipncs = x if spec.grid == "inr_grid_db" else 1
+    ks = config.k_grid if spec.grid == "k_grid" else config.k_grid[:1]
+    t = min(TRIAL_CHUNK, -(-trials // n))
+    rows = x if spec.grid else len(beampattern_grid_deg())
+    grid = f"{spec.grid}, " if spec.grid else ""
+    return {
+        "the interpreter and numpy": 40 * 10**6,
+        f"the raw table ({grid}trials, methods)": 8 * rows * n_methods * trials,
+        "the raw row templates (trials, methods)": 100 * n_methods * trials,
+        # Each of the n threads holds the rest once, one conjugated Gram block
+        # and one method's temporaries among them (3 m^2 values per point,
+        # plus LCSSP's two m x L products or the Capon spectrum). A trial's
+        # points share its true IPNC unless the sweep sets interferer powers.
+        "the snapshot stream (k_grid, interferers_deg, l)":
+            n * 16 * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
+        f"the covariance stack ({grid}trials, l)": n * 16 * t * x * l * l,
+        f"a trial's Gram matrices and temporaries ({grid}interferers_deg, l)":
+            n * 16 * (len(ks) * n_rows**2 + 3 * x * l * (n_rows + l)),
+        "the steering stacks (trials, m, l, interferers_deg)": n * 16 * t * (m + l) * (1 + p),
+        f"the true IPNCs ({grid}trials, m, interferers_deg)": n * 16 * t * ipncs * m * (p + 3 * m),
+        f"the weights and SINRs ({grid}trials, methods, m, l)":
+            n * 16 * t * x * (n_methods * (m + 1) + 3 * m**2 + max(2 * m * l, 3 * CAPON_SAMPLES)),
+        "the beampattern gains (trials, methods, m)":
+            0 if spec.grid else n * 16 * (t * n_methods + m) * rows,
+    }
 
 
 def _sector_complement(center, halfwidth):

@@ -15,8 +15,8 @@ template per (method[, trial]) over the block's x cells and values.
 Trial t derives both its mismatch and snapshot RNG streams from the
 master seed by counter, so runs are reproducible and trials can execute
 in parallel in any order. Past those per-trial draws, a chunk's set-up
-is array code over its trials (``normalize_config`` has bounded every
-draw); it is the package's only simulation code. Every sweep reduces
+is array code over its trials (``normalize_config`` has bounded its
+memory); it is the package's only simulation code. Every sweep reduces
 a trial's draw to the Gram matrix of its normals, summed over blocks of
 GRAM_BLOCK columns, and no snapshot matrix is formed. The SNR and INR
 sweeps draw each trial once and scale it; the snapshot sweep draws each
@@ -46,7 +46,8 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
-from .config import EXPERIMENTS, ExperimentConfig, _as_int, _sector_complement, normalize_config
+from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, TRIAL_CHUNK, ExperimentConfig
+from .config import _as_int, _sector_complement, memory_terms, normalize_config
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -63,15 +64,6 @@ from .metrics import (
 )
 
 DOMINANCE_TOL_DB = 1e-6
-# Trials per task: each task stacks the points of this many trials and
-# runs every method over the stack in one batched call. Worker runs use
-# smaller chunks so that every worker thread gets one.
-TRIAL_CHUNK = 16
-# Columns per product of a trial's Gram matrix Z Z^H: the sum runs over
-# blocks of this many columns of Z, so the conjugated copy of Z that
-# each product needs is one block, not the trial's whole stream. At k up
-# to this size the Gram is one product.
-GRAM_BLOCK = 512
 # Raw values per block of a run's statistics, which take whole x rows:
 # a block's float copy and mask (0.15 MB) stay in cache, and the numpy
 # calls per block amortize over it.
@@ -515,24 +507,27 @@ def run_experiment(config, workers=1):
     (seed, t) alone, and aggregation is order-insensitive, so any worker
     count yields identical results. Trials run in chunks of at most
     TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
-    threads maps the chunks; ``workers`` below 1 runs serially, and a
-    non-integer one is a ConfigError. Threads overlap where a chunk
-    releases the GIL: the RNG fill of the normals, BLAS products and
-    numpy's batched LAPACK calls; the many small calls between them hold
-    it, so two threads gain well under 2x (README gives figures). If a
-    chunk raises, or the caller is interrupted, the queued chunks are
-    cancelled and the error propagates. OpenBLAS runs at one thread for the
-    duration of the call and gets the caller's thread count back
-    afterwards, so the worker count is the only parallelism and the raw
-    bits do not depend on the BLAS thread count. The thread count is a
-    process-wide setting: while a sweep runs, the caller's other threads
-    also call BLAS at one thread, and concurrent sweeps restore the
-    caller's count when the last of them ends. Failed trial
-    points are recorded in diagnostics["failures"], excluded from means,
-    and reflected in n_ok.
+    threads, fewer if the estimated peak memory (``config.memory_terms``)
+    at that count is above MEMORY_BUDGET, maps the chunks; ``workers``
+    below 1 runs serially, and a non-integer one is a ConfigError.
+    Threads overlap where a chunk releases the GIL: the RNG fill of the
+    normals, BLAS products and numpy's batched LAPACK calls; the many
+    small calls between them hold it, so two threads gain well under 2x
+    (README gives figures). If a chunk raises, or the caller is
+    interrupted, the queued chunks are cancelled and the error
+    propagates. OpenBLAS runs at one thread for the duration of the call
+    and gets the caller's thread count back afterwards, so the worker
+    count is the only parallelism and the raw bits do not depend on the
+    BLAS thread count. The thread count is a process-wide setting: while
+    a sweep runs, the caller's other threads also call BLAS at one
+    thread, and concurrent sweeps restore the caller's count when the
+    last of them ends. Failed trial points are recorded in
+    diagnostics["failures"], excluded from means, and reflected in n_ok.
     """
     config = normalize_config(config)
     workers = max(1, min(_as_int(workers, "workers"), config.trials, os.cpu_count() or 1))
+    while workers > 1 and sum(memory_terms(config, workers).values()) > MEMORY_BUDGET:
+        workers -= 1
     spec = EXPERIMENTS[config.experiment]
     # The beampattern runs at one operating point; its x axis is the angle.
     x_values = np.asarray([0.0] if spec.grid is None else getattr(config, spec.grid), dtype=float)

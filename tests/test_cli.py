@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,11 +18,8 @@ from beamlab.cli import main
 from beamlab.config import (
     EXPERIMENTS,
     MAX_DIMENSION,
-    MAX_GRID_POINTS,
-    MAX_INTERFERERS,
     MAX_POWER_DB,
-    MAX_RAW_PERIOD,
-    MAX_SNAPSHOTS,
+    MEMORY_BUDGET,
     METHOD_NAMES,
 )
 
@@ -149,18 +147,20 @@ def test_run_warns_when_points_beat_the_optimal_bound(tmp_path, capsys, monkeypa
 
 
 def test_run_raw_period_over_the_limit_is_config_error(tmp_path, capsys, monkeypatch):
-    # One x value and one method at a trial past MAX_RAW_PERIOD: the raw
-    # table would fit MAX_RAW_VALUES, its writer's templates would not.
-    # Should the check let it through, the test fails before the run.
+    # One x value and one method at more trials than the memory budget
+    # holds raw row templates for, about 100 B each: the raw table, 8 B a
+    # trial, would fit, its writer's templates would not. Should the check
+    # let it through, the test fails before the run.
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("the run started"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "sinr_vs_snapshots", "k_grid": [20]}))
     out = tmp_path / "out"
-    trials = str(MAX_RAW_PERIOD + 1)
+    trials = str(MEMORY_BUDGET // 100 + 1)
     argv = ["run", "--config", str(cfg), "--methods", "optimal", "--trials", trials]
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: trials must be at most {MAX_RAW_PERIOD} for 1 x values ")
+    assert err.startswith("config error: the run needs about ")
+    assert "memory budget; most of it is the raw row templates (trials, methods)" in err
     assert not out.exists()
 
 
@@ -311,6 +311,82 @@ def test_plot_script_renders_png(tmp_path, small_config):
     assert (tmp_path / "sinr_vs_snr.png").exists()
 
 
+_STUB_PYPLOT = """
+import json
+
+
+class Axes:
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append([name, *args])
+
+
+class Figure:
+    def __init__(self):
+        self.axes = Axes()
+
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.axes.calls, fh)
+
+
+def subplots(**kwargs):
+    fig = Figure()
+    return fig, fig.axes
+
+
+def close(fig):
+    pass
+"""
+
+
+def test_plot_script_runs_on_a_stub_matplotlib(tmp_path):
+    # Where matplotlib is not installed, a stub package first on the
+    # PYTHONPATH stands in for it: savefig writes the axes calls of its
+    # figure as JSON to the path it is given. That covers the script's
+    # choice of files, its axes and its exit codes, not the rendering.
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def use(backend):\n    pass\n", encoding="utf-8")
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT, encoding="utf-8")
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    empty.mkdir()
+    assert main(["plot-script", "--out", str(out)]) == 0
+    for experiment, grid in (("sinr_vs_snr", "snr_grid_db"), ("sinr_vs_snapshots", "k_grid")):
+        cfg = tmp_path / f"{experiment}.json"
+        document = {"experiment": experiment, "trials": 2, grid: [20, 50], "methods": ["optimal"]}
+        cfg.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / "notes.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+
+    def plot(directory):
+        return subprocess.run(
+            [sys.executable, str(out / "plot_results.py"), str(directory)],
+            env={**os.environ, "PYTHONPATH": str(stub.parent)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    proc = plot(out)
+    assert proc.returncode == 0, proc.stderr
+    assert f"skipping {out / 'notes.csv'}: not a result file" in proc.stdout
+    pngs = sorted(path.name for path in out.glob("*.png"))
+    assert pngs == ["sinr_vs_snapshots.png", "sinr_vs_snr.png"]
+    calls = {name: json.loads((out / name).read_text(encoding="utf-8")) for name in pngs}
+    assert ["set_xscale", "log"] in calls["sinr_vs_snapshots.png"]
+    assert not any(call[0] == "set_xscale" for call in calls["sinr_vs_snr.png"])
+    assert ["set_title", "sinr_vs_snr"] in calls["sinr_vs_snr.png"]
+    proc = plot(empty)
+    assert proc.returncode == 1
+    assert f"no result CSVs found in {empty}" in proc.stdout
+
+
 # What a config file can hold in place of a valid value: nulls, booleans,
 # non-numeric text, non-finite numbers, nested lists and objects.
 _JUNK = st.one_of(
@@ -329,7 +405,9 @@ _BAD_POWERS = [
     [MAX_POWER_DB + 1.0],
     [-4000.0],
     [1e308],
-    [0.0] * (MAX_GRID_POINTS + 1),
+    # Over the memory budget at every dimension on the experiment that
+    # sweeps the grid; every other experiment reads the first entry only.
+    [0.0] * 60_000,
     [0.0] * 100_000,
 ]
 
@@ -349,16 +427,20 @@ _FIELDS = {
             [0],
             [-1],
             [2.5],
-            [MAX_SNAPSHOTS + 1],
+            # Every experiment draws k_grid[0], and at k 10^7 the stream
+            # of even 1 + 1 + 2 rows is over the memory budget.
+            [10**7],
             [10**15],
-            [10] * (MAX_GRID_POINTS + 1),
+            # Over the budget for the snapshot sweep alone.
+            [1, 10**7],
             [10] * 100_000,
         ],
     ),
     "presumed_soi_deg": (st.floats(-60.0, 60.0), [90.0, -95.0, 1e300]),
     "interferers_deg": (
         st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=2),
-        [[], [90.0], [-1e300], [40.0] * (MAX_INTERFERERS + 1), [40.0] * 100_000],
+        # 6000 interferers make a Gram matrix over the memory budget.
+        [[], [90.0], [-1e300], [40.0] * 6000, [40.0] * 100_000],
     ),
     "sector_halfwidth_deg": (st.floats(0.0, 30.0), [-1.0, 1e9]),
     "doa_mismatch_halfwidth_deg": (st.floats(0.0, 10.0), [-1.0, 1e9]),

@@ -6,6 +6,7 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -31,13 +32,10 @@ from beamlab.array_model import _element_positions, _steering_grid
 from beamlab.baselines import COND_LIMIT, LOADING_FLOOR
 from beamlab.config import (
     MAX_DIMENSION,
-    MAX_GRID_POINTS,
-    MAX_INTERFERERS,
-    MAX_RAW_PERIOD,
-    MAX_RAW_VALUES,
-    MAX_SNAPSHOTS,
+    MEMORY_BUDGET,
     METHOD_NAMES,
     _sector_complement,
+    memory_terms,
     normalize_config,
 )
 from beamlab.harness import _draw_mismatch
@@ -136,11 +134,18 @@ def test_load_config_rejects_broken_json(tmp_path):
 
 
 def test_load_config_rejects_snapshot_counts_above_the_limit(tmp_path):
-    # A k past the limit used to pass here and then die allocating its draw.
+    # A k whose stream would not fit the memory budget used to pass here
+    # and then die allocating its draw. The snapshot sweep draws at its
+    # largest k; at the default dimensions k 200000 fits.
     path = tmp_path / "cfg.json"
-    for k in (MAX_SNAPSHOTS + 1, 10**15):
-        path.write_text(json.dumps({"experiment": "sinr_vs_snr", "trials": 1, "k_grid": [10, k]}))
-        with pytest.raises(ConfigError, match=f"k_grid entries must be at most {MAX_SNAPSHOTS}"):
+    for k, fits in ((200_000, True), (2_000_000, False), (10**15, False)):
+        path.write_text(
+            json.dumps({"experiment": "sinr_vs_snapshots", "trials": 1, "k_grid": [10, k]})
+        )
+        if fits:
+            assert load_config(path).k_grid == [10, k]
+            continue
+        with pytest.raises(ConfigError, match="budget; most of it is the snapshot stream"):
             load_config(path)
 
 
@@ -166,23 +171,41 @@ def test_normalize_config_bounds_the_array_dimension():
 
 
 def test_normalize_config_bounds_the_raw_table():
-    # The raw table holds x rows x methods x trials values, and the raw
-    # writer one row template per (method, trial); past MAX_RAW_VALUES or
-    # MAX_RAW_PERIOD a run would exhaust memory mid-run. The beampattern's
-    # 1801 rows meet the first bound, the SNR sweep's 9 the second.
-    for experiment, rows, limit in (
-        ("beampattern", 1801, MAX_RAW_VALUES // (1801 * len(METHOD_NAMES))),
-        ("sinr_vs_snr", 9, MAX_RAW_PERIOD // len(METHOD_NAMES)),
+    # The raw table holds 8 B per x row, method and trial, and the raw
+    # writer a row template of about 100 B per (method, trial); past the
+    # memory budget a run would exhaust memory mid-run. The beampattern's
+    # 1801 rows make the table the largest term, the SNR sweep's 9 the
+    # templates. One method instead of five fits.
+    for experiment, rows, term in (
+        ("beampattern", 1801, "the raw table"),
+        ("sinr_vs_snr", 9, "the raw row templates"),
     ):
         cfg = default_config(experiment)
-        cfg.trials = limit
-        assert normalize_config(cfg).trials == limit
+        limit = MEMORY_BUDGET // (len(METHOD_NAMES) * (8 * rows + 100))
         for trials in (limit + 1, 10**12):
             cfg.trials = trials
-            with pytest.raises(ConfigError, match=f"trials must be at most {limit} for {rows} "):
+            with pytest.raises(ConfigError, match=f"budget; most of it is {term} \\(trials, "):
                 normalize_config(cfg)
         cfg.trials, cfg.methods = limit + 1, ["optimal"]
         assert normalize_config(cfg).trials == limit + 1
+
+
+def test_over_budget_error_names_the_largest_term():
+    # Every former cap at once: l 128, 32 interferers, k 100000 and 64
+    # grid points, 16 trials, which used to be accepted and peak at 684
+    # MB. It is rejected before anything runs.
+    cfg = default_config("sinr_vs_snapshots")
+    cfg.l, cfg.trials, cfg.methods = 128, 16, ["optimal"]
+    cfg.interferers_deg = [side * a for side in (-1, 1) for a in np.linspace(10.0, 80.0, 16)]
+    cfg.k_grid = [100_000] + [1] * 63
+    with pytest.raises(ConfigError) as err:
+        normalize_config(cfg)
+    message = str(err.value)
+    assert re.fullmatch(
+        r"the run needs about \d+ MB, above the 537 MB memory budget; most of it is "
+        r"the (covariance stack|snapshot stream) \(.*\)",
+        message,
+    ), message
 
 
 def test_normalize_config_rejects_bad_values():
@@ -218,10 +241,9 @@ def test_normalize_config_rejects_bad_values():
         ("snr_grid_db", [10.0, -4000.0]),
         ("inr_grid_db", [-4000.0]),
         ("snr_grid_db", [10.0] * 100_000),
-        ("inr_grid_db", [10.0] * (MAX_GRID_POINTS + 1)),
-        ("k_grid", [50] * (MAX_GRID_POINTS + 1)),
         ("interferers_deg", [40.0] * 100_000),
-        ("interferers_deg", [40.0] * (MAX_INTERFERERS + 1)),
+        # Over the memory budget: 6000 interferers make a 577 MB Gram matrix.
+        ("interferers_deg", [40.0] * 6000),
         ("doa_mismatch_halfwidth_deg", 85.0),
         ("trials", float("inf")),
         # Integers too large for a float, as a JSON config can hold them.
@@ -245,6 +267,9 @@ def test_normalize_config_rejects_bad_values():
         ("sinr_vs_snr", "methods", None),
         ("sinr_vs_snapshots", "k_grid", 5),
         ("sinr_vs_snr", "snr_grid_db", "10"),
+        # Grids too long for the memory budget, on the experiment that sweeps them.
+        ("sinr_vs_inr", "inr_grid_db", [10.0] * 2000),
+        ("sinr_vs_snapshots", "k_grid", [50] * 2000),
     ):
         cfg = default_config(experiment)
         setattr(cfg, field, value)
@@ -773,6 +798,25 @@ def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, 
     serial = run_experiment(cfg, workers=1)
     for meth in res.methods:
         np.testing.assert_array_equal(res.raw[meth], serial.raw[meth])
+
+
+def test_workers_stop_at_the_memory_budget(monkeypatch):
+    # Each thread holds a chunk, so a run starts the most threads whose
+    # estimated peak fits the budget, and serially if two do not fit. The
+    # values do not depend on the thread count.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    cfg = normalize_config(_small(trials=8, methods=["optimal", "scm_mvdr"]))
+    peaks = {w: sum(memory_terms(cfg, w).values()) for w in range(1, 9)}
+    serial = run_experiment(cfg)
+    for budget in (peaks[3], peaks[2] - 1):
+        monkeypatch.setattr(harness, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        res = run_experiment(cfg, workers=8)
+        threads = max(w for w, peak in peaks.items() if peak <= budget)
+        assert _RecordingPool.sizes == ([threads] if threads > 1 else [])
+        for meth in res.methods:
+            np.testing.assert_array_equal(res.raw[meth], serial.raw[meth])
 
 
 def test_beampattern_result_shape():
