@@ -54,10 +54,9 @@ TRIAL_CHUNK = 16
 # of this many columns of Z: each product conjugates one block, not the
 # trial's whole stream. At k up to this size the Gram is one product.
 GRAM_BLOCK = 512
-# Most bytes of a run's estimated peak (memory_terms), which read 0.99 to
-# 1.29 times the measured one at fixed l: this accepts each former per-field
-# cap's largest run (376 MB measured), rejects them all at once (684 MB), and
-# runs two 32-interferer k 100000 trials on one thread (561 MB on two).
+# Most bytes of a run's estimated peak (memory_terms): it accepts each former
+# per-field cap's largest run (376 MB measured), rejects them all at once (684
+# MB), and runs two 32-interferer k 100000 trials on one thread (561 MB on two).
 MEMORY_BUDGET = 2**29
 
 
@@ -262,9 +261,8 @@ def normalize_config(config):
         if out.l > MAX_DIMENSION:
             raise ConfigError(f"l must be at most {MAX_DIMENSION}, got {out.l}")
     out.trials = _as_int(config.trials, "trials", minimum=1)
-    out.snr_grid_db = _as_float_list(config.snr_grid_db, "snr_grid_db")
-    out.inr_grid_db = _as_float_list(config.inr_grid_db, "inr_grid_db")
     for name in ("snr_grid_db", "inr_grid_db"):
+        setattr(out, name, _as_float_list(getattr(config, name), name))
         if max(getattr(out, name)) > MAX_POWER_DB:
             raise ConfigError(
                 f"{name} entries must be at most {MAX_POWER_DB:g} dB over the unit noise "
@@ -277,14 +275,8 @@ def normalize_config(config):
         raise ConfigError("k_grid must be nonempty")
     out.presumed_soi_deg = _as_float(config.presumed_soi_deg, "presumed_soi_deg")
     out.interferers_deg = _as_float_list(config.interferers_deg, "interferers_deg")
-    out.sector_halfwidth_deg = _as_float(config.sector_halfwidth_deg, "sector_halfwidth_deg")
-    out.doa_mismatch_halfwidth_deg = _as_float(
-        config.doa_mismatch_halfwidth_deg, "doa_mismatch_halfwidth_deg"
-    )
-    out.position_error_halfwidth_wl = _as_float(
-        config.position_error_halfwidth_wl, "position_error_halfwidth_wl"
-    )
     for name in ("sector_halfwidth_deg", "doa_mismatch_halfwidth_deg", "position_error_halfwidth_wl"):
+        setattr(out, name, _as_float(getattr(config, name), name))
         if getattr(out, name) < 0:
             raise ConfigError(f"{name} must be nonnegative")
     if out.position_error_halfwidth_wl > MAX_POSITION_ERROR_WL:
@@ -330,40 +322,47 @@ def normalize_config(config):
 def memory_terms(config, workers=1):
     """Estimated peak bytes of running the normalized ``config`` on
     ``workers`` threads and writing its CSVs, as {term (the config fields
-    that drive it): bytes}, which sum to the peak. Each thread holds a
-    chunk of T trials at X grid points (1 for the beampattern); a trial
-    draws 1 + P + L rows of normals at its largest k, for P interferers
-    and dimension L (at l "auto" the search ceiling 8 m). Failure records
-    and run time are not counted."""
+    that drive it): bytes}, which sum to the peak. A thread's chunk holds
+    T trials at X grid points (1 for the beampattern), each drawing 1 + P
+    + L rows of normals, for P interferers and dimension L (8 m at "auto").
+    Failure records and run time are not counted."""
     spec, trials, n = EXPERIMENTS[config.experiment], config.trials, workers
     m, p, n_methods = config.m, len(config.interferers_deg), len(config.methods)
     l = 8 * m if config.l == "auto" else config.l
     n_rows = 1 + p + l
     x = len(getattr(config, spec.grid)) if spec.grid else 1
-    ipncs = x if spec.grid == "inr_grid_db" else 1
     ks = config.k_grid if spec.grid == "k_grid" else config.k_grid[:1]
     t = min(TRIAL_CHUNK, -(-trials // n))
     rows = x if spec.grid else len(beampattern_grid_deg())
     grid = f"{spec.grid}, " if spec.grid else ""
+    # Each thread holds its chunk's covariance stack and true IPNCs (one per
+    # trial unless the sweep sets interferer powers), and the larger of two
+    # sets: the draw's (a trial's stream, conjugated Gram block, Grams, one
+    # block product past GRAM_BLOCK, and B, B G, B^H and B G B^H) or the
+    # methods' (at most 3 m^2 values per point, plus LCSSP's two m x L
+    # products or the Capon spectrum).
+    draw = {
+        "the snapshot stream (k_grid, interferers_deg, l)":
+            16 * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
+        f"a trial's Gram matrices and mixing products ({grid}interferers_deg, l)":
+            16 * ((len(ks) + (max(ks) > GRAM_BLOCK)) * n_rows**2 + x * l * (3 * n_rows + l)),
+        "the steering stacks (trials, m, l, interferers_deg)": 16 * t * (m + l) * (1 + p),
+    }
+    solve = {
+        f"the weights and SINRs ({grid}trials, methods, m, l)":
+            16 * t * x * (n_methods * (m + 1) + 3 * m**2 + max(2 * m * l, 3 * CAPON_SAMPLES)),
+        "the beampattern gains (trials, methods, m)":
+            0 if spec.grid else 16 * (t * n_methods + m) * rows,
+    }
+    work = max(draw, solve, key=lambda terms: sum(terms.values()))
     return {
         "the interpreter and numpy": 40 * 10**6,
         f"the raw table ({grid}trials, methods)": 8 * rows * n_methods * trials,
         "the raw row templates (trials, methods)": 100 * n_methods * trials,
-        # Each of the n threads holds the rest once, one conjugated Gram block
-        # and one method's temporaries among them (3 m^2 values per point,
-        # plus LCSSP's two m x L products or the Capon spectrum). A trial's
-        # points share its true IPNC unless the sweep sets interferer powers.
-        "the snapshot stream (k_grid, interferers_deg, l)":
-            n * 16 * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
         f"the covariance stack ({grid}trials, l)": n * 16 * t * x * l * l,
-        f"a trial's Gram matrices and temporaries ({grid}interferers_deg, l)":
-            n * 16 * (len(ks) * n_rows**2 + 3 * x * l * (n_rows + l)),
-        "the steering stacks (trials, m, l, interferers_deg)": n * 16 * t * (m + l) * (1 + p),
-        f"the true IPNCs ({grid}trials, m, interferers_deg)": n * 16 * t * ipncs * m * (p + 3 * m),
-        f"the weights and SINRs ({grid}trials, methods, m, l)":
-            n * 16 * t * x * (n_methods * (m + 1) + 3 * m**2 + max(2 * m * l, 3 * CAPON_SAMPLES)),
-        "the beampattern gains (trials, methods, m)":
-            0 if spec.grid else n * 16 * (t * n_methods + m) * rows,
+        f"the true IPNCs ({grid}trials, m, interferers_deg)":
+            n * 16 * t * (x if spec.grid == "inr_grid_db" else 1) * m * (p + 3 * m),
+        **{name: n * size for name, size in work.items()},
     }
 
 

@@ -21,9 +21,9 @@ a trial's draw to the Gram matrix of its normals, summed over blocks of
 GRAM_BLOCK columns, and no snapshot matrix is formed. The SNR and INR
 sweeps draw each trial once and scale it; the snapshot sweep draws each
 trial's stream once, at its largest k, and takes every k's draw from a
-prefix of it. A chunk holds that stream once, one conjugated Gram block
-and one stack of its points' covariances. The sample covariance of the
-physical array is the leading m x m block of the extended one.
+prefix of it. A chunk holds that stream, a conjugated Gram block, a
+trial's Grams and its points' covariances once each. The physical
+array's sample covariance is the leading m x m block of the extended one.
 """
 
 import ctypes
@@ -263,22 +263,22 @@ class _Points:
         return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
 
 
-def _gram(z, conjugate):
-    """Z Z^H of an (n, k) block Z, summed over its GRAM_BLOCK-column blocks.
+def _gram(z, conjugate, out):
+    """Z Z^H / k of an (n, k) block Z, written into ``out``.
 
-    The blocks are anchored at column 0 and summed in ascending order,
-    starting from the first block's product, so at k up to GRAM_BLOCK
-    this is the single product. Each block is conjugated into the leading
-    entries of the complex buffer ``conjugate``.
+    Z Z^H sums the products of Z's GRAM_BLOCK-column blocks, anchored at
+    column 0, in ascending order from the first one, so at k up to
+    GRAM_BLOCK it is the single product. Each block is conjugated into
+    the leading entries of the complex buffer ``conjugate``.
     """
-    products = (
-        block @ np.conjugate(block, out=conjugate[: block.size].reshape(block.shape)).T
-        for block in (z[:, s : s + GRAM_BLOCK] for s in range(0, z.shape[1], GRAM_BLOCK))
-    )
-    gram = next(products)
-    for product in products:
-        gram += product
-    return gram
+    for s in range(0, z.shape[1], GRAM_BLOCK):
+        block = z[:, s : s + GRAM_BLOCK]
+        block_h = np.conjugate(block, out=conjugate[: block.size].reshape(block.shape)).T
+        if s == 0:
+            np.matmul(block, block_h, out=out)
+        else:
+            out += block @ block_h
+    out /= z.shape[1]
 
 
 def _draw_points(config, x_values, trials, n_generate):
@@ -321,19 +321,20 @@ def _draw_points(config, x_values, trials, n_generate):
     amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
     n_rows = amplitudes.shape[-1]
     # Every trial of the chunk draws into one stream buffer, conjugates
-    # one Gram block at a time into one more and writes its covariances
-    # into one stack, so the trials allocate no multi-MB arrays whose
-    # allocation speed would depend on the allocator's state.
+    # one Gram block at a time into one more and writes its Grams and
+    # covariances into two stacks, so the trials allocate no multi-MB
+    # arrays whose allocation speed would depend on the allocator's state.
     stream = np.empty(2 * n_rows * max(ks))
     conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
+    gram = np.empty((len(ks), n_rows, n_rows), dtype=complex)
     cov = np.empty((len(trials), n_x, n, n), dtype=complex)
     for t, (steer, (_, _, _, snap_seed)) in enumerate(zip(extended, draws)):
         b = np.hstack((steer, np.eye(n))) * amplitudes
         np.random.default_rng(snap_seed).standard_normal(out=stream)
         # Z's rows are the waveforms of [SOI, *interferers], then noise, so
         # the first m noise rows of an extended draw are the m-element draw.
-        zs = (stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k) for k in ks)
-        gram = np.stack([_gram(z, conjugate) / z.shape[1] for z in zs])
+        for k, out in zip(ks, gram):
+            _gram(stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k), conjugate, out)
         cov[t] = hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
     # A trial's points share its true IPNC unless an interferer power
     # changes with x. The IPNC and steering vector are made C-contiguous:

@@ -802,12 +802,15 @@ def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, 
 
 def test_workers_stop_at_the_memory_budget(monkeypatch):
     # Each thread holds a chunk, so a run starts the most threads whose
-    # estimated peak fits the budget, and serially if two do not fit. The
-    # values do not depend on the thread count.
+    # estimated peak fits the budget, and serially if two do not fit. At k
+    # 2000 each thread's snapshot stream is the chunk's largest array, so
+    # every thread adds to the estimate. The values do not depend on the
+    # thread count.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    cfg = normalize_config(_small(trials=8, methods=["optimal", "scm_mvdr"]))
+    cfg = normalize_config(_small(trials=8, k_grid=[2000], methods=["optimal", "scm_mvdr"]))
     peaks = {w: sum(memory_terms(cfg, w).values()) for w in range(1, 9)}
+    assert all(peaks[w] < peaks[w + 1] for w in range(1, 8))
     serial = run_experiment(cfg)
     for budget in (peaks[3], peaks[2] - 1):
         monkeypatch.setattr(harness, "MEMORY_BUDGET", budget)

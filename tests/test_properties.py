@@ -906,27 +906,45 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 @pytest.mark.parametrize(
-    "experiment, overrides, workers",
+    "experiment, overrides, workers, documented_mb",
     [
         # One trial at k 100000 and l 128: its stream is 210 MB.
-        ("sinr_vs_snapshots", _LONG_STREAM, 1),
+        ("sinr_vs_snapshots", _LONG_STREAM, 1, 251),
         # The same run with 32 interferers.
-        ("sinr_vs_snapshots", {**_LONG_STREAM, "interferers_deg": _INTERFERERS}, 1),
+        ("sinr_vs_snapshots", {**_LONG_STREAM, "interferers_deg": _INTERFERERS}, 1, 299),
         # Two trials of it at --workers 2: two threads' streams would take
         # the run past the budget, so it runs on one.
-        ("sinr_vs_snapshots", {**_LONG_STREAM, "trials": 2, "interferers_deg": _INTERFERERS}, 2),
+        (
+            "sinr_vs_snapshots",
+            {**_LONG_STREAM, "trials": 2, "interferers_deg": _INTERFERERS},
+            2,
+            None,
+        ),
         # 16 trials of 64 SNR points at l 128: a 268 MB covariance stack.
         (
             "sinr_vs_snr",
             {"trials": 16, "l": MAX_DIMENSION, "snr_grid_db": np.linspace(-10.0, 52.0, 64).tolist()},
             1,
+            376,
         ),
         # A 3726-trial beampattern: a 268 MB raw table.
-        ("beampattern", {"trials": 3726}, 1),
+        ("beampattern", {"trials": 3726}, 1, None),
         # k 200000 at the default dimensions, above the former snapshot cap.
-        ("sinr_vs_snr", {"trials": 1, "k_grid": [200_000]}, 1),
+        ("sinr_vs_snr", {"trials": 1, "k_grid": [200_000]}, 1, None),
+        # Two trials with 2000 interferers at m = l = 2: a 64 MB Gram,
+        # which the chunk's trials write into one buffer.
+        ("sinr_vs_snr", {"trials": 2, "m": 2, "l": 2, "interferers_deg": [40.0] * 2000}, 1, None),
+        # 4 trials of 8 SNR points at m = l = 128: the methods' per-point
+        # temporaries, 42 MB, are the largest term.
+        (
+            "sinr_vs_snr",
+            {"trials": 4, "m": MAX_DIMENSION, "l": MAX_DIMENSION, "snr_grid_db": [10.0] * 8},
+            1,
+            None,
+        ),
     ],
-    # Each id names the former per-field cap at whose bound the run sits.
+    # Each id names the former per-field cap at whose bound the run sits,
+    # or the term that dominates the run.
     ids=[
         "max_snapshots",
         "max_interferers",
@@ -934,15 +952,18 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
         "max_grid_points",
         "max_raw_values",
         "k200000",
+        "gram",
+        "method_temporaries",
     ],
 )
 def test_runs_at_the_config_bounds_keep_their_documented_peak(
-    tmp_path, experiment, overrides, workers
+    tmp_path, experiment, overrides, workers, documented_mb
 ):
     # Each run fits the budget on one thread, the two-worker run on no
     # more. Its peak resident set is at most 1.1 times the estimate, and
     # the estimate at most 1.5 times the peak: the model neither misses a
-    # large array nor rejects runs that would fit.
+    # large array nor rejects runs that would fit. The former caps' corners
+    # also keep their documented peak, in decimal MB, within 10%.
     config = default_config(experiment)
     for name, value in overrides.items():
         setattr(config, name, value)
@@ -968,3 +989,4 @@ def test_runs_at_the_config_bounds_keep_their_documented_peak(
     assert peak <= 1.1 * estimate(1), f"peak {peak / 1e6:.1f} MB"
     assert estimate(1) <= 1.5 * peak, f"peak {peak / 1e6:.1f} MB"
     assert peak <= MEMORY_BUDGET
+    assert documented_mb is None or peak <= 1.1 * documented_mb * 10**6
