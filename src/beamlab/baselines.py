@@ -148,17 +148,18 @@ def _validate_intervals(sector_complement):
 
 def _diagonal_sums(stack):
     """(..., 2n - 1) sums of each diagonal q - p = n - 1, ..., -(n - 1) of an
-    (..., n, n) stack, each a plain sequential sum over p.
+    (..., n, n) stack, each a plain sequential sum over p from 0.
 
-    Row p of the column-reversed stack, padded to 2n entries, is laid out
-    again at 2n - 1 entries per row, which shifts it right by p: column r
-    then holds entry (p, n - 1 - r + p), on diagonal n - 1 - r.
+    Row p of the column-reversed stack is added into columns p, ..., p +
+    n - 1 of a zeroed accumulator, for p in order: column r then gains
+    entry (p, n - 1 - r + p), on diagonal n - 1 - r.
     """
     *lead, n, _ = stack.shape
-    padded = np.zeros((*lead, n, 2 * n), dtype=stack.dtype)
-    padded[..., :n] = stack[..., ::-1]
-    flat = padded.reshape(*lead, -1)[..., : n * (2 * n - 1)]
-    return flat.reshape(*lead, n, 2 * n - 1).sum(axis=-2)
+    reversed_rows = stack[..., ::-1]
+    sums = np.zeros((*lead, 2 * n - 1), dtype=stack.dtype)
+    for p in range(n):
+        sums[..., p : p + n] += reversed_rows[..., p, :]
+    return sums
 
 
 def capon_integral_ipnc(scm, sector_complement):

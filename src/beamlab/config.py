@@ -46,9 +46,9 @@ MAX_DIMENSION = 128
 # Largest position_error_halfwidth_wl, in wavelengths. At half-wavelength
 # spacing, two neighbours each this far off can meet.
 MAX_POSITION_ERROR_WL = 0.25
-# Trials per task: each task stacks the points of this many trials and
-# runs every method over the stack in one batched call. Worker runs use
-# smaller chunks so that every worker thread gets one.
+# Most trials per task: each task stacks the points of up to this many
+# trials and runs every method over the stack in one batched call
+# (trial_chunks splits a run).
 TRIAL_CHUNK = 16
 # Columns per product of a trial's Gram matrix Z Z^H, a sum over blocks
 # of this many columns of Z: each product conjugates one block, not the
@@ -323,8 +323,9 @@ def memory_terms(config, workers=1):
     """Estimated peak bytes of running the normalized ``config`` on
     ``workers`` threads and writing its CSVs, as {term (the config fields
     that drive it): bytes}, which sum to the peak. A thread's chunk holds
-    T trials at X grid points (1 for the beampattern), each drawing 1 + P
-    + L rows of normals, for P interferers and dimension L (8 m at "auto").
+    T trials, the longest chunk of ``trial_chunks``, at X grid points (1
+    for the beampattern), each drawing 1 + P + L rows of normals, for P
+    interferers and dimension L (8 m at "auto").
     Failure records and run time are not counted."""
     spec, trials, n = EXPERIMENTS[config.experiment], config.trials, workers
     m, p, n_methods = config.m, len(config.interferers_deg), len(config.methods)
@@ -332,7 +333,7 @@ def memory_terms(config, workers=1):
     n_rows = 1 + p + l
     x = len(getattr(config, spec.grid)) if spec.grid else 1
     ks = config.k_grid if spec.grid == "k_grid" else config.k_grid[:1]
-    t = min(TRIAL_CHUNK, -(-trials // n))
+    t = -(-trials // min(trials, _chunk_count(trials, n)))  # the longest chunk
     rows = x if spec.grid else len(beampattern_grid_deg())
     grid = f"{spec.grid}, " if spec.grid else ""
     # Each thread holds its chunk's covariance stack and true IPNCs (one per
@@ -364,6 +365,28 @@ def memory_terms(config, workers=1):
             n * 16 * t * (x if spec.grid == "inr_grid_db" else 1) * m * (p + 3 * m),
         **{name: n * size for name, size in work.items()},
     }
+
+
+def _chunk_count(trials, workers):
+    """workers x ceil(trials / (workers TRIAL_CHUNK)): ``trial_chunks``'s
+    ranges, the empty ones included."""
+    return workers * -(-trials // (workers * TRIAL_CHUNK))
+
+
+def trial_chunks(trials, workers=1):
+    """The chunks, as ranges of trial indices, of a run on ``workers``
+    threads, yielded in order.
+
+    Of count = ``workers`` x ceil(trials / (workers TRIAL_CHUNK)) ranges,
+    range i is [trials i // count, trials (i + 1) // count), and empty ones
+    are dropped. They partition range(trials), their lengths differ by at
+    most 1 and none exceeds TRIAL_CHUNK. At trials >= count every thread
+    gets the same number of chunks, the longest of ceil(trials / count)
+    trials; fewer trials run one per chunk.
+    """
+    count = _chunk_count(trials, workers)
+    bounds = [trials * i // count for i in range(count + 1)]
+    return filter(len, map(range, bounds[:-1], bounds[1:]))
 
 
 def _sector_complement(center, halfwidth):

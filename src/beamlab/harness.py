@@ -46,8 +46,8 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
-from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, TRIAL_CHUNK, ExperimentConfig
-from .config import _as_int, _sector_complement, memory_terms, normalize_config
+from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, ExperimentConfig
+from .config import _as_int, _sector_complement, memory_terms, normalize_config, trial_chunks
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -506,10 +506,11 @@ def run_experiment(config, workers=1):
 
     Deterministic for a given config: trial t's randomness is derived from
     (seed, t) alone, and aggregation is order-insensitive, so any worker
-    count yields identical results. Trials run in chunks of at most
-    TRIAL_CHUNK, and a pool of at most min(workers, trials, CPU count)
-    threads, fewer if the estimated peak memory (``config.memory_terms``)
-    at that count is above MEMORY_BUDGET, maps the chunks; ``workers``
+    count yields identical results. A pool of at most min(workers,
+    trials, CPU count) threads, fewer if the estimated peak memory
+    (``config.memory_terms``) at that count is above MEMORY_BUDGET, maps
+    the chunks ``config.trial_chunks`` splits the trials into for that
+    many threads, the same number for each thread; ``workers``
     below 1 runs serially, and a non-integer one is a ConfigError.
     Threads overlap where a chunk releases the GIL: the RNG fill of the
     normals, BLAS products and numpy's batched LAPACK calls; the many
@@ -532,8 +533,7 @@ def run_experiment(config, workers=1):
     spec = EXPERIMENTS[config.experiment]
     # The beampattern runs at one operating point; its x axis is the angle.
     x_values = np.asarray([0.0] if spec.grid is None else getattr(config, spec.grid), dtype=float)
-    size = min(TRIAL_CHUNK, -(-config.trials // workers))
-    chunks = [range(s, min(s + size, config.trials)) for s in range(0, config.trials, size)]
+    chunks = trial_chunks(config.trials, workers)
     table_x = beampattern_grid_deg() if spec.grid is None else x_values
     raw = np.full((len(table_x), len(config.methods), config.trials), np.nan)
     with _one_blas_thread:

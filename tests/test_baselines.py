@@ -94,6 +94,35 @@ def test_capon_integral_item_bits_do_not_depend_on_the_batch(shape):
         np.testing.assert_array_equal(together[index], alone)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    dtype=st.sampled_from([float, complex]),
+    negative_zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_sums_are_sequential_sums_over_rows(n, lead, dtype, negative_zeros, seed):
+    # Entry r sums diagonal q - p = n - 1 - r from a +0.0 start, adding row
+    # p's entry for p in ascending order, bit for bit; -0.0 entries and
+    # magnitudes far apart show any other order or start.
+    rng = np.random.default_rng(seed)
+    shape = (*lead, n, n)
+    stack = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(shape)
+    if negative_zeros:
+        stack[rng.random(shape) < 0.5] = -0.0
+    expected = np.zeros((*lead, 2 * n - 1), dtype=dtype)
+    for index in np.ndindex(*lead):
+        for r in range(2 * n - 1):
+            for p in range(max(0, r - n + 1), min(n, r + 1)):
+                expected[(*index, r)] += stack[(*index, p, n - 1 - r + p)]
+    got = baselines._diagonal_sums(stack)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_distortionless_solve_matches_direct_inverse():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 60)) + 1j * rng.standard_normal((5, 60))

@@ -37,6 +37,7 @@ from beamlab.config import (
     _sector_complement,
     memory_terms,
     normalize_config,
+    trial_chunks,
 )
 from beamlab.harness import _draw_mismatch
 
@@ -540,7 +541,7 @@ def test_more_worker_threads_than_cores_match_serial(monkeypatch):
     # Six threads on one-trial chunks, switched every few microseconds: a
     # buffer or cache shared between chunks would show in the bits.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
-    monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
+    monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", 1)
     cfg = _small("sinr_vs_snapshots", trials=6, k_grid=[5, 50, 500])
     serial = run_experiment(cfg, workers=1)
     interval = sys.getswitchinterval()
@@ -581,7 +582,7 @@ def test_failing_chunk_cancels_queued_chunks(monkeypatch, error):
         return run_chunk(*args)
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "TRIAL_CHUNK", 1)
+    monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", 1)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
     monkeypatch.setattr(harness, "_run_chunk", blocking)
     with pytest.raises(error, match="chunk 0 failed"):
@@ -873,7 +874,8 @@ def _bits(a):
 
 def _check_chunking(tmp_path, monkeypatch, cfg):
     """Run ``cfg`` in default chunks, on two worker threads and in chunks of
-    1 and 2 trials: raw bits, diagnostics and CSV bytes must all agree."""
+    at most 1, 2 and 3 trials: raw bits, diagnostics and CSV bytes must all
+    agree."""
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
 
     def run(name, workers=1):
@@ -883,8 +885,8 @@ def _check_chunking(tmp_path, monkeypatch, cfg):
 
     reference, reference_csv = run("default")
     runs = [run("workers2", workers=2)]
-    for chunk in (1, 2):
-        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+    for chunk in (1, 2, 3):
+        monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", chunk)
         runs.append(run(f"chunk{chunk}"))
     for res, csv_bytes in runs:
         for meth in reference.methods:
@@ -907,10 +909,16 @@ _NO_CONVERGENCE = {"interferers_deg": [-31.7, 28.3], "delta": 1e-4, "l": "auto"}
         ("sinr_vs_snapshots", {"k_grid": [5, 50]}),
         ("beampattern", {}),
         ("sinr_vs_inr", {"inr_grid_db": [10.0, 40.0]}),
+        # Chunks of at most 3 split 7 trials 2/2/3, not 3/3/1.
+        ("sinr_vs_snr", {"trials": 7}),
     ],
 )
 def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, overrides):
-    reference = _check_chunking(tmp_path, monkeypatch, _small(experiment, trials=5, **overrides))
+    cfg = _small(experiment, **{"trials": 5, **overrides})
+    reference = _check_chunking(tmp_path, monkeypatch, cfg)
+    if cfg.trials == 7:
+        monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", 3)
+        assert list(map(len, trial_chunks(7))) == [2, 2, 3]
     if overrides is _NO_CONVERGENCE:
         assert len(reference.diagnostics["failures"]) == 5 * len(reference.x_values)
 

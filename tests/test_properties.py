@@ -5,7 +5,8 @@ invariance of sweep results under trial-count and worker splits, the
 factored point draw against the per-point draw, the blocked CSV
 writer against a row-at-a-time one, its time over a long row period and
 its table shape check, the memory of the CSV writer, the sweep and the draw,
-and the memory model against traced and resident peaks."""
+the trial chunk layout and the memory model against it and against traced
+and resident peaks."""
 
 import csv
 import json
@@ -59,6 +60,7 @@ from beamlab.config import (
     METHOD_NAMES,
     _sector_complement,
     memory_terms,
+    trial_chunks,
 )
 from beamlab.harness import MethodViews, SweepResult, _draw_mismatch
 from beamlab.metrics import beampattern_grid_deg
@@ -751,24 +753,28 @@ def test_emit_csv_rejects_views_in_another_method_order(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_emit_csv_memory_is_one_block_plus_the_templates(tmp_path):
-    # 1801 beampattern angles x 5 methods x 117 trials: an 8 MiB raw
-    # table, which a copy would double. The writer takes each block of
-    # CSV_BLOCK_ROWS rows as one slice of the table and holds about 200 B
-    # a row: its text, its template in the joined format, its value as a
-    # Python float and its slots in the argument list and tuple. Besides
-    # the block it holds the 585 raw row templates (about 90 B each) and
-    # the 1801 x cells, 0.2 MiB together. Neither depends on the size of
-    # the table.
-    result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=117)
-    assert result.raw.table.nbytes >= 8 * 2**20
+def test_emit_csv_memory_is_one_block_plus_the_templates(tmp_path, monkeypatch):
+    # 1801 beampattern angles x 5 methods x 32 trials: a 2.2 MiB raw
+    # table, which a copy would double, written in blocks of 512 rows. The
+    # writer takes each block of CSV_BLOCK_ROWS rows as one slice of the
+    # table and holds about 200 B a row: its text, its template in the
+    # joined format, its value as a Python float and its slots in the
+    # argument list and tuple. Besides the block it holds the 160 raw row
+    # templates (about 90 B each) and the 1801 x cells, 0.1 MiB together.
+    # Neither depends on the size of the table, which is over 3 times the
+    # bound; every traced allocation is slow, so the smaller blocks and
+    # table keep the test short.
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 512)
+    bound = harness.CSV_BLOCK_ROWS * 400 + 2**19
+    result = _synthetic_result(beampattern_grid_deg(), METHOD_NAMES, trials=32)
+    assert result.raw.table.nbytes >= 3 * bound
     tracemalloc.start()
     try:
         emit_csv(result, tmp_path / "out.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < harness.CSV_BLOCK_ROWS * 400 + 2**19
+    assert peak < bound
 
 
 def test_sweep_memory_is_one_table_plus_a_chunk():
@@ -831,6 +837,33 @@ def test_draw_memory_is_one_stream_or_one_stack():
     stack_bytes = config.trials * n_x * config.l**2 * 16
     trial_bytes = 4 * n_x * config.l * n_rows * 16
     assert _draw_peak(config) < stack_bytes + trial_bytes + 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.integers(1, 500), workers=st.integers(1, 8), trial_chunk=st.integers(1, 32))
+def test_trial_chunks_are_even_and_the_memory_model_charges_the_longest(
+    trials, workers, trial_chunk
+):
+    # The chunks partition the trials in order, in lengths that differ by
+    # at most 1 and stay within TRIAL_CHUNK. Their count is the smallest
+    # multiple of the thread count whose chunks can hold the trials, so
+    # each thread gets as many; with fewer trials than that, each chunk
+    # holds one. Each thread's covariance stack is charged at the longest.
+    config = default_config("sinr_vs_snr")
+    config.trials = trials
+    with mock.patch("beamlab.config.TRIAL_CHUNK", trial_chunk):
+        chunks = list(trial_chunks(trials, workers))
+        stack = memory_terms(config, workers)["the covariance stack (snr_grid_db, trials, l)"]
+    lengths = list(map(len, chunks))
+    assert [t for chunk in chunks for t in chunk] == list(range(trials))
+    assert max(lengths) - min(lengths) <= 1 and max(lengths) <= trial_chunk
+    multiples = range(workers, workers * trials + 1, workers)
+    fewest = next(n for n in multiples if n * trial_chunk >= trials)
+    if trials >= fewest:
+        assert len(lengths) == fewest
+    else:
+        assert lengths == [1] * trials
+    assert stack == workers * 16 * max(lengths) * len(config.snr_grid_db) * config.l**2
 
 
 @st.composite
