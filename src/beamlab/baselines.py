@@ -72,11 +72,16 @@ def conditioned_matrix(matrix):
     n = matrix.shape[-1]
     trace = np.trace(matrix, axis1=-2, axis2=-1).real
     if np.isfinite(matrix).all() and np.all(trace > 0):
+        # tau comes off the diagonal of one copy, a strided view of it:
+        # every other entry keeps its bits, as under R - tau I.
+        tau = 2 * trace / COND_LIMIT
+        shifted = matrix.copy()
+        shifted.reshape(*matrix.shape[:-2], n * n)[..., :: n + 1] -= tau[..., None]
         try:
-            np.linalg.cholesky(matrix - (2 * trace / COND_LIMIT)[..., None, None] * np.eye(n))
+            np.linalg.cholesky(shifted)
             return matrix
         except np.linalg.LinAlgError:
-            pass
+            del shifted  # not held beside the copies the check below makes
     need = ~(_condition_numbers(_eigvalsh(matrix)) <= COND_LIMIT)
     if not need.any():
         return matrix
@@ -196,8 +201,10 @@ def capon_integral_ipnc(scm, sector_complement):
     fourier = np.exp(1j * np.pi * lags[:, None] * np.sin(np.concatenate(midpoints))) / n
     # Each product runs once per item, (1, .) @ (., .), so no item's bits
     # depend on the batch around it.
-    capon = (_diagonal_sums(rinv)[..., None, :] @ fourier)[..., 0, :].real
-    weights = np.concatenate(deltas) / capon
+    spectrum = (_diagonal_sums(rinv)[..., None, :] @ fourier)[..., 0, :]
+    # The quadrature weights delta_j / capon(theta_j) overwrite the complex
+    # spectrum, so the product below takes them with no real copy or cast.
+    weights = np.divide(np.concatenate(deltas), spectrum.real, out=spectrum)
     lower = (weights[..., None, :] @ fourier[:n].T)[..., 0, :]  # lags n - 1, ..., 0
     entries = np.concatenate((lower, lower[..., -2::-1].conj()), axis=-1)
     p = np.arange(n)

@@ -34,6 +34,8 @@ from .baselines import CAPON_SAMPLES, COND_LIMIT
 from .metrics import beampattern_grid_deg
 
 METHOD_NAMES = ("optimal", "scm_mvdr", "diagonal_loading", "capon_integral", "lcssp")
+# The methods that read the sample covariance of the physical array.
+SCM_METHODS = ("scm_mvdr", "diagonal_loading", "capon_integral")
 # Largest SNR or INR grid entry, in dB over the unit noise floor. One
 # interferer of power p gives a true IPNC of condition number p + 1, so
 # above COND_LIMIT the optimal weights need diagonal loading: the noise
@@ -55,7 +57,7 @@ TRIAL_CHUNK = 16
 # trial's whole stream. At k up to this size the Gram is one product.
 GRAM_BLOCK = 512
 # Most bytes of a run's estimated peak (memory_terms): it accepts each former
-# per-field cap's largest run (376 MB measured), rejects them all at once (684
+# per-field cap's largest run (311 MB measured) and all of them at once (405
 # MB), and runs two 32-interferer k 100000 trials on one thread (561 MB on two).
 MEMORY_BUDGET = 2**29
 
@@ -336,31 +338,37 @@ def memory_terms(config, workers=1):
     t = -(-trials // min(trials, _chunk_count(trials, n)))  # the longest chunk
     rows = x if spec.grid else len(beampattern_grid_deg())
     grid = f"{spec.grid}, " if spec.grid else ""
-    # Each thread holds its chunk's covariance stack and true IPNCs (one per
-    # trial unless the sweep sets interferer powers), and the larger of two
-    # sets: the draw's (a trial's stream, conjugated Gram block, Grams, one
-    # block product past GRAM_BLOCK, and B, B G, B^H and B G B^H) or the
-    # methods' (at most 3 m^2 values per point, plus LCSSP's two m x L
-    # products or the Capon spectrum).
+    # Each thread holds its chunk's true IPNCs (one per trial unless the
+    # sweep sets interferer powers), the m x m stacks its methods read (the
+    # SCM if an SCM method runs, LCSSP's IPNCs if lcssp does), and the
+    # larger of two sets: the draw's (a trial's stream, conjugated Gram
+    # block, Grams, one block product past GRAM_BLOCK, B, B G, B^H and its
+    # covariances B G B^H, and for lcssp their two m x L products and C^H)
+    # or the methods' (at most 3 m^2 values per point, plus the Capon
+    # spectrum).
     draw = {
         "the snapshot stream (k_grid, interferers_deg, l)":
             16 * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
-        f"a trial's Gram matrices and mixing products ({grid}interferers_deg, l)":
+        f"a trial's Gram matrices, mixing products and covariances ({grid}interferers_deg, l)":
             16 * ((len(ks) + (max(ks) > GRAM_BLOCK)) * n_rows**2 + x * l * (3 * n_rows + l)),
+        f"LCSSP's products of a trial's covariances ({grid}m, l)":
+            16 * (2 * x * m * l + l * l) if "lcssp" in config.methods else 0,
         "the steering stacks (trials, m, l, interferers_deg)": 16 * t * (m + l) * (1 + p),
     }
     solve = {
-        f"the weights and SINRs ({grid}trials, methods, m, l)":
-            16 * t * x * (n_methods * (m + 1) + 3 * m**2 + max(2 * m * l, 3 * CAPON_SAMPLES)),
+        f"the weights and SINRs ({grid}trials, methods, m)":
+            16 * t * x * (n_methods * (m + 1) + 3 * m**2 + 3 * CAPON_SAMPLES),
         "the beampattern gains (trials, methods, m)":
             0 if spec.grid else 16 * (t * n_methods + m) * rows,
     }
     work = max(draw, solve, key=lambda terms: sum(terms.values()))
+    stack = n * 16 * t * x * m * m
     return {
         "the interpreter and numpy": 40 * 10**6,
         f"the raw table ({grid}trials, methods)": 8 * rows * n_methods * trials,
         "the raw row templates (trials, methods)": 100 * n_methods * trials,
-        f"the covariance stack ({grid}trials, l)": n * 16 * t * x * l * l,
+        f"the SCM stack ({grid}trials, m)": stack if set(SCM_METHODS) & set(config.methods) else 0,
+        f"the LCSSP IPNC stack ({grid}trials, m)": stack if "lcssp" in config.methods else 0,
         f"the true IPNCs ({grid}trials, m, interferers_deg)":
             n * 16 * t * (x if spec.grid == "inr_grid_db" else 1) * m * (p + 3 * m),
         **{name: n * size for name, size in work.items()},

@@ -21,16 +21,19 @@ a trial's draw to the Gram matrix of its normals, summed over blocks of
 GRAM_BLOCK columns, and no snapshot matrix is formed. The SNR and INR
 sweeps draw each trial once and scale it; the snapshot sweep draws each
 trial's stream once, at its largest k, and takes every k's draw from a
-prefix of it. A chunk holds that stream, a conjugated Gram block, a
-trial's Grams and its points' covariances once each. The physical
-array's sample covariance is the leading m x m block of the extended one.
+prefix of it. The physical array's sample covariance is the leading
+m x m block of the extended one, and LCSSP reads the extended one only
+through the m x m IPNC it reconstructs, so a chunk holds that stream, a
+conjugated Gram block, a trial's Grams and its covariances once each,
+and over its points only the m x m stacks its methods read.
 """
 
 import ctypes
 import os
 import threading
+from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import cycle, islice
 from pathlib import Path
@@ -46,7 +49,7 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
-from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, ExperimentConfig
+from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, SCM_METHODS, ExperimentConfig
 from .config import _as_int, _sector_complement, memory_terms, normalize_config, trial_chunks
 from .lcssp import (
     LcsspConfig,
@@ -230,10 +233,12 @@ class _Points:
 
     A size-1 axis holds one value shared by every point along it: a
     trial's true steering vector serves every x, and so does its true
-    IPNC unless an interferer power changes with x.
+    IPNC unless an interferer power changes with x. A stack that no
+    method of the run reads is None.
     """
 
-    cov: np.ndarray  # (T, X, L, L) extended sample covariances
+    scm: np.ndarray  # (T, X, m, m) sample covariances of the physical rows
+    lcssp: np.ndarray  # (T, X, m, m) IPNCs that LCSSP reconstructs
     ipnc: np.ndarray  # (T, 1 or X, m, m) true IPNCs
     tsv: np.ndarray  # (T, 1, m) true steering vectors
     soi_power: np.ndarray  # (1, X)
@@ -241,26 +246,18 @@ class _Points:
     @property
     def shape(self):
         """(trials, x values) of the chunk."""
-        return self.cov.shape[:2]
-
-    @property
-    def scm(self):
-        """(T, X, m, m) sample covariances of the physical rows, a view of ``cov``.
-
-        The first m rows of an L-element draw are the m-element draw, so
-        the SCM is the leading block of the extended covariance.
-        """
-        m = self.tsv.shape[-1]
-        return self.cov[..., :m, :m]
+        return self.tsv.shape[0], self.soi_power.shape[1]
 
     def __getitem__(self, index):
         """Point (t, ix) as a (1, 1) stack of its own."""
         t, ix = index
 
         def point(a):
+            if a is None:
+                return None
             return np.broadcast_to(a, (*self.shape, *a.shape[2:]))[t : t + 1, ix : ix + 1]
 
-        return _Points(point(self.cov), point(self.ipnc), point(self.tsv), point(self.soi_power))
+        return _Points(*(point(getattr(self, f.name)) for f in fields(self)))
 
 
 def _gram(z, conjugate, out):
@@ -281,26 +278,25 @@ def _gram(z, conjugate, out):
     out /= z.shape[1]
 
 
-def _draw_points(config, x_values, trials, n_generate):
-    """Draw every (trial, x) point of ``trials``, keeping only covariances.
+def _draw(config, x_values, trials, n_generate):
+    """The draws of a chunk's trials: (powers, physical, covariances).
 
     Each trial draws its mismatch and snapshot seed from its own streams;
-    the rest is array code over the chunk. One power table holds the
-    powers of [SOI, *interferers] at each x: the swept grid's x values
-    for the sources it sets, the first entry of every other grid. One
-    steering stack over the extended aperture mixes the draws; one over
-    the physical aperture holds each trial's true steering vector
-    (column 0), and its interferer columns A_I and the power table p give
-    the true IPNCs A_I diag(p) A_I^H + I in one product: one per trial, or
-    one per point if an interferer power changes with x. A point's
-    snapshots would be B Z, with Z the draw's complex normals (source
-    waveforms, then noise) and B = [A, I] diag(a) for the steering
-    matrix A and the amplitudes a = sqrt(power / 2), so its covariance
-    is B G B^H with G = Z Z^H / k, formed per trial by ``_gram`` and
-    written into the chunk's one (T, X, L, L) stack. In the SNR and INR
-    sweeps the x values of a trial share G; the snapshot sweep draws the
-    trial's stream once, at its largest k, and every k's Z is a view of
-    its first 2 n_rows k numbers read as complex pairs.
+    the rest is array code over the chunk. The (X, 1 + P) power table
+    ``powers`` holds the powers of [SOI, *interferers] at each x: the
+    swept grid's x values for the sources it sets, the first entry of
+    every other grid. ``physical`` is the (T, m, 1 + P) steering stack
+    of the true directions over the physical aperture, and one over the
+    extended aperture mixes the draws. ``covariances`` yields each
+    trial's (X, L, L) extended sample covariances in turn, drawn as the
+    iteration reaches the trial. A point's snapshots would be B Z, with Z
+    the draw's complex normals (source waveforms, then noise) and B = [A,
+    I] diag(a) for the steering matrix A and the amplitudes a = sqrt(power
+    / 2), so its covariance is B G B^H with G = Z Z^H / k, formed per
+    trial by ``_gram``. In the SNR and INR sweeps the x values of a trial
+    share G; the snapshot sweep draws the trial's stream once, at its
+    largest k, and every k's Z is a view of its first 2 n_rows k numbers
+    read as complex pairs.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     grid = EXPERIMENTS[config.experiment].grid
@@ -316,26 +312,58 @@ def _draw_points(config, x_values, trials, n_generate):
     sines = np.sin([[soi, *interferers] for soi, interferers, _, _ in draws])
     # Element 0's position error is 0, so the positions need no re-referencing.
     positions = _element_positions(n, np.stack([perr for _, _, perr, _ in draws]))
-    physical = _steering_grid(positions[:, :m], sines)
     extended = _steering_grid(positions, sines)
     amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
-    n_rows = amplitudes.shape[-1]
-    # Every trial of the chunk draws into one stream buffer, conjugates
-    # one Gram block at a time into one more and writes its Grams and
-    # covariances into two stacks, so the trials allocate no multi-MB
-    # arrays whose allocation speed would depend on the allocator's state.
-    stream = np.empty(2 * n_rows * max(ks))
-    conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
-    gram = np.empty((len(ks), n_rows, n_rows), dtype=complex)
-    cov = np.empty((len(trials), n_x, n, n), dtype=complex)
-    for t, (steer, (_, _, _, snap_seed)) in enumerate(zip(extended, draws)):
-        b = np.hstack((steer, np.eye(n))) * amplitudes
-        np.random.default_rng(snap_seed).standard_normal(out=stream)
-        # Z's rows are the waveforms of [SOI, *interferers], then noise, so
-        # the first m noise rows of an extended draw are the m-element draw.
-        for k, out in zip(ks, gram):
-            _gram(stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k), conjugate, out)
-        cov[t] = hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
+
+    def covariances():
+        n_rows = amplitudes.shape[-1]
+        # Every trial draws into one stream buffer, conjugates one Gram
+        # block at a time into one more and writes its Grams into one
+        # stack, so the trials allocate no multi-MB arrays whose allocation
+        # speed would depend on the allocator's state.
+        stream = np.empty(2 * n_rows * max(ks))
+        conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
+        gram = np.empty((len(ks), n_rows, n_rows), dtype=complex)
+        for steer, (_, _, _, snap_seed) in zip(extended, draws):
+            b = np.hstack((steer, np.eye(n))) * amplitudes
+            np.random.default_rng(snap_seed).standard_normal(out=stream)
+            # Z's rows are the waveforms of [SOI, *interferers], then noise,
+            # so the first m noise rows of an extended draw are the m-element
+            # draw.
+            for k, out in zip(ks, gram):
+                _gram(stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k), conjugate, out)
+            yield hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
+
+    return powers, _steering_grid(positions[:, :m], sines), covariances()
+
+
+def _draw_points(config, x_values, trials, n_generate, projection):
+    """Draw every (trial, x) point of ``trials``, keeping what the methods read.
+
+    Each trial's extended covariances (``_draw``) are reduced as they are
+    drawn to the SCM, their leading m x m block, if an SCM method runs,
+    and to LCSSP's reconstructed IPNC under ``projection``, if that is not
+    None; the chunk holds those two (T, X, m, m) stacks and one trial's
+    covariances. The physical steering stack's first column is each
+    trial's true steering vector, and its interferer columns A_I and the
+    power table p give the true IPNCs A_I diag(p) A_I^H + I in one
+    product: one per trial, or one per point if an interferer power
+    changes with x.
+    """
+    m = config.m
+    powers, physical, covariances = _draw(config, x_values, trials, n_generate)
+    shape = (len(trials), len(x_values), m, m)
+    scm = np.empty(shape, dtype=complex) if set(SCM_METHODS) & set(config.methods) else None
+    lcssp = None if projection is None else np.empty(shape, dtype=complex)
+    for t in range(len(trials)):
+        cov = next(covariances)
+        if scm is not None:
+            scm[t] = cov[..., :m, :m]
+        if lcssp is not None:
+            lcssp[t] = reconstruct_ipnc(projection, cov, m)
+        # Let go of the trial's covariances before the next trial draws its
+        # own (a for loop over an enumerate would hold them meanwhile).
+        del cov
     # A trial's points share its true IPNC unless an interferer power
     # changes with x. The IPNC and steering vector are made C-contiguous:
     # BLAS rounds output_sinr's products by their memory layout.
@@ -344,10 +372,10 @@ def _draw_points(config, x_values, trials, n_generate):
     ipnc = (a_int * int_powers[..., None, :]) @ np.swapaxes(a_int.conj(), -1, -2) + np.eye(m)
     ipnc = np.ascontiguousarray(hermitize(ipnc))
     tsv = np.ascontiguousarray(physical[:, None, :, 0])
-    return _Points(cov, ipnc, tsv, powers[None, :, 0])
+    return _Points(scm, lcssp, ipnc, tsv, powers[None, :, 0])
 
 
-def _method_sinr(method, points, presumed, complement, projection):
+def _method_sinr(method, points, presumed, complement):
     """Weights and output SINRs of one method per point; a non-finite SINR raises LinAlgError."""
     if method == "optimal":
         w = optimal_weights(points.ipnc, points.tsv)
@@ -358,8 +386,7 @@ def _method_sinr(method, points, presumed, complement, projection):
     elif method == "capon_integral":
         w = capon_integral_weights(points.scm, presumed, complement)
     else:
-        m = points.scm.shape[-1]
-        w = lcssp_weights(reconstruct_ipnc(projection, points.cov, m), presumed)
+        w = lcssp_weights(points.lcssp, presumed)
     sinr = output_sinr(w, points.soi_power, points.tsv, points.ipnc)
     bad = sinr[~np.isfinite(sinr)]
     if bad.size:
@@ -367,7 +394,7 @@ def _method_sinr(method, points, presumed, complement, projection):
     return w, sinr
 
 
-def _point_values(method, points, presumed, complement, projection):
+def _point_values(method, points, presumed, complement):
     """(weights, SINRs, {(t, ix): error text}) of one method over a chunk's points.
 
     The only place where an exception becomes a point's failure: a point
@@ -377,12 +404,12 @@ def _point_values(method, points, presumed, complement, projection):
     batch-of-one results equal the batched ones bit for bit, so only the
     failing points are lost. A failed point gets nan and zero weights.
     """
-    args = (presumed, complement, projection)
+    args = (presumed, complement)
     failures = {}
     try:
         w, sinr = _method_sinr(method, points, *args)
     except np.linalg.LinAlgError:
-        w = np.zeros(points.scm.shape[:-1], dtype=complex)
+        w = np.zeros((*points.shape, points.tsv.shape[-1]), dtype=complex)
         sinr = np.full(points.shape, np.nan)
         for index in np.ndindex(points.shape):
             try:
@@ -407,7 +434,7 @@ def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
     soi_nominal = np.deg2rad(config.presumed_soi_deg)
     presumed = steering_vector(soi_nominal, config.m)
     complement = _sector_complement(soi_nominal, np.deg2rad(config.sector_halfwidth_deg))
-    points = _draw_points(config, x_values, trials, n_generate)
+    points = _draw_points(config, x_values, trials, n_generate, projection)
     methods = config.methods
     # Item (t, ix, j) is trial trials[t] at x_values[ix] under methods[j].
     weights = np.zeros((*points.shape, len(methods), config.m), dtype=complex)
@@ -418,7 +445,7 @@ def _run_chunk(config, x_values, projection, lcssp_error, n_generate, trials):
             errors = dict.fromkeys(np.ndindex(points.shape), lcssp_error)
         else:
             weights[..., j, :], sinr[..., j], errors = _point_values(
-                meth, points, presumed, complement, projection
+                meth, points, presumed, complement
             )
         for (t, ix), error in errors.items():
             x = float(x_values[ix])
@@ -501,6 +528,19 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def _submitted_ahead(pool, fn, items, ahead):
+    """The results of ``fn`` over ``items`` on ``pool``, in order, with at
+    most ``ahead`` items submitted whose results are not yet taken: a
+    run's queue stays that short whatever its number of chunks."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def run_experiment(config, workers=1):
     """Run the configured experiment and aggregate per-method results.
 
@@ -510,12 +550,13 @@ def run_experiment(config, workers=1):
     trials, CPU count) threads, fewer if the estimated peak memory
     (``config.memory_terms``) at that count is above MEMORY_BUDGET, maps
     the chunks ``config.trial_chunks`` splits the trials into for that
-    many threads, the same number for each thread; ``workers``
+    many threads, the same number for each thread, and submits at most
+    two chunks per thread ahead of the results it has taken; ``workers``
     below 1 runs serially, and a non-integer one is a ConfigError.
     Threads overlap where a chunk releases the GIL: the RNG fill of the
     normals, BLAS products and numpy's batched LAPACK calls; the many
     small calls between them hold it, so two threads gain well under 2x
-    (README gives figures). If a chunk raises, or the caller is
+    (README gives the measured spread). If a chunk raises, or the caller is
     interrupted, the queued chunks are cancelled and the error
     propagates. OpenBLAS runs at one thread for the duration of the call
     and gets the caller's thread count back afterwards, so the worker
@@ -559,7 +600,7 @@ def run_experiment(config, workers=1):
 
             pool = ThreadPoolExecutor(max_workers=workers)
             try:
-                fill(pool.map(run_chunk, chunks))
+                fill(_submitted_ahead(pool, run_chunk, chunks, 2 * workers))
             finally:
                 # After an error or an interrupt, the queued chunks never run.
                 pool.shutdown(cancel_futures=True)

@@ -22,8 +22,8 @@ def negative_ipnc(monkeypatch):
     def poison(points_to_fail):
         draw = harness._draw_points
 
-        def poisoned(config, x_values, trials, n_generate):
-            points = draw(config, x_values, trials, n_generate)
+        def poisoned(config, x_values, trials, *args):
+            points = draw(config, x_values, trials, *args)
             ipnc = np.broadcast_to(points.ipnc, (*points.shape, config.m, config.m)).copy()
             for t, trial in enumerate(trials):
                 for ix in range(len(x_values)):

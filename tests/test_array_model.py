@@ -59,7 +59,7 @@ def test_first_element_stays_reference_under_position_errors():
     config = default_config("sinr_vs_snr")
     config.position_error_halfwidth_wl = 0.2
     config = normalize_config(config)
-    points = harness._draw_points(config, np.array([0.0, 10.0]), range(4), config.l)
+    points = harness._draw_points(config, np.array([0.0, 10.0]), range(4), config.l, None)
     np.testing.assert_array_equal(points.tsv[..., 0], 1 / np.sqrt(config.m))
 
 
@@ -157,8 +157,12 @@ def test_snapshot_source_scale_under_extension():
 def test_snapshots_deterministic_per_seed():
     config = normalize_config(default_config("sinr_vs_snr"))
     x_values = np.array([0.0, 10.0])
-    a, b = (harness._draw_points(config, x_values, range(2), config.l).cov for _ in range(2))
+
+    def covariances():
+        return np.stack(list(harness._draw(config, x_values, range(2), config.l)[2]))
+
+    a, b = covariances(), covariances()
     config.seed += 1
-    c = harness._draw_points(config, x_values, range(2), config.l).cov
+    c = covariances()
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)

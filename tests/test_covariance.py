@@ -15,15 +15,12 @@ from beamlab import (
 from beamlab import harness
 
 
-def _points(experiment, x_values):
-    config = normalize_config(default_config(experiment))
-    return harness._draw_points(config, np.asarray(x_values, dtype=float), range(3), config.l)
-
-
 def test_sample_covariance_hermitian_psd():
     # The drawn covariances are exactly Hermitian and positive semidefinite,
     # rank deficient below L snapshots included.
-    cov = _points("sinr_vs_snapshots", [1, 5, 40]).cov
+    config = normalize_config(default_config("sinr_vs_snapshots"))
+    _, _, covariances = harness._draw(config, np.array([1.0, 5.0, 40.0]), range(3), config.l)
+    cov = np.stack(list(covariances))
     np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2).conj())
     assert np.min(np.linalg.eigvalsh(cov)) > -1e-12 * np.max(np.abs(cov))
 
@@ -39,7 +36,9 @@ def test_hermitize_idempotent_on_hermitian():
 def test_theoretical_covariance_structure():
     # Unit-norm steering: each interferer adds its power to the true
     # IPNC's trace, and unit noise adds one per element.
-    ipnc = _points("sinr_vs_inr", [0.0, 20.0, 40.0]).ipnc
+    config = normalize_config(default_config("sinr_vs_inr"))
+    x_values = np.array([0.0, 20.0, 40.0])
+    ipnc = harness._draw_points(config, x_values, range(3), config.l, None).ipnc
     np.testing.assert_array_equal(ipnc, np.swapaxes(ipnc, -1, -2).conj())
     # The interferer power changes with x, so every (trial, x) point has its own.
     assert ipnc.shape[:2] == (3, 3)

@@ -192,19 +192,20 @@ def test_normalize_config_bounds_the_raw_table():
 
 
 def test_over_budget_error_names_the_largest_term():
-    # Every former cap at once: l 128, 32 interferers, k 100000 and 64
-    # grid points, 16 trials, which used to be accepted and peak at 684
-    # MB. It is rejected before anything runs.
+    # l 128, 32 interferers, k 200000 and 64 grid points, 16 trials: the
+    # stream of one trial is 518 MB. It is rejected before anything runs.
+    # (At k 100000 the run holds no covariance stack, and it fits: it
+    # peaked at 405 MB.)
     cfg = default_config("sinr_vs_snapshots")
     cfg.l, cfg.trials, cfg.methods = 128, 16, ["optimal"]
     cfg.interferers_deg = [side * a for side in (-1, 1) for a in np.linspace(10.0, 80.0, 16)]
-    cfg.k_grid = [100_000] + [1] * 63
+    cfg.k_grid = [200_000] + [1] * 63
     with pytest.raises(ConfigError) as err:
         normalize_config(cfg)
     message = str(err.value)
     assert re.fullmatch(
         r"the run needs about \d+ MB, above the 537 MB memory budget; most of it is "
-        r"the (covariance stack|snapshot stream) \(.*\)",
+        r"the snapshot stream \(.*\)",
         message,
     ), message
 
@@ -593,6 +594,40 @@ def test_failing_chunk_cancels_queued_chunks(monkeypatch, error):
         assert controls[0]() == caller
 
 
+def test_a_run_submits_at_most_two_chunks_per_thread_ahead(monkeypatch):
+    # At one trial per chunk, 40 trials on 2 threads make 40 chunks. The
+    # run submits a chunk only while fewer than 4, two per thread, are
+    # submitted and not yet taken, so the pool's queue does not grow with
+    # the trial count; the values are the serial run's.
+    outstanding, counts = set(), []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            outstanding.add(future)
+            counts.append(len(outstanding))
+            result = future.result
+
+            def taken(timeout=None):
+                outstanding.discard(future)
+                return result(timeout)
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", 1)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    cfg = _small(trials=40)
+    serial = run_experiment(cfg, workers=1)
+    parallel = run_experiment(cfg, workers=2)
+    assert len(counts) == 40 and max(counts) == 4
+    assert not outstanding
+    for meth in serial.methods:
+        np.testing.assert_array_equal(_bits(serial.raw[meth]), _bits(parallel.raw[meth]))
+    assert parallel.diagnostics == serial.diagnostics
+
+
 def test_grid_power_mapping_exact_for_optimal():
     # The optimal beamformer depends only on the scenario, so stepping
     # the input SNR shifts its output by exactly the same amount.
@@ -753,15 +788,17 @@ def test_output_sinr_failure_is_recorded_per_point(negative_ipnc):
 
 
 class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ThreadPoolExecutor: records max_workers, runs each task on submit."""
 
     sizes = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         pass
@@ -967,6 +1004,12 @@ def test_snapshot_points_depend_only_on_their_k():
             np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
 
 
+def _extended_covariances(config, x_values, trials):
+    """The (T, X, L, L) stack of the extended covariances the draw yields."""
+    x_values = np.asarray(x_values, dtype=float)
+    return np.stack(list(harness._draw(config, x_values, trials, config.l)[2]))
+
+
 @pytest.mark.parametrize(
     "ks",
     [
@@ -988,7 +1031,7 @@ def test_drawn_covariance_is_the_blocked_gram(ks):
     # (n_rows + 2) eps / 2 apiece relative to |B| |G| |B|^T. In all:
     # |dR| <= (k + 2 + 2 (n_rows + 2)) eps |B| (|Z| |Z|^T) |B|^T / k.
     config = normalize_config(_small("sinr_vs_snapshots", k_grid=ks))
-    cov = harness._draw_points(config, np.asarray(ks, dtype=float), range(2, 3), config.l).cov
+    cov = _extended_covariances(config, ks, range(2, 3))
     soi, interferers, perr, seed = _draw_mismatch(config, 2)
     powers = [10.0 ** (config.snr_grid_db[0] / 10.0)]
     powers += [10.0 ** (config.inr_grid_db[0] / 10.0)] * len(interferers)
@@ -1047,7 +1090,7 @@ def test_mean_drawn_covariance_is_the_documented_covariance():
         "sinr_vs_snapshots", trials=trials, k_grid=ks,
         doa_mismatch_halfwidth_deg=0.0, position_error_halfwidth_wl=0.0,
     ))
-    cov = harness._draw_points(config, np.asarray(ks, dtype=float), range(trials), config.l).cov
+    cov = _extended_covariances(config, ks, range(trials))
     directions = np.deg2rad([config.presumed_soi_deg, *config.interferers_deg])
     db = [config.snr_grid_db[0]] + [config.inr_grid_db[0]] * len(config.interferers_deg)
     powers = 10.0 ** (np.array(db) / 10.0)
@@ -1063,11 +1106,10 @@ def _chunk_points(n_trials=3):
     cfg = normalize_config(_small(snr_grid_db=[0.0, 10.0, 20.0]))
     projection, *_ = harness._resolve_lcssp(cfg)
     x_values = np.asarray(cfg.snr_grid_db)
-    points = harness._draw_points(cfg, x_values, range(n_trials), len(projection))
+    points = harness._draw_points(cfg, x_values, range(n_trials), len(projection), projection)
     context = (
         steering_vector(0.0, cfg.m),
         _sector_complement(0.0, np.deg2rad(cfg.sector_halfwidth_deg)),
-        projection,
     )
     return points, context
 
@@ -1093,11 +1135,12 @@ def _expanded(points, field):
 def test_failing_points_do_not_touch_the_rest_of_the_stack():
     points, context = _chunk_points()
     points = _expanded(_expanded(points, "ipnc"), "soi_power")
-    # Point (1, 1): zero covariances that loading cannot fix; point (0, 2):
-    # a negative definite true IPNC, so every method's output power is
-    # negative; point (2, 0): zero SOI power, an output SINR of -inf dB.
+    # Point (1, 1): a zero SCM and LCSSP IPNC that loading cannot fix;
+    # point (0, 2): a negative definite true IPNC, so every method's output
+    # power is negative; point (2, 0): zero SOI power, an output SINR of
+    # -inf dB.
     points.scm[1, 1] = 0.0
-    points.cov[1, 1] = 0.0
+    points.lcssp[1, 1] = 0.0
     points.ipnc[0, 2] = -np.eye(points.ipnc.shape[-1])
     points.soi_power[2, 0] = 0.0
     for method in METHOD_NAMES:
@@ -1186,7 +1229,7 @@ def test_other_errors_in_a_method_stop_the_run(monkeypatch, workers):
     def broken(*args):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(harness, "reconstruct_ipnc", broken)
+    monkeypatch.setattr(harness, "lcssp_weights", broken)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     with pytest.raises(ValueError, match="operands could not be broadcast") as info:
         run_experiment(_small(), workers=workers)

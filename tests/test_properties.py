@@ -553,21 +553,77 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
     trials = range(first, first + n_trials)
     n_generate = config.m + extra
-    points = harness._draw_points(config, x_values, trials, n_generate)
+    points = harness._draw_points(config, x_values, trials, n_generate, None)
+    covariances = np.stack(list(harness._draw(config, x_values, trials, n_generate)[2]))
     # BLAS rounds output_sinr's products by the memory layout of its
     # operands: with a transposed IPNC, raw SINRs of the m 100 / l 110
     # snapshot sweep moved by 1 ulp. The draw keeps both C-contiguous.
     assert points.ipnc.flags.c_contiguous and points.tsv.flags.c_contiguous
     direct = list(_direct_points(config, x_values, trials, n_generate))
-    assert points.shape == (n_trials, len(x_values))
+    assert points.shape == covariances.shape[:2] == (n_trials, len(x_values))
     assert len(direct) == n_trials * len(x_values)
     for index, (cov, scm, ipnc, tsv, soi_power) in zip(np.ndindex(points.shape), direct):
         point = points[index]
-        _assert_close(point.cov[0, 0], cov)
+        _assert_close(covariances[index], cov)
         _assert_close(point.scm[0, 0], scm)
         got = (point.ipnc[0, 0], point.tsv[0, 0], point.soi_power[0, 0])
         for value, expected in zip(got, (ipnc, tsv, soi_power)):
             np.testing.assert_array_equal(value, expected)
+
+
+def _cbits(a):
+    """Raw bits of a complex array's real and imaginary parts."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    experiment=st.sampled_from(sorted(_SWEPT_FIELD)),
+    first=st.integers(min_value=0, max_value=1000),
+    n_trials=st.integers(min_value=1, max_value=3),
+)
+@pytest.mark.parametrize("kind", ["extended", "l_equals_m", "without_lcssp", "no_projector"])
+def test_drawn_stacks_are_the_reduced_covariances(kind, data, experiment, first, n_trials):
+    # A chunk holds only what its methods read. Its SCM stack is the
+    # leading m x m block of each point's extended covariance, bit for bit,
+    # if an SCM method runs; its LCSSP stack is reconstruct_ipnc of that
+    # covariance alone, bit for bit, if lcssp runs with a projector. A
+    # stack that no method reads is not drawn.
+    config = data.draw(sweep_configs(experiment))
+    methods = st.lists(st.sampled_from(METHOD_NAMES), min_size=1, max_size=5, unique=True)
+    config.methods = data.draw(methods)
+    if kind == "extended":
+        config.l = config.m + data.draw(st.integers(min_value=1, max_value=8))
+    elif kind == "l_equals_m":
+        config.l, config.methods = config.m, list(METHOD_NAMES)
+    elif kind == "without_lcssp":
+        config.methods = [meth for meth in config.methods if meth != "lcssp"] or ["optimal"]
+    else:
+        # No dimension up to 8 m reaches this delta (a CI run checks the
+        # same search at m 10); lcssp fails and every draw has m rows.
+        config.m, config.l, config.delta = 10, "auto", 1e-4
+        config.interferers_deg = [-31.7, 28.3]
+        config.methods = list(METHOD_NAMES)
+    config = normalize_config(config)
+    projection, _, _, n_generate = harness._resolve_lcssp(config)
+    assert (projection is not None) == ("lcssp" in config.methods and kind != "no_projector")
+    assert n_generate == (config.m if kind in ("l_equals_m", "no_projector") else config.l)
+    x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
+    trials = range(first, first + n_trials)
+    points = harness._draw_points(config, x_values, trials, n_generate, projection)
+    covariances = np.stack(list(harness._draw(config, x_values, trials, n_generate)[2]))
+    m = config.m
+    if set(config.methods) & {"scm_mvdr", "diagonal_loading", "capon_integral"}:
+        np.testing.assert_array_equal(_cbits(points.scm), _cbits(covariances[..., :m, :m]))
+    else:
+        assert points.scm is None
+    if projection is None:
+        assert points.lcssp is None
+    else:
+        for index in np.ndindex(points.shape):
+            expected = reconstruct_ipnc(projection, covariances[index], m)
+            np.testing.assert_array_equal(_cbits(points.lcssp[index]), _cbits(expected))
 
 
 def _oracle_csv(result, path):
@@ -803,9 +859,10 @@ def _draw_peak(config):
     """tracemalloc peak, in bytes, of drawing one chunk of ``config``'s points."""
     config = normalize_config(config)
     x_values = np.asarray(getattr(config, EXPERIMENTS[config.experiment].grid), dtype=float)
+    projection, _, _, n_generate = harness._resolve_lcssp(config)
     tracemalloc.start()
     try:
-        harness._draw_points(config, x_values, range(config.trials), config.l)
+        harness._draw_points(config, x_values, range(config.trials), n_generate, projection)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -823,20 +880,21 @@ def test_draw_memory_is_one_stream_or_one_stack():
     n_rows = 1 + len(config.interferers_deg) + config.l
     stream_bytes = 2 * n_rows * 100_000 * 8
     assert _draw_peak(config) < stream_bytes + 4 * 2**20
-    # 16 trials x 32 SNR points at l 64 hold one (T, X, L, L) covariance
-    # stack, written in place, plus one trial's temporaries: at most four
-    # arrays of X L n_rows complex values at once (B, B G, B^H and B G B^H,
-    # then B and three (X, L, L) arrays in hermitize), and 1 MiB for the
-    # chunk's small arrays (steering stacks, the stream at k 50). A
-    # per-trial list of covariances stacked at the end would hold the
-    # stack twice.
+    # 16 trials x 32 SNR points at l 64 hold two (T, X, m, m) stacks, the
+    # SCM and LCSSP's IPNCs, written in place, plus one trial's
+    # temporaries: at most four arrays of X L n_rows complex values at once
+    # (B, B G, B^H and B G B^H, then B and three (X, L, L) arrays in
+    # hermitize, then B, the covariances and LCSSP's smaller products), and
+    # 1 MiB for the chunk's small arrays (steering stacks, the stream at k
+    # 50). Holding the chunk's (T, X, L, L) covariances, 32 MiB, or one
+    # trial's covariances into the next trial's draw would break the bound.
     config = default_config("sinr_vs_snr")
     config.trials, config.l = 16, 64
     config.snr_grid_db = np.linspace(-10.0, 52.0, 32).tolist()
     n_rows, n_x = 1 + len(config.interferers_deg) + config.l, 32
-    stack_bytes = config.trials * n_x * config.l**2 * 16
+    stacks_bytes = 2 * config.trials * n_x * config.m**2 * 16
     trial_bytes = 4 * n_x * config.l * n_rows * 16
-    assert _draw_peak(config) < stack_bytes + trial_bytes + 2**20
+    assert _draw_peak(config) < stacks_bytes + trial_bytes + 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -848,12 +906,12 @@ def test_trial_chunks_are_even_and_the_memory_model_charges_the_longest(
     # at most 1 and stay within TRIAL_CHUNK. Their count is the smallest
     # multiple of the thread count whose chunks can hold the trials, so
     # each thread gets as many; with fewer trials than that, each chunk
-    # holds one. Each thread's covariance stack is charged at the longest.
+    # holds one. Each thread's SCM stack is charged at the longest.
     config = default_config("sinr_vs_snr")
     config.trials = trials
     with mock.patch("beamlab.config.TRIAL_CHUNK", trial_chunk):
         chunks = list(trial_chunks(trials, workers))
-        stack = memory_terms(config, workers)["the covariance stack (snr_grid_db, trials, l)"]
+        stack = memory_terms(config, workers)["the SCM stack (snr_grid_db, trials, m)"]
     lengths = list(map(len, chunks))
     assert [t for chunk in chunks for t in chunk] == list(range(trials))
     assert max(lengths) - min(lengths) <= 1 and max(lengths) <= trial_chunk
@@ -863,7 +921,7 @@ def test_trial_chunks_are_even_and_the_memory_model_charges_the_longest(
         assert len(lengths) == fewest
     else:
         assert lengths == [1] * trials
-    assert stack == workers * 16 * max(lengths) * len(config.snr_grid_db) * config.l**2
+    assert stack == workers * 16 * max(lengths) * len(config.snr_grid_db) * config.m**2
 
 
 @st.composite
@@ -953,12 +1011,14 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
             2,
             None,
         ),
-        # 16 trials of 64 SNR points at l 128: a 268 MB covariance stack.
+        # 16 trials of 64 SNR points at l 128: one trial's (X, L, L)
+        # covariances and mixing products, 68 MB; the chunk's (T, X, L, L)
+        # covariances would be 268 MB.
         (
             "sinr_vs_snr",
             {"trials": 16, "l": MAX_DIMENSION, "snr_grid_db": np.linspace(-10.0, 52.0, 64).tolist()},
             1,
-            376,
+            115,
         ),
         # A 3726-trial beampattern: a 268 MB raw table.
         ("beampattern", {"trials": 3726}, 1, None),
@@ -968,7 +1028,7 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
         # which the chunk's trials write into one buffer.
         ("sinr_vs_snr", {"trials": 2, "m": 2, "l": 2, "interferers_deg": [40.0] * 2000}, 1, None),
         # 4 trials of 8 SNR points at m = l = 128: the methods' per-point
-        # temporaries, 42 MB, are the largest term.
+        # temporaries, 26 MB, are the largest term.
         (
             "sinr_vs_snr",
             {"trials": 4, "m": MAX_DIMENSION, "l": MAX_DIMENSION, "snr_grid_db": [10.0] * 8},
