@@ -57,8 +57,8 @@ TRIAL_CHUNK = 16
 # trial's whole stream. At k up to this size the Gram is one product.
 GRAM_BLOCK = 512
 # Most bytes of a run's estimated peak (memory_terms): it accepts each former
-# per-field cap's largest run (311 MB measured) and all of them at once (405
-# MB), and runs two 32-interferer k 100000 trials on one thread (561 MB on two).
+# per-field cap's largest run (311 MB measured), all of them at once (40 MB with
+# optimal alone) and two 32-interferer k 100000 trials on one thread (561 on two).
 MEMORY_BUDGET = 2**29
 
 
@@ -341,23 +341,27 @@ def memory_terms(config, workers=1):
     # Each thread holds its chunk's true IPNCs (one per trial unless the
     # sweep sets interferer powers), the m x m stacks its methods read (the
     # SCM if an SCM method runs, LCSSP's IPNCs if lcssp does), and the
-    # larger of two sets: the draw's (a trial's stream, conjugated Gram
-    # block, Grams, one block product past GRAM_BLOCK, B, B G, B^H and its
-    # covariances B G B^H, and for lcssp their two m x L products and C^H)
-    # or the methods' (at most 3 m^2 values per point, plus the Capon
-    # spectrum).
+    # larger of two sets: the draw's (the steering stacks; if either stack
+    # is read, a trial's stream, conjugated Gram block, Grams, one block
+    # product past GRAM_BLOCK, B, B G, B^H and B G B^H; for lcssp their two
+    # m x L products and C^H) or the methods' (4 m^2 values per point, one
+    # m^2 of it memory outside numpy's arrays, and if capon_integral runs
+    # the Capon spectrum).
+    scm, lcssp = bool(set(SCM_METHODS) & set(config.methods)), "lcssp" in config.methods
     draw = {
         "the snapshot stream (k_grid, interferers_deg, l)":
-            16 * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
+            16 * (scm or lcssp) * n_rows * (max(ks) + min(max(ks), GRAM_BLOCK)),
         f"a trial's Gram matrices, mixing products and covariances ({grid}interferers_deg, l)":
-            16 * ((len(ks) + (max(ks) > GRAM_BLOCK)) * n_rows**2 + x * l * (3 * n_rows + l)),
+            16 * (scm or lcssp) * ((len(ks) + (max(ks) > GRAM_BLOCK)) * n_rows**2
+                                   + x * l * (3 * n_rows + l)),
         f"LCSSP's products of a trial's covariances ({grid}m, l)":
-            16 * (2 * x * m * l + l * l) if "lcssp" in config.methods else 0,
+            16 * lcssp * (2 * x * m * l + l * l),
         "the steering stacks (trials, m, l, interferers_deg)": 16 * t * (m + l) * (1 + p),
     }
+    capon = 3 * CAPON_SAMPLES if "capon_integral" in config.methods else 0
     solve = {
         f"the weights and SINRs ({grid}trials, methods, m)":
-            16 * t * x * (n_methods * (m + 1) + 3 * m**2 + 3 * CAPON_SAMPLES),
+            16 * t * x * (n_methods * (m + 1) + 4 * m**2 + capon),
         "the beampattern gains (trials, methods, m)":
             0 if spec.grid else 16 * (t * n_methods + m) * rows,
     }
@@ -367,8 +371,8 @@ def memory_terms(config, workers=1):
         "the interpreter and numpy": 40 * 10**6,
         f"the raw table ({grid}trials, methods)": 8 * rows * n_methods * trials,
         "the raw row templates (trials, methods)": 100 * n_methods * trials,
-        f"the SCM stack ({grid}trials, m)": stack if set(SCM_METHODS) & set(config.methods) else 0,
-        f"the LCSSP IPNC stack ({grid}trials, m)": stack if "lcssp" in config.methods else 0,
+        f"the SCM stack ({grid}trials, m)": stack * scm,
+        f"the LCSSP IPNC stack ({grid}trials, m)": stack * lcssp,
         f"the true IPNCs ({grid}trials, m, interferers_deg)":
             n * 16 * t * (x if spec.grid == "inr_grid_db" else 1) * m * (p + 3 * m),
         **{name: n * size for name, size in work.items()},

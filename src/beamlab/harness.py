@@ -25,7 +25,8 @@ prefix of it. The physical array's sample covariance is the leading
 m x m block of the extended one, and LCSSP reads the extended one only
 through the m x m IPNC it reconstructs, so a chunk holds that stream, a
 conjugated Gram block, a trial's Grams and its covariances once each,
-and over its points only the m x m stacks its methods read.
+and over its points only the m x m stacks its methods read. A chunk
+whose methods read neither stack draws no snapshots.
 """
 
 import ctypes
@@ -278,25 +279,27 @@ def _gram(z, conjugate, out):
     out /= z.shape[1]
 
 
-def _draw(config, x_values, trials, n_generate):
-    """The draws of a chunk's trials: (powers, physical, covariances).
+def _draw(config, x_values, trials, n_generate, reduce):
+    """The draws of a chunk's trials: (true IPNCs, true steering vectors,
+    SOI powers); unless ``reduce`` is None, ``reduce(t, covariances)``
+    takes each trial t's (X, L, L) extended sample covariances in turn.
 
     Each trial draws its mismatch and snapshot seed from its own streams;
-    the rest is array code over the chunk. The (X, 1 + P) power table
-    ``powers`` holds the powers of [SOI, *interferers] at each x: the
-    swept grid's x values for the sources it sets, the first entry of
-    every other grid. ``physical`` is the (T, m, 1 + P) steering stack
-    of the true directions over the physical aperture, and one over the
-    extended aperture mixes the draws. ``covariances`` yields each
-    trial's (X, L, L) extended sample covariances in turn, drawn as the
-    iteration reaches the trial. A point's snapshots would be B Z, with Z
-    the draw's complex normals (source waveforms, then noise) and B = [A,
-    I] diag(a) for the steering matrix A and the amplitudes a = sqrt(power
-    / 2), so its covariance is B G B^H with G = Z Z^H / k, formed per
-    trial by ``_gram``. In the SNR and INR sweeps the x values of a trial
-    share G; the snapshot sweep draws the trial's stream once, at its
-    largest k, and every k's Z is a view of its first 2 n_rows k numbers
-    read as complex pairs.
+    the rest is array code over the chunk. The (X, 1 + P) power table p
+    holds the powers of [SOI, *interferers] at each x: the swept grid's x
+    values for the sources it sets, the first entry of every other grid.
+    The physical aperture's steering stack of the true directions holds
+    each trial's true steering vector and interferer columns A_I, and the
+    true IPNCs A_I diag(p) A_I^H + I are one product: one per trial, or
+    one per point if an interferer power changes with x. No snapshots are
+    drawn when ``reduce`` is None. A point's snapshots would be B Z, with
+    Z the draw's complex normals (source waveforms, then noise) and B =
+    [A, I] diag(a) for the extended aperture's steering matrix A and the
+    amplitudes a = sqrt(power / 2), so its covariance is B G B^H with G =
+    Z Z^H / k, formed per trial by ``_gram``. In the SNR and INR sweeps
+    the x values of a trial share G; the snapshot sweep draws the trial's
+    stream once, at its largest k, and every k's Z is a view of its first
+    2 n_rows k numbers read as complex pairs.
     """
     m, n, n_x = config.m, n_generate, len(x_values)
     grid = EXPERIMENTS[config.experiment].grid
@@ -312,58 +315,7 @@ def _draw(config, x_values, trials, n_generate):
     sines = np.sin([[soi, *interferers] for soi, interferers, _, _ in draws])
     # Element 0's position error is 0, so the positions need no re-referencing.
     positions = _element_positions(n, np.stack([perr for _, _, perr, _ in draws]))
-    extended = _steering_grid(positions, sines)
-    amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
-
-    def covariances():
-        n_rows = amplitudes.shape[-1]
-        # Every trial draws into one stream buffer, conjugates one Gram
-        # block at a time into one more and writes its Grams into one
-        # stack, so the trials allocate no multi-MB arrays whose allocation
-        # speed would depend on the allocator's state.
-        stream = np.empty(2 * n_rows * max(ks))
-        conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
-        gram = np.empty((len(ks), n_rows, n_rows), dtype=complex)
-        for steer, (_, _, _, snap_seed) in zip(extended, draws):
-            b = np.hstack((steer, np.eye(n))) * amplitudes
-            np.random.default_rng(snap_seed).standard_normal(out=stream)
-            # Z's rows are the waveforms of [SOI, *interferers], then noise,
-            # so the first m noise rows of an extended draw are the m-element
-            # draw.
-            for k, out in zip(ks, gram):
-                _gram(stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k), conjugate, out)
-            yield hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj())
-
-    return powers, _steering_grid(positions[:, :m], sines), covariances()
-
-
-def _draw_points(config, x_values, trials, n_generate, projection):
-    """Draw every (trial, x) point of ``trials``, keeping what the methods read.
-
-    Each trial's extended covariances (``_draw``) are reduced as they are
-    drawn to the SCM, their leading m x m block, if an SCM method runs,
-    and to LCSSP's reconstructed IPNC under ``projection``, if that is not
-    None; the chunk holds those two (T, X, m, m) stacks and one trial's
-    covariances. The physical steering stack's first column is each
-    trial's true steering vector, and its interferer columns A_I and the
-    power table p give the true IPNCs A_I diag(p) A_I^H + I in one
-    product: one per trial, or one per point if an interferer power
-    changes with x.
-    """
-    m = config.m
-    powers, physical, covariances = _draw(config, x_values, trials, n_generate)
-    shape = (len(trials), len(x_values), m, m)
-    scm = np.empty(shape, dtype=complex) if set(SCM_METHODS) & set(config.methods) else None
-    lcssp = None if projection is None else np.empty(shape, dtype=complex)
-    for t in range(len(trials)):
-        cov = next(covariances)
-        if scm is not None:
-            scm[t] = cov[..., :m, :m]
-        if lcssp is not None:
-            lcssp[t] = reconstruct_ipnc(projection, cov, m)
-        # Let go of the trial's covariances before the next trial draws its
-        # own (a for loop over an enumerate would hold them meanwhile).
-        del cov
+    physical = _steering_grid(positions[:, :m], sines)
     # A trial's points share its true IPNC unless an interferer power
     # changes with x. The IPNC and steering vector are made C-contiguous:
     # BLAS rounds output_sinr's products by their memory layout.
@@ -372,7 +324,51 @@ def _draw_points(config, x_values, trials, n_generate, projection):
     ipnc = (a_int * int_powers[..., None, :]) @ np.swapaxes(a_int.conj(), -1, -2) + np.eye(m)
     ipnc = np.ascontiguousarray(hermitize(ipnc))
     tsv = np.ascontiguousarray(physical[:, None, :, 0])
-    return _Points(scm, lcssp, ipnc, tsv, powers[None, :, 0])
+    if reduce is None:
+        return ipnc, tsv, powers[None, :, 0]
+    amplitudes = np.sqrt(np.hstack((powers, np.ones((n_x, n)))) / 2.0)[:, None, :]
+    n_rows = amplitudes.shape[-1]
+    extended = _steering_grid(positions, sines)
+    # The trials draw into one stream buffer, conjugate one Gram block at a
+    # time into one more and write their Grams into one stack, so they
+    # allocate no multi-MB arrays whose speed depends on the allocator.
+    stream = np.empty(2 * n_rows * max(ks))
+    conjugate = np.empty(n_rows * min(max(ks), GRAM_BLOCK), dtype=complex)
+    gram = np.empty((len(ks), n_rows, n_rows), dtype=complex)
+    for t, (_, _, _, snap_seed) in enumerate(draws):
+        b = np.hstack((extended[t], np.eye(n))) * amplitudes
+        np.random.default_rng(snap_seed).standard_normal(out=stream)
+        # Z's rows are the waveforms of [SOI, *interferers], then noise, so
+        # the first m noise rows of an extended draw are the m-element draw.
+        for k, out in zip(ks, gram):
+            _gram(stream[: 2 * n_rows * k].view(complex).reshape(n_rows, k), conjugate, out)
+        reduce(t, hermitize(b @ gram @ np.swapaxes(b, -1, -2).conj()))
+    return ipnc, tsv, powers[None, :, 0]
+
+
+def _draw_points(config, x_values, trials, n_generate, projection):
+    """Draw every (trial, x) point of ``trials``, keeping what the methods read.
+
+    The chunk holds two (T, X, m, m) stacks: the SCM, the leading m x m
+    block of each point's extended covariance, if an SCM method runs, and
+    LCSSP's IPNC reconstructed from it under ``projection``, if that is
+    not None. ``_draw`` hands each trial's covariances to a reduction that
+    fills them, and draws no snapshots when neither stack is held.
+    """
+    m = config.m
+    shape = (len(trials), len(x_values), m, m)
+    scm = np.empty(shape, dtype=complex) if set(SCM_METHODS) & set(config.methods) else None
+    lcssp = None if projection is None else np.empty(shape, dtype=complex)
+
+    def reduce(t, covariances):
+        if scm is not None:
+            scm[t] = covariances[..., :m, :m]
+        if lcssp is not None:
+            lcssp[t] = reconstruct_ipnc(projection, covariances, m)
+
+    held = scm is not None or lcssp is not None
+    drawn = _draw(config, x_values, trials, n_generate, reduce if held else None)
+    return _Points(scm, lcssp, *drawn)
 
 
 def _method_sinr(method, points, presumed, complement):

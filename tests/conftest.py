@@ -34,3 +34,19 @@ def negative_ipnc(monkeypatch):
         monkeypatch.setattr(harness, "_draw_points", poisoned)
 
     return poison
+
+
+@pytest.fixture(scope="session")
+def drawn_covariances():
+    """The (T, X, L, L) stack of the extended covariances that
+    ``harness._draw`` hands its reduction, trial by trial; ``n_generate``
+    defaults to the config's fixed l."""
+
+    def collect(config, x_values, trials, n_generate=None):
+        covariances = []
+        x_values = np.asarray(x_values, dtype=float)
+        n_generate = config.l if n_generate is None else n_generate
+        harness._draw(config, x_values, trials, n_generate, lambda t, cov: covariances.append(cov))
+        return np.stack(covariances)
+
+    return collect

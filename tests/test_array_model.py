@@ -154,12 +154,11 @@ def test_snapshot_source_scale_under_extension():
     np.testing.assert_allclose(sources(20)[:10], np.sqrt(10 / 20) * sources(10), atol=1e-12)
 
 
-def test_snapshots_deterministic_per_seed():
+def test_snapshots_deterministic_per_seed(drawn_covariances):
     config = normalize_config(default_config("sinr_vs_snr"))
-    x_values = np.array([0.0, 10.0])
 
     def covariances():
-        return np.stack(list(harness._draw(config, x_values, range(2), config.l)[2]))
+        return drawn_covariances(config, [0.0, 10.0], range(2))
 
     a, b = covariances(), covariances()
     config.seed += 1

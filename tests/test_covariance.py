@@ -15,12 +15,11 @@ from beamlab import (
 from beamlab import harness
 
 
-def test_sample_covariance_hermitian_psd():
+def test_sample_covariance_hermitian_psd(drawn_covariances):
     # The drawn covariances are exactly Hermitian and positive semidefinite,
     # rank deficient below L snapshots included.
     config = normalize_config(default_config("sinr_vs_snapshots"))
-    _, _, covariances = harness._draw(config, np.array([1.0, 5.0, 40.0]), range(3), config.l)
-    cov = np.stack(list(covariances))
+    cov = drawn_covariances(config, [1.0, 5.0, 40.0], range(3))
     np.testing.assert_array_equal(cov, np.swapaxes(cov, -1, -2).conj())
     assert np.min(np.linalg.eigvalsh(cov)) > -1e-12 * np.max(np.abs(cov))
 

@@ -194,10 +194,10 @@ def test_normalize_config_bounds_the_raw_table():
 def test_over_budget_error_names_the_largest_term():
     # l 128, 32 interferers, k 200000 and 64 grid points, 16 trials: the
     # stream of one trial is 518 MB. It is rejected before anything runs.
-    # (At k 100000 the run holds no covariance stack, and it fits: it
-    # peaked at 405 MB.)
+    # (At k 100000 it fits: it peaked at 407 MB. With optimal alone, which
+    # reads no snapshots, no stream is drawn and it fits at k 200000.)
     cfg = default_config("sinr_vs_snapshots")
-    cfg.l, cfg.trials, cfg.methods = 128, 16, ["optimal"]
+    cfg.l, cfg.trials, cfg.methods = 128, 16, ["optimal", "scm_mvdr"]
     cfg.interferers_deg = [side * a for side in (-1, 1) for a in np.linspace(10.0, 80.0, 16)]
     cfg.k_grid = [200_000] + [1] * 63
     with pytest.raises(ConfigError) as err:
@@ -772,6 +772,50 @@ def test_fixed_dimension_projector_failure_fails_only_lcssp():
     assert [without.diagnostics[key] for key in lcssp_keys] == [None, None, None]
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("sinr_vs_snapshots", {"methods": ["optimal"]}),
+        # No dimension up to 8 m reaches this delta, so lcssp has no
+        # projector and reads no stack.
+        (
+            "sinr_vs_snr",
+            {"interferers_deg": [-31.7, 28.3], "delta": 1e-4, "l": "auto",
+             "methods": ["optimal", "lcssp"]},
+        ),
+    ],
+    ids=["optimal", "lcssp_without_projector"],
+)
+def test_a_run_that_reads_no_stack_draws_no_snapshots(monkeypatch, experiment, overrides):
+    # The optimal beamformer reads only the true IPNC and steering vector,
+    # so a run whose methods read neither the SCM nor LCSSP's IPNCs forms
+    # no Gram matrix, and its values are those of the run that draws.
+    cfg = _small(experiment, **overrides)
+    drawing = run_experiment(dataclasses.replace(cfg, methods=[*cfg.methods, "scm_mvdr"]))
+
+    def no_gram(*args):
+        raise AssertionError("a run that reads no snapshots formed a Gram matrix")
+
+    monkeypatch.setattr(harness, "_gram", no_gram)
+    res = run_experiment(cfg)
+    for meth in cfg.methods:
+        np.testing.assert_array_equal(_bits(res.raw[meth]), _bits(drawing.raw[meth]))
+
+
+def test_memory_terms_charge_the_draw_only_if_a_method_reads_it():
+    # optimal alone draws no snapshots, so neither the stream nor a trial's
+    # Grams and covariances are charged (the methods' terms may then be
+    # the larger set, and the draw's are left out); scm_mvdr reads them.
+    cfg = normalize_config(_small("sinr_vs_snapshots", methods=["optimal"]))
+    stream = "the snapshot stream (k_grid, interferers_deg, l)"
+    gram = "a trial's Gram matrices, mixing products and covariances (k_grid, interferers_deg, l)"
+    terms = memory_terms(cfg)
+    assert terms.get(stream, 0) == terms.get(gram, 0) == 0
+    cfg.methods = ["optimal", "scm_mvdr"]
+    terms = memory_terms(cfg)
+    assert terms[stream] > 0 and terms[gram] > 0
+
+
 def test_output_sinr_failure_is_recorded_per_point(negative_ipnc):
     negative_ipnc({(0, 1), (2, 0)})
     res = run_experiment(_small())
@@ -1004,12 +1048,6 @@ def test_snapshot_points_depend_only_on_their_k():
             np.testing.assert_array_equal(_bits(wide.raw[meth][1:]), _bits(narrow.raw[meth]))
 
 
-def _extended_covariances(config, x_values, trials):
-    """The (T, X, L, L) stack of the extended covariances the draw yields."""
-    x_values = np.asarray(x_values, dtype=float)
-    return np.stack(list(harness._draw(config, x_values, trials, config.l)[2]))
-
-
 @pytest.mark.parametrize(
     "ks",
     [
@@ -1019,7 +1057,7 @@ def _extended_covariances(config, x_values, trials):
     ],
     ids=["unsorted_repeats", "gram_blocks"],
 )
-def test_drawn_covariance_is_the_blocked_gram(ks):
+def test_drawn_covariance_is_the_blocked_gram(drawn_covariances, ks):
     # A point's covariance is hermitize(B G B^H) with G = Z Z^H / k, B the
     # documented mixing matrix and Z the reference draw of k normals. Up
     # to GRAM_BLOCK columns the Gram is the single product, bit for bit.
@@ -1031,7 +1069,7 @@ def test_drawn_covariance_is_the_blocked_gram(ks):
     # (n_rows + 2) eps / 2 apiece relative to |B| |G| |B|^T. In all:
     # |dR| <= (k + 2 + 2 (n_rows + 2)) eps |B| (|Z| |Z|^T) |B|^T / k.
     config = normalize_config(_small("sinr_vs_snapshots", k_grid=ks))
-    cov = _extended_covariances(config, ks, range(2, 3))
+    cov = drawn_covariances(config, ks, range(2, 3))
     soi, interferers, perr, seed = _draw_mismatch(config, 2)
     powers = [10.0 ** (config.snr_grid_db[0] / 10.0)]
     powers += [10.0 ** (config.inr_grid_db[0] / 10.0)] * len(interferers)
@@ -1074,7 +1112,7 @@ def test_scm_mvdr_sinr_loss_follows_reed_mallett_brennan():
     assert np.all(np.abs(z) <= 5), z
 
 
-def test_mean_drawn_covariance_is_the_documented_covariance():
+def test_mean_drawn_covariance_is_the_documented_covariance(drawn_covariances):
     # Without mismatch every trial draws from one covariance R =
     # sum_p power_p a_p a_p^H + I on the extended positions. An entry of
     # a sample covariance averages k terms x_i conj(x_j); for circular
@@ -1090,7 +1128,7 @@ def test_mean_drawn_covariance_is_the_documented_covariance():
         "sinr_vs_snapshots", trials=trials, k_grid=ks,
         doa_mismatch_halfwidth_deg=0.0, position_error_halfwidth_wl=0.0,
     ))
-    cov = _extended_covariances(config, ks, range(trials))
+    cov = drawn_covariances(config, ks, range(trials))
     directions = np.deg2rad([config.presumed_soi_deg, *config.interferers_deg])
     db = [config.snr_grid_db[0]] + [config.inr_grid_db[0]] * len(config.interferers_deg)
     powers = 10.0 ** (np.array(db) / 10.0)

@@ -543,7 +543,9 @@ def sweep_configs(draw, experiment):
     first=st.integers(min_value=0, max_value=1000),
     n_trials=st.integers(min_value=1, max_value=3),
 )
-def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n_trials):
+def test_drawn_points_match_the_per_point_draw(
+    drawn_covariances, data, experiment, extra, first, n_trials
+):
     # Every sweep forms each point's covariance from the Gram matrix of
     # its trial's normals; the covariances must still be the per-point
     # draw up to rounding. The true IPNC, steering vector and SOI power
@@ -554,7 +556,7 @@ def test_drawn_points_match_the_per_point_draw(data, experiment, extra, first, n
     trials = range(first, first + n_trials)
     n_generate = config.m + extra
     points = harness._draw_points(config, x_values, trials, n_generate, None)
-    covariances = np.stack(list(harness._draw(config, x_values, trials, n_generate)[2]))
+    covariances = drawn_covariances(config, x_values, trials, n_generate)
     # BLAS rounds output_sinr's products by the memory layout of its
     # operands: with a transposed IPNC, raw SINRs of the m 100 / l 110
     # snapshot sweep moved by 1 ulp. The draw keeps both C-contiguous.
@@ -584,7 +586,9 @@ def _cbits(a):
     n_trials=st.integers(min_value=1, max_value=3),
 )
 @pytest.mark.parametrize("kind", ["extended", "l_equals_m", "without_lcssp", "no_projector"])
-def test_drawn_stacks_are_the_reduced_covariances(kind, data, experiment, first, n_trials):
+def test_drawn_stacks_are_the_reduced_covariances(
+    drawn_covariances, kind, data, experiment, first, n_trials
+):
     # A chunk holds only what its methods read. Its SCM stack is the
     # leading m x m block of each point's extended covariance, bit for bit,
     # if an SCM method runs; its LCSSP stack is reconstruct_ipnc of that
@@ -612,7 +616,7 @@ def test_drawn_stacks_are_the_reduced_covariances(kind, data, experiment, first,
     x_values = np.asarray(getattr(config, _SWEPT_FIELD[experiment]), dtype=float)
     trials = range(first, first + n_trials)
     points = harness._draw_points(config, x_values, trials, n_generate, projection)
-    covariances = np.stack(list(harness._draw(config, x_values, trials, n_generate)[2]))
+    covariances = drawn_covariances(config, x_values, trials, n_generate)
     m = config.m
     if set(config.methods) & {"scm_mvdr", "diagonal_loading", "capon_integral"}:
         np.testing.assert_array_equal(_cbits(points.scm), _cbits(covariances[..., :m, :m]))
@@ -1028,12 +1032,21 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
         # which the chunk's trials write into one buffer.
         ("sinr_vs_snr", {"trials": 2, "m": 2, "l": 2, "interferers_deg": [40.0] * 2000}, 1, None),
         # 4 trials of 8 SNR points at m = l = 128: the methods' per-point
-        # temporaries, 26 MB, are the largest term.
+        # temporaries, 34 MB, are the largest term.
         (
             "sinr_vs_snr",
             {"trials": 4, "m": MAX_DIMENSION, "l": MAX_DIMENSION, "snr_grid_db": [10.0] * 8},
             1,
             None,
+        ),
+        # Every former cap at once, with optimal alone: no method reads a
+        # snapshot, so none is drawn (drawn, they took the run to 405 MB).
+        (
+            "sinr_vs_snapshots",
+            {**_LONG_STREAM, "trials": 16, "interferers_deg": _INTERFERERS,
+             "k_grid": [100_000] + [1] * 63, "methods": ["optimal"]},
+            1,
+            40,
         ),
     ],
     # Each id names the former per-field cap at whose bound the run sits,
@@ -1047,6 +1060,7 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
         "k200000",
         "gram",
         "method_temporaries",
+        "every_cap_optimal",
     ],
 )
 def test_runs_at_the_config_bounds_keep_their_documented_peak(
