@@ -20,13 +20,15 @@ nothing by default.
 rejects power grid entries above ``MAX_POWER_DB``, where double
 precision no longer resolves the noise floor, an array dimension that
 may exceed ``MAX_DIMENSION``, a sensor-position error halfwidth above
-``MAX_POSITION_ERROR_WL``, and a run whose estimated peak memory on one
-thread (``memory_terms``) is above ``MEMORY_BUDGET``.
+``MAX_POSITION_ERROR_WL``, and a run whose estimated peak memory
+(``memory_terms``) in one-trial chunks on one thread is above
+``MEMORY_BUDGET``; ``run_layout`` sizes the runs it accepts.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import product
 
 import numpy as np
 
@@ -50,7 +52,7 @@ MAX_DIMENSION = 128
 MAX_POSITION_ERROR_WL = 0.25
 # Most trials per task: each task stacks the points of up to this many
 # trials and runs every method over the stack in one batched call
-# (trial_chunks splits a run).
+# (run_layout picks the length, trial_chunks splits a run).
 TRIAL_CHUNK = 16
 # Columns per product of a trial's Gram matrix Z Z^H, a sum over blocks
 # of this many columns of Z: each product conjugates one block, not the
@@ -312,7 +314,7 @@ def normalize_config(config):
         _sector_complement(np.deg2rad(out.presumed_soi_deg), np.deg2rad(out.sector_halfwidth_deg))
     except ValueError as err:
         raise ConfigError(f"sector_halfwidth_deg too large: {err}") from err
-    terms = memory_terms(out)
+    terms = memory_terms(out, 1, 1)
     if sum(terms.values()) > MEMORY_BUDGET:
         raise ConfigError(
             f"the run needs about {sum(terms.values()) // 10**6:,} MB, above the "
@@ -321,21 +323,21 @@ def normalize_config(config):
     return out
 
 
-def memory_terms(config, workers=1):
+def memory_terms(config, workers, length):
     """Estimated peak bytes of running the normalized ``config`` on
-    ``workers`` threads and writing its CSVs, as {term (the config fields
-    that drive it): bytes}, which sum to the peak. A thread's chunk holds
-    T trials, the longest chunk of ``trial_chunks``, at X grid points (1
-    for the beampattern), each drawing 1 + P + L rows of normals, for P
-    interferers and dimension L (8 m at "auto").
-    Failure records and run time are not counted."""
+    ``workers`` threads in chunks of at most ``length`` trials and writing
+    its CSVs, as {term (the config fields that drive it): bytes}, which
+    sum to the peak. A thread's chunk holds T trials, the longest chunk of
+    ``trial_chunks``, at X grid points (1 for the beampattern), each
+    drawing 1 + P + L rows of normals, for P interferers and dimension L
+    (8 m at "auto"). Failure records and run time are not counted."""
     spec, trials, n = EXPERIMENTS[config.experiment], config.trials, workers
     m, p, n_methods = config.m, len(config.interferers_deg), len(config.methods)
     l = 8 * m if config.l == "auto" else config.l
     n_rows = 1 + p + l
     x = len(getattr(config, spec.grid)) if spec.grid else 1
     ks = config.k_grid if spec.grid == "k_grid" else config.k_grid[:1]
-    t = -(-trials // min(trials, _chunk_count(trials, n)))  # the longest chunk
+    t = -(-trials // min(trials, _chunk_count(trials, n, length)))  # the longest chunk
     rows = x if spec.grid else len(beampattern_grid_deg())
     grid = f"{spec.grid}, " if spec.grid else ""
     # Each thread holds its chunk's true IPNCs (one per trial unless the
@@ -379,24 +381,35 @@ def memory_terms(config, workers=1):
     }
 
 
-def _chunk_count(trials, workers):
-    """workers x ceil(trials / (workers TRIAL_CHUNK)): ``trial_chunks``'s
+def run_layout(config, threads):
+    """(threads, chunks) of a run of the normalized ``config`` on at most
+    ``threads`` threads: the most threads, then the longest chunks up to
+    TRIAL_CHUNK trials, whose ``memory_terms`` fit MEMORY_BUDGET; last, one
+    thread with one-trial chunks, the layout ``normalize_config`` checks."""
+    for threads, length in product(range(threads, 0, -1), range(TRIAL_CHUNK, 0, -1)):
+        if sum(memory_terms(config, threads, length).values()) <= MEMORY_BUDGET:
+            break
+    return threads, trial_chunks(config.trials, threads, length)
+
+
+def _chunk_count(trials, workers, length):
+    """workers x ceil(trials / (workers length)): ``trial_chunks``'s
     ranges, the empty ones included."""
-    return workers * -(-trials // (workers * TRIAL_CHUNK))
+    return workers * -(-trials // (workers * length))
 
 
-def trial_chunks(trials, workers=1):
+def trial_chunks(trials, workers, length):
     """The chunks, as ranges of trial indices, of a run on ``workers``
-    threads, yielded in order.
+    threads in chunks of at most ``length`` trials, yielded in order.
 
-    Of count = ``workers`` x ceil(trials / (workers TRIAL_CHUNK)) ranges,
-    range i is [trials i // count, trials (i + 1) // count), and empty ones
-    are dropped. They partition range(trials), their lengths differ by at
-    most 1 and none exceeds TRIAL_CHUNK. At trials >= count every thread
+    Of count = ``workers`` x ceil(trials / (workers length)) ranges, range
+    i is [trials i // count, trials (i + 1) // count), and empty ones are
+    dropped. They partition range(trials), their lengths differ by at
+    most 1 and none exceeds ``length``. At trials >= count every thread
     gets the same number of chunks, the longest of ceil(trials / count)
     trials; fewer trials run one per chunk.
     """
-    count = _chunk_count(trials, workers)
+    count = _chunk_count(trials, workers, length)
     bounds = [trials * i // count for i in range(count + 1)]
     return filter(len, map(range, bounds[:-1], bounds[1:]))
 

@@ -50,8 +50,8 @@ from .baselines import (
     optimal_weights,
     scm_mvdr_weights,
 )
-from .config import EXPERIMENTS, GRAM_BLOCK, MEMORY_BUDGET, SCM_METHODS, ExperimentConfig
-from .config import _as_int, _sector_complement, memory_terms, normalize_config, trial_chunks
+from .config import EXPERIMENTS, GRAM_BLOCK, SCM_METHODS, ExperimentConfig
+from .config import _as_int, _sector_complement, normalize_config, run_layout
 from .lcssp import (
     LcsspConfig,
     NoConvergenceError,
@@ -542,12 +542,11 @@ def run_experiment(config, workers=1):
 
     Deterministic for a given config: trial t's randomness is derived from
     (seed, t) alone, and aggregation is order-insensitive, so any worker
-    count yields identical results. A pool of at most min(workers,
-    trials, CPU count) threads, fewer if the estimated peak memory
-    (``config.memory_terms``) at that count is above MEMORY_BUDGET, maps
-    the chunks ``config.trial_chunks`` splits the trials into for that
-    many threads, the same number for each thread, and submits at most
-    two chunks per thread ahead of the results it has taken; ``workers``
+    count yields identical results. Of at most min(workers, trials, CPU
+    count) threads, ``config.run_layout`` picks the thread count and chunk
+    length that fit the memory budget; a pool of that many threads maps
+    the chunks, the same number for each thread, and submits at most two
+    chunks per thread ahead of the results it has taken; ``workers``
     below 1 runs serially, and a non-integer one is a ConfigError.
     Threads overlap where a chunk releases the GIL: the RNG fill of the
     normals, BLAS products and numpy's batched LAPACK calls; the many
@@ -565,12 +564,10 @@ def run_experiment(config, workers=1):
     """
     config = normalize_config(config)
     workers = max(1, min(_as_int(workers, "workers"), config.trials, os.cpu_count() or 1))
-    while workers > 1 and sum(memory_terms(config, workers).values()) > MEMORY_BUDGET:
-        workers -= 1
+    workers, chunks = run_layout(config, workers)
     spec = EXPERIMENTS[config.experiment]
     # The beampattern runs at one operating point; its x axis is the angle.
     x_values = np.asarray([0.0] if spec.grid is None else getattr(config, spec.grid), dtype=float)
-    chunks = trial_chunks(config.trials, workers)
     table_x = beampattern_grid_deg() if spec.grid is None else x_values
     raw = np.full((len(table_x), len(config.methods), config.trials), np.nan)
     with _one_blas_thread:

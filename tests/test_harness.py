@@ -34,10 +34,11 @@ from beamlab.config import (
     MAX_DIMENSION,
     MEMORY_BUDGET,
     METHOD_NAMES,
+    TRIAL_CHUNK,
     _sector_complement,
     memory_terms,
     normalize_config,
-    trial_chunks,
+    run_layout,
 )
 from beamlab.harness import _draw_mismatch
 
@@ -269,9 +270,10 @@ def test_normalize_config_rejects_bad_values():
         ("sinr_vs_snr", "methods", None),
         ("sinr_vs_snapshots", "k_grid", 5),
         ("sinr_vs_snr", "snr_grid_db", "10"),
-        # Grids too long for the memory budget, on the experiment that sweeps them.
-        ("sinr_vs_inr", "inr_grid_db", [10.0] * 2000),
-        ("sinr_vs_snapshots", "k_grid", [50] * 2000),
+        # Grids too long for the memory budget even in one-trial chunks, on
+        # the experiment that sweeps them.
+        ("sinr_vs_inr", "inr_grid_db", [10.0] * 20000),
+        ("sinr_vs_snapshots", "k_grid", [50] * 20000),
     ):
         cfg = default_config(experiment)
         setattr(cfg, field, value)
@@ -809,10 +811,10 @@ def test_memory_terms_charge_the_draw_only_if_a_method_reads_it():
     cfg = normalize_config(_small("sinr_vs_snapshots", methods=["optimal"]))
     stream = "the snapshot stream (k_grid, interferers_deg, l)"
     gram = "a trial's Gram matrices, mixing products and covariances (k_grid, interferers_deg, l)"
-    terms = memory_terms(cfg)
+    terms = memory_terms(cfg, 1, TRIAL_CHUNK)
     assert terms.get(stream, 0) == terms.get(gram, 0) == 0
     cfg.methods = ["optimal", "scm_mvdr"]
-    terms = memory_terms(cfg)
+    terms = memory_terms(cfg, 1, TRIAL_CHUNK)
     assert terms[stream] > 0 and terms[gram] > 0
 
 
@@ -883,19 +885,22 @@ def test_workers_clamped_to_trials_and_cpus(monkeypatch, workers, trials, cpus, 
 
 
 def test_workers_stop_at_the_memory_budget(monkeypatch):
-    # Each thread holds a chunk, so a run starts the most threads whose
-    # estimated peak fits the budget, and serially if two do not fit. At k
-    # 2000 each thread's snapshot stream is the chunk's largest array, so
-    # every thread adds to the estimate. The values do not depend on the
-    # thread count.
+    # Each thread holds a chunk, so a run starts the most threads at which
+    # some chunk length fits the budget, and serially if two threads fit
+    # at none. At k 2000 each thread's snapshot stream is the chunk's
+    # largest array, so every thread adds to the estimate; one-trial
+    # chunks give each thread count its smallest estimate. The values do
+    # not depend on the thread count.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     cfg = normalize_config(_small(trials=8, k_grid=[2000], methods=["optimal", "scm_mvdr"]))
-    peaks = {w: sum(memory_terms(cfg, w).values()) for w in range(1, 9)}
+    peaks = {w: sum(memory_terms(cfg, w, 1).values()) for w in range(1, 9)}
     assert all(peaks[w] < peaks[w + 1] for w in range(1, 8))
+    # Three threads fit only in chunks shorter than length 16 cuts (2/3/3).
+    assert sum(memory_terms(cfg, 3, TRIAL_CHUNK).values()) > peaks[3]
     serial = run_experiment(cfg)
     for budget in (peaks[3], peaks[2] - 1):
-        monkeypatch.setattr(harness, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr("beamlab.config.MEMORY_BUDGET", budget)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         res = run_experiment(cfg, workers=8)
         threads = max(w for w, peak in peaks.items() if peak <= budget)
@@ -999,7 +1004,7 @@ def test_trial_chunks_change_nothing(tmp_path, monkeypatch, experiment, override
     reference = _check_chunking(tmp_path, monkeypatch, cfg)
     if cfg.trials == 7:
         monkeypatch.setattr("beamlab.config.TRIAL_CHUNK", 3)
-        assert list(map(len, trial_chunks(7))) == [2, 2, 3]
+        assert list(map(len, run_layout(normalize_config(cfg), 1)[1])) == [2, 2, 3]
     if overrides is _NO_CONVERGENCE:
         assert len(reference.diagnostics["failures"]) == 5 * len(reference.x_values)
 

@@ -58,8 +58,10 @@ from beamlab.config import (
     MAX_POWER_DB,
     MEMORY_BUDGET,
     METHOD_NAMES,
+    TRIAL_CHUNK,
     _sector_complement,
     memory_terms,
+    run_layout,
     trial_chunks,
 )
 from beamlab.harness import MethodViews, SweepResult, _draw_mismatch
@@ -902,30 +904,62 @@ def test_draw_memory_is_one_stream_or_one_stack():
 
 
 @settings(max_examples=200, deadline=None)
-@given(trials=st.integers(1, 500), workers=st.integers(1, 8), trial_chunk=st.integers(1, 32))
+@given(trials=st.integers(1, 500), workers=st.integers(1, 8), length=st.integers(1, 32))
 def test_trial_chunks_are_even_and_the_memory_model_charges_the_longest(
-    trials, workers, trial_chunk
+    trials, workers, length
 ):
     # The chunks partition the trials in order, in lengths that differ by
-    # at most 1 and stay within TRIAL_CHUNK. Their count is the smallest
-    # multiple of the thread count whose chunks can hold the trials, so
-    # each thread gets as many; with fewer trials than that, each chunk
-    # holds one. Each thread's SCM stack is charged at the longest.
+    # at most 1 and stay within the chunk length. Their count is the
+    # smallest multiple of the thread count whose chunks can hold the
+    # trials, so each thread gets as many; with fewer trials than that,
+    # each chunk holds one. Each thread's SCM stack is charged at the
+    # longest.
     config = default_config("sinr_vs_snr")
     config.trials = trials
-    with mock.patch("beamlab.config.TRIAL_CHUNK", trial_chunk):
-        chunks = list(trial_chunks(trials, workers))
-        stack = memory_terms(config, workers)["the SCM stack (snr_grid_db, trials, m)"]
+    chunks = list(trial_chunks(trials, workers, length))
+    stack = memory_terms(config, workers, length)["the SCM stack (snr_grid_db, trials, m)"]
     lengths = list(map(len, chunks))
     assert [t for chunk in chunks for t in chunk] == list(range(trials))
-    assert max(lengths) - min(lengths) <= 1 and max(lengths) <= trial_chunk
+    assert max(lengths) - min(lengths) <= 1 and max(lengths) <= length
     multiples = range(workers, workers * trials + 1, workers)
-    fewest = next(n for n in multiples if n * trial_chunk >= trials)
+    fewest = next(n for n in multiples if n * length >= trials)
     if trials >= fewest:
         assert len(lengths) == fewest
     else:
         assert lengths == [1] * trials
     assert stack == workers * 16 * max(lengths) * len(config.snr_grid_db) * config.m**2
+
+
+@settings(max_examples=15, deadline=None)
+@given(trials=st.integers(1, 24), threads=st.integers(1, 4), share=st.floats(0.0, 1.0))
+def test_run_layout_takes_the_first_layout_that_fits(trials, threads, share):
+    # Under any budget from the run's one-thread, one-trial estimate (the
+    # least normalize_config accepts) to its estimate at the most threads
+    # and TRIAL_CHUNK, the run takes the first layout that fits in this
+    # order: the most threads, then the longest chunks. Its raw table is
+    # the serial run's at the default budget, bit for bit.
+    config = default_config("sinr_vs_snapshots")
+    config.trials, config.k_grid = trials, [5, 50, 2000]
+    config = normalize_config(config)
+    threads = min(threads, trials)
+
+    def estimate(layout):
+        return sum(memory_terms(config, *layout).values())
+
+    low, high = estimate((1, 1)), estimate((threads, TRIAL_CHUNK))
+    budget = int(low + share * (high - low))
+    order = [(n, length) for n in range(threads, 0, -1) for length in range(TRIAL_CHUNK, 0, -1)]
+    expected = next(layout for layout in order if estimate(layout) <= budget)
+    serial = run_experiment(config)
+    with mock.patch("beamlab.config.MEMORY_BUDGET", budget), mock.patch.object(
+        harness.os, "cpu_count", lambda: 4
+    ):
+        n, chunks = run_layout(config, threads)
+        result = run_experiment(config, workers=threads)
+    assert (n, list(chunks)) == (expected[0], list(trial_chunks(trials, *expected)))
+    np.testing.assert_array_equal(
+        result.raw.table.view(np.uint64), serial.raw.table.view(np.uint64)
+    )
 
 
 @st.composite
@@ -964,7 +998,7 @@ def test_memory_terms_bound_the_traced_peak(config, workers):
     #   test_emit_csv_memory_is_one_block_plus_the_templates checks;
     # - the failure records, about 330 B each (a dict, its x and its
     #   error text), taken here at 400 B.
-    terms = memory_terms(config, workers)
+    terms = memory_terms(config, workers, TRIAL_CHUNK)
     estimate = sum(terms.values()) - terms["the interpreter and numpy"]
     with tempfile.TemporaryDirectory() as tmp:
         tracemalloc.start()
@@ -1048,6 +1082,15 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
             1,
             40,
         ),
+        # 16 trials of 1200 SNR points at m = l = 16: 16-trial chunks would
+        # need 723 MB, so the run takes the longest that fit, 8/8 (382 MB).
+        (
+            "sinr_vs_snr",
+            {"trials": 16, "m": 16, "l": 16,
+             "snr_grid_db": np.linspace(-10.0, 52.0, 1200).tolist()},
+            1,
+            271,
+        ),
     ],
     # Each id names the former per-field cap at whose bound the run sits,
     # or the term that dominates the run.
@@ -1061,25 +1104,25 @@ _LONG_STREAM = {"trials": 1, "l": MAX_DIMENSION, "k_grid": [100_000]}
         "gram",
         "method_temporaries",
         "every_cap_optimal",
+        "shorter_chunks",
     ],
 )
 def test_runs_at_the_config_bounds_keep_their_documented_peak(
     tmp_path, experiment, overrides, workers, documented_mb
 ):
     # Each run fits the budget on one thread, the two-worker run on no
-    # more. Its peak resident set is at most 1.1 times the estimate, and
-    # the estimate at most 1.5 times the peak: the model neither misses a
-    # large array nor rejects runs that would fit. The former caps' corners
-    # also keep their documented peak, in decimal MB, within 10%.
+    # more. Its peak resident set is at most 1.1 times the estimate at the
+    # layout it runs, and that estimate at most 1.5 times the peak: the
+    # model neither misses a large array nor rejects runs that would fit.
+    # The corners also keep their documented peak, in decimal MB, within
+    # 10%.
     config = default_config(experiment)
     for name, value in overrides.items():
         setattr(config, name, value)
     config = normalize_config(config)
-
-    def estimate(threads):
-        return sum(memory_terms(config, threads).values())
-
-    assert workers == 1 or estimate(workers) > MEMORY_BUDGET
+    threads, chunks = run_layout(config, workers)
+    estimate = sum(memory_terms(config, threads, max(map(len, chunks))).values())
+    assert threads == 1
     src = Path(harness.__file__).parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -1093,7 +1136,7 @@ def test_runs_at_the_config_bounds_keep_their_documented_peak(
         timeout=120,
     )
     peak = int(run.stdout) * 1024
-    assert peak <= 1.1 * estimate(1), f"peak {peak / 1e6:.1f} MB"
-    assert estimate(1) <= 1.5 * peak, f"peak {peak / 1e6:.1f} MB"
+    assert peak <= 1.1 * estimate, f"peak {peak / 1e6:.1f} MB"
+    assert estimate <= 1.5 * peak, f"peak {peak / 1e6:.1f} MB"
     assert peak <= MEMORY_BUDGET
     assert documented_mb is None or peak <= 1.1 * documented_mb * 10**6
